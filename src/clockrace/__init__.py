@@ -15,7 +15,7 @@ from .phi import QuasiPoly, count_concrete, phi
 from .races import Analysis, RaceCandidate, Verdict, analyze, race_candidates
 from .report import Report, build_report
 from .smt import emit_smtlib, run_solver
-from .syntax import AffineExpr, Program, SyncClass, classify, print_program
+from .syntax import AffineExpr, Program, print_program
 
 __all__ = [
     "AffineSet",
@@ -29,11 +29,9 @@ __all__ = [
     "QuasiPoly",
     "RaceCandidate",
     "Report",
-    "SyncClass",
     "Verdict",
     "analyze",
     "build_report",
-    "classify",
     "count_concrete",
     "counting_nest",
     "dynamic_phi",

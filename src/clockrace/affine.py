@@ -75,16 +75,6 @@ class AffineSet:
     def empty(variables: Sequence[str], context: Sequence[Constraint] = ()) -> "AffineSet":
         return AffineSet(tuple(variables), (), tuple(context))
 
-    def is_trivially_empty(self) -> bool:
-        return not self.disjuncts
-
-    def conjoin(self, constraints: Sequence[Constraint]) -> "AffineSet":
-        return AffineSet(
-            self.variables,
-            tuple(tuple(d) + tuple(constraints) for d in self.disjuncts),
-            self.context,
-        )
-
     def union(self, other: "AffineSet") -> "AffineSet":
         assert self.variables == other.variables
         return AffineSet(self.variables, self.disjuncts + other.disjuncts, self.context)

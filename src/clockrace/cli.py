@@ -78,9 +78,11 @@ def _parse_params(pairs, program) -> dict[str, int]:
         if not _ or not name or not value.lstrip("-").isdigit():
             raise ValueError(f"bad --param {item!r}, expected NAME=INT")
         out[name] = int(value)
-    for name, _ in program.params:
+    for name, lb in program.params:
         if name not in out:
             raise ValueError(f"missing --param {name}=...")
+        if out[name] < lb:
+            raise ValueError(f"parameter {name}={out[name]} below bound {lb}")
     return out
 
 

@@ -22,8 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import sympy
-
+from .phi import QuasiPoly
 from .syntax import (
     AccessRef,
     Advance,
@@ -38,30 +37,18 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class PolynomialSpec:
-    """A polynomial in named variables with integer coefficients."""
-
-    expr: sympy.Expr
-    variables: tuple[str, ...]
-
-    def has_nonneg_coeffs(self) -> bool:
-        poly = sympy.Poly(self.expr, *[sympy.Symbol(v, integer=True) for v in self.variables]) \
-            if self.variables else None
-        coeffs = poly.coeffs() if poly else [self.expr]
-        return all(sympy.Integer(c) >= 0 for c in coeffs)
-
-    def evaluate(self, env) -> int:
-        return int(self.expr.subs({sympy.Symbol(v, integer=True): env[v] for v in self.variables}))
+def _nonneg(q: QuasiPoly) -> bool:
+    return all(c >= 0 for _, c in q.coeffs)
 
 
 _POLY_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+|\^|\*|\+|-)")
 
 
-def parse_poly(text: str) -> PolynomialSpec:
-    """Parse polynomial syntax like ``x^2+x*y+y^2`` or ``3*x - 2``.
+def parse_poly(text: str) -> QuasiPoly:
+    """Parse polynomial syntax like ``x^2+x*y+y^2`` or ``3*x - 2``; the
+    result lists exactly the variables that occur.
 
-    Raises ValueError on malformed input or non-integer coefficients."""
+    Raises ValueError on malformed input."""
     pos, tokens = 0, []
     while pos < len(text):
         m = _POLY_TOKEN.match(text, pos)
@@ -71,7 +58,7 @@ def parse_poly(text: str) -> PolynomialSpec:
             break
         tokens.append(m.group(1))
         pos = m.end()
-    expr = sympy.Integer(0)
+    poly = QuasiPoly.zero()
     i = 0
 
     def factor():
@@ -80,8 +67,11 @@ def parse_poly(text: str) -> PolynomialSpec:
             raise ValueError("unexpected end of polynomial")
         tok = tokens[i]
         i += 1
-        base = sympy.Integer(int(tok)) if tok.isdigit() else sympy.Symbol(tok, integer=True)
-        if not tok.isdigit() and not tok[0].isalpha() and tok[0] != "_":
+        if tok.isdigit():
+            base = QuasiPoly.constant(int(tok))
+        elif tok[0].isalpha() or tok[0] == "_":
+            base = QuasiPoly.var(tok)
+        else:
             raise ValueError(f"unexpected token {tok!r}")
         if i < len(tokens) and tokens[i] == "^":
             i += 1
@@ -108,37 +98,15 @@ def parse_poly(text: str) -> PolynomialSpec:
             i += 1
         elif not first:
             raise ValueError(f"expected '+' or '-' before {tokens[i]!r}")
-        expr += sign * term()
+        poly += sign * term()
         first = False
     if first and tokens:
         raise ValueError("empty polynomial")
-    expr = sympy.expand(expr)
-    variables = tuple(sorted(str(s) for s in expr.free_symbols))
-    spec = PolynomialSpec(expr, variables)
-    syms = [sympy.Symbol(v, integer=True) for v in variables]
-    if variables and not all(
-        sympy.Integer(c) == c for c in sympy.Poly(expr, *syms).coeffs()
-    ):
-        raise ValueError("coefficients must be integers")
-    return spec
+    return poly
 
 
 # ---------------------------------------------------------------------------
 # Counting nests
-
-
-def _sympy_to_affine(e: sympy.Expr) -> AffineExpr:
-    e = sympy.expand(e)
-    const, coeffs = 0, {}
-    for term in sympy.Add.make_args(e):
-        c, rest = term.as_coeff_Mul()
-        if rest == 1:
-            const = int(c)
-        elif rest.is_Symbol:
-            coeffs[str(rest)] = int(c)
-        else:
-            raise ValueError(f"not affine: {e}")
-    return AffineExpr.make(const, coeffs)
 
 
 class _Fresh:
@@ -151,33 +119,34 @@ class _Fresh:
         return name
 
 
-def _emit_count(q: sympy.Expr, fresh: _Fresh) -> list[Stmt]:
-    q = sympy.expand(q)
-    if q.is_Integer:
-        assert q >= 0
-        return [Advance() for _ in range(int(q))]
-    v = sympy.Symbol(sorted(str(s) for s in q.free_symbols)[0], integer=True)
-    out = _emit_count(q.subs(v, 0), fresh)
+def _emit_count(q: QuasiPoly, fresh: _Fresh) -> list[Stmt]:
+    q = q.with_variables(())  # only the variables that occur
+    if not q.variables:
+        n = q.evaluate({})
+        assert n >= 0
+        return [Advance() for _ in range(int(n))]
+    v = q.variables[0]
+    out = _emit_count(q.substitute({v: AffineExpr.const_expr(0)}), fresh)
     it = fresh()
-    it_sym = sympy.Symbol(it, integer=True)
-    delta = sympy.expand(q.subs(v, it_sym + 1) - q.subs(v, it_sym))
+    step = q.substitute({v: AffineExpr.make(1, {it: 1})})
+    delta = step - q.substitute({v: AffineExpr.var(it)})
     body = _emit_count(delta, fresh)
     out.append(
         For(
             var=it,
             lo=AffineExpr.const_expr(0),
-            hi=_sympy_to_affine(v - 1),
+            hi=AffineExpr.make(-1, {v: 1}),
             body=Seq(body=tuple(body)),
         )
     )
     return out
 
 
-def counting_nest(spec: PolynomialSpec) -> Program:
+def counting_nest(spec: QuasiPoly) -> Program:
     """Clocked program whose advance count equals the polynomial."""
-    if not spec.has_nonneg_coeffs():
+    if not _nonneg(spec):
         raise ValueError("counting nests need nonnegative coefficients")
-    stmts = _emit_count(spec.expr, _Fresh())
+    stmts = _emit_count(spec, _Fresh())
     root = Finish(clocked=True, body=Seq(body=tuple(stmts)))
     params = tuple((v, 0) for v in spec.variables)
     return Program(root=root, params=params, arrays=())
@@ -202,55 +171,40 @@ class RaceTest:
 
     program: Program
     signs: tuple[tuple[str, int], ...]  # original var -> +1 / -1
-    p1: PolynomialSpec
-    p2: PolynomialSpec
+    p1: QuasiPoly
+    p2: QuasiPoly
 
 
-def _split_by_sign(expr: sympy.Expr, variables: Sequence[str]):
-    syms = [sympy.Symbol(v, integer=True) for v in variables]
-    pos = sympy.Integer(0)
-    neg = sympy.Integer(0)
-    if not variables:
-        if expr >= 0:
-            pos = expr
-        else:
-            neg = -expr
-    else:
-        for exps, c in sympy.Poly(sympy.expand(expr), *syms).terms():
-            mono = sympy.Integer(1)
-            for s, e in zip(syms, exps):
-                mono *= s**e
-            if c >= 0:
-                pos += c * mono
-            else:
-                neg += (-c) * mono
-    return (
-        PolynomialSpec(pos, tuple(variables)),
-        PolynomialSpec(neg, tuple(variables)),
-    )
+def _split_by_sign(
+    q: QuasiPoly, variables: Sequence[str]
+) -> tuple[QuasiPoly, QuasiPoly]:
+    terms = q.terms()
+    pos = {m: c for m, c in terms.items() if c > 0}
+    neg = {m: -c for m, c in terms.items() if c < 0}
+    return QuasiPoly.from_terms(pos, variables), QuasiPoly.from_terms(neg, variables)
 
 
 def race_test(
-    p1: PolynomialSpec, p2: PolynomialSpec, signs: Optional[dict[str, int]] = None
+    p1: QuasiPoly, p2: QuasiPoly, signs: Optional[dict[str, int]] = None
 ) -> RaceTest:
     """Build one race-test program for nonnegative-coefficient P1, P2.
 
     The program has a box parameter ``m_<v>`` per variable, loops each
     variable from 0 to its bound, and races a scalar write (after P1(x)
     advances) against a scalar read (after P2(x) advances)."""
-    if not p1.has_nonneg_coeffs() or not p2.has_nonneg_coeffs():
+    if not _nonneg(p1) or not _nonneg(p2):
         raise ValueError("race tests need nonnegative coefficients on each side")
     variables = tuple(sorted(set(p1.variables) | set(p2.variables)))
     fresh = _Fresh()
     writer = Seq(
         body=tuple(
-            _emit_count(p1.expr, fresh)
+            _emit_count(p1, fresh)
             + [Basic(name="f", write=AccessRef("u", (), "write"), reads=())]
         )
     )
     reader = Seq(
         body=tuple(
-            _emit_count(p2.expr, fresh)
+            _emit_count(p2, fresh)
             + [Basic(name="g", write=None, reads=(AccessRef("u", (), "read"),))]
         )
     )
@@ -276,23 +230,19 @@ def race_test(
     return RaceTest(program, sign_map, p1, p2)
 
 
-def race_tests_all_orthants(p1: PolynomialSpec, p2: PolynomialSpec) -> list[RaceTest]:
+def race_tests_all_orthants(p1: QuasiPoly, p2: QuasiPoly) -> list[RaceTest]:
     """Cover integer zeros of P1 - P2 in every orthant: substitute each
     sign pattern, split the result by coefficient sign, and emit one test
     per orthant.  A witness x >= 0 of an orthant test maps back to the
     integer zero (sign_v * x_v)."""
     variables = tuple(sorted(set(p1.variables) | set(p2.variables)))
-    diff = sympy.expand(p1.expr - p2.expr)
+    diff = p1 - p2
     out = []
     for bits in range(1 << len(variables)):
         signs = {
             v: (1 if not (bits >> i) & 1 else -1) for i, v in enumerate(variables)
         }
-        subbed = diff.subs(
-            {sympy.Symbol(v, integer=True): s * sympy.Symbol(v, integer=True)
-             for v, s in signs.items()},
-            simultaneous=True,
-        )
+        subbed = diff.substitute({v: AffineExpr.var(v, s) for v, s in signs.items()})
         q1, q2 = _split_by_sign(subbed, variables)
         out.append(race_test(q1, q2, signs))
     return out

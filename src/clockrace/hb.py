@@ -107,10 +107,6 @@ def param_context(p: Program) -> list[Constraint]:
     return [ge(AffineExpr.var(n).shift(-lb)) for n, lb in p.params]
 
 
-def domain_variables(p: Program, node_id: int, prefix: str) -> list[str]:
-    return [prefix + v for v in p.enclosing_iterators(node_id)]
-
-
 def hb_disjuncts(
     p: Program,
     u_id: int,

@@ -396,36 +396,29 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
             forbidden[v.bit_length() - 1] |= pres
             rest ^= v
 
-    # Trace counting / termination over the (acyclic) state graph.
+    # Trace counting / termination over the (acyclic) state graph, in
+    # post-order with an explicit stack: a state is summed once all of its
+    # successors are.
     paths: list[Optional[int]] = [None] * len(order)
     terminated = True
-
-    def count_paths(sid: int) -> int:
-        nonlocal terminated
+    pending = [0]
+    while pending:
+        sid = pending[-1]
         if paths[sid] is not None:
-            return paths[sid]
-        term, _ = order[sid]
-        if term is None:
-            paths[sid] = 1
-            return 1
+            pending.pop()
+            continue
         kids = succs[sid] or []
-        if not kids:
-            terminated = False
-            paths[sid] = 0
-            return 0
-        paths[sid] = 0  # placeholder; graph is acyclic so never read early
-        total = sum(count_paths(k) for k in kids)
-        paths[sid] = total
-        return total
-
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, len(order) + 1000))
-    try:
-        trace_count = count_paths(0)
-    finally:
-        sys.setrecursionlimit(old_limit)
+        todo = [k for k in kids if paths[k] is None]
+        if todo:
+            pending.extend(todo)
+            continue
+        pending.pop()
+        if order[sid][0] is None:
+            paths[sid] = 1
+        else:
+            terminated = terminated and bool(kids)
+            paths[sid] = sum(paths[k] for k in kids)
+    trace_count = paths[0]
     if incomplete:
         terminated = False
 

@@ -334,7 +334,11 @@ class _Parser:
 
 def parse(source: str) -> Program:
     """Parse mini-X10 source text into a Program with preorder node ids."""
-    return _Parser(source).parse_program()
+    parser = _Parser(source)
+    try:
+        return parser.parse_program()
+    except RecursionError:
+        raise parser.error("input nested too deeply") from None
 
 
 def parse_file(path: str) -> Program:

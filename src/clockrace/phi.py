@@ -8,6 +8,13 @@ points of the advance's iteration domain that satisfy the ordering
 constraints -- a symbolic summation producing a polynomial with rational
 coefficients in the statement's iterators and the program parameters.
 
+Each summation over a loop variable uses Faulhaber's formula,
+``sum_{v=lo}^{hi} v^e = F_e(hi) - F_e(lo - 1)`` with
+``F_e(n) = sum_{v=1}^{n} v^e`` a polynomial of degree ``e + 1`` whose
+coefficients come from the Bernoulli numbers; composed with affine bounds
+it keeps the count polynomial.  The identity needs ``hi >= lo - 1``, which
+the counter proves before it sums.
+
 The summation is deliberately conservative: whenever a bound cannot be
 reduced to a single affine lower and upper bound with provably non-negative
 extent, the phase function is reported as unavailable rather than guessed.
@@ -17,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
-
-import sympy
+from functools import lru_cache
+from math import comb
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .affine import AffineSet, Constraint, ge, is_empty
 from .hb import (
@@ -36,49 +43,106 @@ _ADV_PREFIX = "a_"
 # ---------------------------------------------------------------------------
 # Polynomials with rational coefficients
 
+# A monomial as sorted (variable, exponent >= 1) pairs; () is the constant.
+Monomial = tuple[tuple[str, int], ...]
+
+
+def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    exps = dict(m1)
+    for v, e in m2:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items()))
+
 
 @dataclass(frozen=True)
 class QuasiPoly:
     """Polynomial over named integer variables with Fraction coefficients.
 
     Monomials are keyed by exponent tuples aligned with ``variables``;
-    representation is canonical (sorted variables, no zero coefficients),
-    so equality is polynomial identity.
+    representation is canonical (sorted variables, no zero coefficients,
+    monomials sorted by exponent tuple), so over the same variables
+    equality is polynomial identity.  Arithmetic results list exactly the
+    variables that occur; ``with_variables`` lists more.
     """
 
     variables: tuple[str, ...]
     coeffs: tuple[tuple[tuple[int, ...], Fraction], ...]
 
     @staticmethod
-    def from_sympy(expr: sympy.Expr, variables: Sequence[str]) -> "QuasiPoly":
-        names = tuple(sorted(set(variables) | {str(s) for s in expr.free_symbols}))
-        syms = [sympy.Symbol(n, integer=True) for n in names]
-        poly = sympy.Poly(sympy.expand(expr), *syms) if names else None
-        coeffs: dict[tuple[int, ...], Fraction] = {}
-        if poly is None:
-            val = sympy.Rational(expr)
-            if val != 0:
-                coeffs[()] = Fraction(int(val.p), int(val.q))
-        else:
-            for exps, c in poly.terms():
-                c = sympy.Rational(c)
-                coeffs[tuple(int(e) for e in exps)] = Fraction(int(c.p), int(c.q))
-        items = tuple(sorted(coeffs.items()))
-        return QuasiPoly(names, items)
+    def from_terms(
+        terms: Mapping[Monomial, Fraction], variables: Iterable[str] = ()
+    ) -> "QuasiPoly":
+        """Canonical polynomial over the given variables plus those that
+        occur with a nonzero coefficient."""
+        terms = {m: c for m, c in terms.items() if c}
+        names = tuple(sorted(set(variables).union(v for m in terms for v, _ in m)))
+        pos = {v: i for i, v in enumerate(names)}
+        coeffs = []
+        for m, c in terms.items():
+            exps = [0] * len(names)
+            for v, e in m:
+                exps[pos[v]] = e
+            coeffs.append((tuple(exps), Fraction(c)))
+        return QuasiPoly(names, tuple(sorted(coeffs)))
 
     @staticmethod
     def zero() -> "QuasiPoly":
         return QuasiPoly((), ())
 
-    def to_sympy(self) -> sympy.Expr:
-        syms = [sympy.Symbol(n, integer=True) for n in self.variables]
-        expr = sympy.Integer(0)
-        for exps, c in self.coeffs:
-            term = sympy.Rational(c.numerator, c.denominator)
-            for s, e in zip(syms, exps):
-                term *= s**e
-            expr += term
-        return expr
+    @staticmethod
+    def constant(k: Union[int, Fraction]) -> "QuasiPoly":
+        return QuasiPoly.from_terms({(): Fraction(k)})
+
+    @staticmethod
+    def var(name: str) -> "QuasiPoly":
+        return QuasiPoly.from_terms({((name, 1),): Fraction(1)})
+
+    @staticmethod
+    def from_affine(e: AffineExpr) -> "QuasiPoly":
+        terms = {((v, 1),): Fraction(c) for v, c in e.terms}
+        terms[()] = Fraction(e.const)
+        return QuasiPoly.from_terms(terms)
+
+    def terms(self) -> dict[Monomial, Fraction]:
+        return {
+            tuple((v, e) for v, e in zip(self.variables, exps) if e): c
+            for exps, c in self.coeffs
+        }
+
+    def with_variables(self, variables: Iterable[str]) -> "QuasiPoly":
+        """The same polynomial listing the given variables too."""
+        return QuasiPoly.from_terms(self.terms(), variables)
+
+    def __add__(self, other: "QuasiPoly") -> "QuasiPoly":
+        terms = self.terms()
+        for m, c in other.terms().items():
+            terms[m] = terms.get(m, 0) + c
+        return QuasiPoly.from_terms(terms)
+
+    def __neg__(self) -> "QuasiPoly":
+        return self * -1
+
+    def __sub__(self, other: "QuasiPoly") -> "QuasiPoly":
+        return self + (-other)
+
+    def __mul__(self, other: Union["QuasiPoly", int, Fraction]) -> "QuasiPoly":
+        if not isinstance(other, QuasiPoly):
+            return QuasiPoly.from_terms({m: c * other for m, c in self.terms().items()})
+        terms: dict[Monomial, Fraction] = {}
+        right = other.terms()
+        for m1, c1 in self.terms().items():
+            for m2, c2 in right.items():
+                m = _mono_mul(m1, m2)
+                terms[m] = terms.get(m, 0) + c1 * c2
+        return QuasiPoly.from_terms(terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int) -> "QuasiPoly":
+        out = QuasiPoly.constant(1)
+        for _ in range(e):
+            out = out * self
+        return out
 
     def evaluate(self, env: Mapping[str, int]) -> Fraction:
         total = Fraction(0)
@@ -108,11 +172,31 @@ class QuasiPoly:
         return AffineExpr.make(const, terms)
 
     def substitute(self, env: Mapping[str, AffineExpr]) -> "QuasiPoly":
-        """Substitute affine expressions for variables."""
-        repl = {
-            sympy.Symbol(v, integer=True): _affine_to_sympy(e) for v, e in env.items()
-        }
-        return QuasiPoly.from_sympy(self.to_sympy().xreplace(repl), ())
+        """Substitute affine expressions for variables, all at once."""
+        repl = {v: QuasiPoly.from_affine(e) for v, e in env.items()}
+        total = QuasiPoly.zero()
+        for m, c in self.terms().items():
+            term = QuasiPoly.from_terms({tuple(x for x in m if x[0] not in repl): c})
+            for v, e in m:
+                if v in repl:
+                    term = term * repl[v] ** e
+            total += term
+        return total
+
+    def sum_over(self, var: str, lo: AffineExpr, hi: AffineExpr) -> "QuasiPoly":
+        """``sum_{var=lo}^{hi}`` of the polynomial, for bounds free of var.
+        Exact only where ``hi >= lo - 1``."""
+        by_power: dict[int, dict[Monomial, Fraction]] = {}
+        for m, c in self.terms().items():
+            rest = tuple(x for x in m if x[0] != var)
+            by_power.setdefault(dict(m).get(var, 0), {})[rest] = c
+        upper = QuasiPoly.from_affine(hi)
+        below = QuasiPoly.from_affine(lo.shift(-1))
+        total = QuasiPoly.zero()
+        for e, rest in by_power.items():
+            power_sum = _faulhaber(e, upper) - _faulhaber(e, below)
+            total += QuasiPoly.from_terms(rest) * power_sum
+        return total
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -136,11 +220,21 @@ class QuasiPoly:
         return out.replace("+-", "-")
 
 
-def _affine_to_sympy(e: AffineExpr) -> sympy.Expr:
-    expr = sympy.Integer(e.const)
-    for v, c in e.terms:
-        expr += c * sympy.Symbol(v, integer=True)
-    return expr
+@lru_cache(maxsize=None)
+def _bernoulli(m: int) -> Fraction:
+    """Bernoulli number B_m with B_1 = +1/2, from
+    ``sum_{k=0}^{m} C(m+1, k) B_k = m + 1``."""
+    return 1 - sum(comb(m + 1, k) * _bernoulli(k) for k in range(m)) / Fraction(m + 1)
+
+
+def _faulhaber(e: int, n: QuasiPoly) -> QuasiPoly:
+    """``F_e(n) = sum_{v=1}^{n} v^e``: ``sum_j C(e+1, j) B_j n^(e+1-j) / (e+1)``,
+    evaluated by Horner's rule from the highest power down."""
+    out = QuasiPoly.zero()
+    for j in range(e + 2):
+        coeff = comb(e + 1, j) * _bernoulli(j) / (e + 1) if j <= e else 0
+        out = out * n + QuasiPoly.constant(coeff)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +273,10 @@ def _count_disjunct(
     constraints: list[Constraint],
     ctx: list[Constraint],
     context: Sequence[Constraint],
-    integrand: sympy.Expr = sympy.Integer(1),
-) -> sympy.Expr:
+    integrand: QuasiPoly = QuasiPoly.constant(1),
+) -> QuasiPoly:
     """Sum ``integrand`` over integer assignments of sum_vars satisfying
-    constraints, as an expression in the free variables.  ``ctx`` are facts
+    constraints, as a polynomial in the free variables.  ``ctx`` are facts
     known about the free variables; ``context`` are parameter bounds.
     Variables are eliminated innermost first, so each summation's bounds may
     mention the still-outer summation variables.
@@ -202,8 +296,7 @@ def _count_disjunct(
                     for d in constraints
                     if d is not c
                 ]
-                sym = sympy.Symbol(var, integer=True)
-                body = integrand.xreplace({sym: _affine_to_sympy(repl)})
+                body = integrand.substitute({var: repl})
                 return _count_disjunct(
                     [v for v in sum_vars if v != var], new, ctx, context, body
                 )
@@ -221,7 +314,7 @@ def _count_disjunct(
                 if is_empty(AffineSet.conjunction(
                     sorted({v for d in ctx + [c] for v in d.expr.variables}),
                     ctx + [c], context)) is True:
-                    return sympy.Integer(0)
+                    return QuasiPoly.zero()
                 raise _CountFailure(f"residual constraint {c}")
         return integrand
 
@@ -251,10 +344,7 @@ def _count_disjunct(
     # The closed-form summation needs hi >= lo - 1 throughout the region.
     if not _implied(side_ctx, (hi - lo).shift(1), context):
         raise _CountFailure(f"possibly negative extent for {var}")
-    v = sympy.Symbol(var, integer=True)
-    summed = sympy.expand(
-        sympy.summation(integrand, (v, _affine_to_sympy(lo), _affine_to_sympy(hi)))
-    )
+    summed = integrand.sum_over(var, lo, hi)
     return _count_disjunct(outer_vars, without, ctx, context, summed)
 
 
@@ -270,7 +360,7 @@ def phi(
     iterators and the parameters.  None when counting fails."""
     context = param_context(p)
     stmt_dom = statement_domain(p, stmt_id, prefix)
-    total = sympy.Integer(0)
+    total = QuasiPoly.zero()
     for adv_id in governed_advances(p, finish_id):
         adv_dom = statement_domain(p, adv_id, _ADV_PREFIX)
         sum_vars = [_ADV_PREFIX + v for v in p.enclosing_iterators(adv_id)]
@@ -283,7 +373,7 @@ def phi(
                 return None
     variables = [prefix + v for v in p.enclosing_iterators(stmt_id)]
     variables += p.param_names()
-    return QuasiPoly.from_sympy(sympy.expand(total), variables)
+    return total.with_variables(variables)
 
 
 def count_concrete(

@@ -159,9 +159,7 @@ def _substituted_phase_diff(
 ) -> Optional[AffineExpr]:
     """Phase difference as an integer-scaled affine expression valid on the
     disjunct, using its equalities to linearize; None if still nonlinear."""
-    diff = QuasiPoly.from_sympy(
-        cand.phi_u.to_sympy() - cand.phi_v.to_sympy(), ()
-    )
+    diff = cand.phi_u - cand.phi_v
     eqs = [c.expr for c in disjunct if c.kind == "eq"]
     # Each equality eliminates at most one variable, applied to the phase
     # difference and to the remaining equalities alike.
@@ -180,8 +178,7 @@ def _substituted_phase_diff(
 
     denoms = [c.denominator for _, c in diff.coeffs] or [1]
     scale = lcm(*denoms)
-    scaled = QuasiPoly.from_sympy(diff.to_sympy() * scale, ())
-    return scaled.as_affine()
+    return (diff * scale).as_affine()
 
 
 class _Confirmer:

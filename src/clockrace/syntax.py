@@ -8,7 +8,6 @@ statements, ``advance``, blocks (sequences), affine ``for`` loops, affine
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
@@ -110,11 +109,6 @@ class AffineExpr:
                 k = f"+{k}"
             parts.append(k)
         return "".join(parts)
-
-
-def subst_int(expr: AffineExpr, env: Mapping[str, int]) -> AffineExpr:
-    """Substitute integer values for any variables present in ``env``."""
-    return expr.subst({v: AffineExpr.const_expr(k) for v, k in env.items() if expr.coeff(v)})
 
 
 # ---------------------------------------------------------------------------
@@ -278,34 +272,6 @@ class Program:
         if isinstance(s, Advance):
             return f"advance#{node_id}"
         return f"node#{node_id}"
-
-
-# ---------------------------------------------------------------------------
-# Synchronous / asynchronous classification
-
-
-class SyncClass(enum.Enum):
-    ASYNC = "async"
-    SYNC = "sync"
-
-
-def classify(s: Stmt) -> SyncClass:
-    """Classify a statement as asynchronous or synchronous.
-
-    A statement is asynchronous when it is an ``async``, a loop (or guard)
-    whose body is asynchronous, or a sequence all of whose elements are
-    asynchronous.  Everything else is synchronous.  Exactly one of the two
-    classes applies to any statement.
-    """
-    if isinstance(s, Async):
-        return SyncClass.ASYNC
-    if isinstance(s, (For, If)):
-        return classify(s.body)
-    if isinstance(s, Seq):
-        if s.body and all(classify(t) is SyncClass.ASYNC for t in s.body):
-            return SyncClass.ASYNC
-        return SyncClass.SYNC
-    return SyncClass.SYNC
 
 
 def governing_clocked_finish(p: Program, node_id: int) -> Optional[int]:

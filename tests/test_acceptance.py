@@ -15,19 +15,12 @@ from clockrace.phi import _iteration_points
 
 import fuzzgen
 from conftest import load
+from sympy_oracle import same_poly, sym
 
 
 def conclude(criterion: int, ok: bool, detail: str):
     print(f"CRITERION {criterion}: {'PASS' if ok else 'FAIL'} — {detail}")
     assert ok, f"criterion {criterion}: {detail}"
-
-
-def sym(name):
-    return sympy.Symbol(name, integer=True)
-
-
-def poly_equals(q, expected) -> bool:
-    return q is not None and sympy.expand(q.to_sympy() - expected) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -50,8 +43,8 @@ def test_criterion_1_jacobi():
     ok = (
         len(a.candidates) == 4
         and described == expected_pairs
-        and poly_equals(phi(p, 0, s0, "u_"), 2 * sym("u_t"))
-        and poly_equals(phi(p, 0, s1, "u_"), 2 * sym("u_t") + 1)
+        and same_poly(phi(p, 0, s0, "u_"), 2 * sym("u_t"))
+        and same_poly(phi(p, 0, s1, "u_"), 2 * sym("u_t") + 1)
         and all(v.status == "race-free" and v.method == "affine" for _, v in a.candidates)
         and elapsed < 5.0
     )
@@ -68,7 +61,7 @@ def test_criterion_2_gauss_seidel():
     (s0,) = (s.node_id for s in p.basic_statements())
     ok = (
         len(a.candidates) == 2
-        and poly_equals(phi(p, 0, s0, "u_"), 2 * sym("u_t") + sym("u_i"))
+        and same_poly(phi(p, 0, s0, "u_"), 2 * sym("u_t") + sym("u_i"))
         and all(v.status == "race-free" and v.method == "affine" for _, v in a.candidates)
     )
     conclude(2, ok, "2 candidates, phi=2t+i, both RaceFree(affine)")
@@ -91,7 +84,7 @@ def test_criterion_3_qr():
     N, k, i = sym("N"), sym("u_k"), sym("u_i")
     expected = N * k + i - sympy.Rational(1, 2) * k**2 - sympy.Rational(1, 2) * k
     phis_ok = all(
-        poly_equals(phi(p, 0, s.node_id, "u_"), expected) for s in p.basic_statements()
+        same_poly(phi(p, 0, s.node_id, "u_"), expected) for s in p.basic_statements()
     )
 
     without = analyze(p, bound=8)

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import clockrace
 from clockrace import parse
 from clockrace.cli import main
 
@@ -55,6 +60,15 @@ def test_analyze_validation_error_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(f))
     assert code == 1
     assert "advance" in err
+
+
+def test_analyze_deep_nesting_exit_1(tmp_path, capsys):
+    f = tmp_path / "deep.cx10"
+    f.write_text("param N >= 1;\n" + "{" * 3000 + "\n")
+    code, _, err = run(capsys, "analyze", str(f))
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert "error: input nested too deeply" in err
 
 
 def test_analyze_missing_file_exit_1(capsys):
@@ -135,6 +149,12 @@ def test_interpret_missing_param_exit_1(capsys):
     assert "T" in err
 
 
+def test_interpret_param_below_bound_exit_1(capsys):
+    code, out, err = run(capsys, "interpret", str(corpus_path("qr")), "--param", "N=-5")
+    assert code == 1 and out == ""
+    assert err == "error: parameter N=-5 below bound 2\n"
+
+
 def test_interpret_state_limit_exit_4(capsys):
     code, out, _ = run(
         capsys,
@@ -176,3 +196,18 @@ def test_gen_race_all_orthants(capsys):
     assert code == 0
     assert "// orthant 0: x+" in out
     assert "// orthant 1: x-" in out
+
+
+# ---------------------------------------------------------------------------
+# packaging
+
+
+def test_import_does_not_load_sympy():
+    # sympy is a test oracle only; the package has no runtime dependencies
+    src = str(Path(clockrace.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, clockrace, clockrace.cli; print('sympy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -24,13 +24,13 @@ def test_parse_poly_basic():
     spec = parse_poly("x^2 + x*y + y^2")
     assert spec.variables == ("x", "y")
     assert spec.evaluate({"x": 2, "y": 3}) == 4 + 6 + 9
-    assert spec.has_nonneg_coeffs()
+    assert all(c > 0 for _, c in spec.coeffs)
 
 
 def test_parse_poly_signs_and_constants():
     spec = parse_poly("3*x - 2")
     assert spec.evaluate({"x": 5}) == 13
-    assert not spec.has_nonneg_coeffs()
+    assert sorted(c for _, c in spec.coeffs) == [-2, 3]
     assert parse_poly("7").evaluate({}) == 7
 
 

@@ -110,6 +110,17 @@ def test_independent_leaves_trace_count():
     assert not res.hb(u, v) and not res.hb(v, u)
 
 
+def test_long_sequential_loop_has_one_trace():
+    # a chain of 1001 states: counting traces must not recurse per state
+    p = parse(
+        "param N >= 1;\narray A[1];\n"
+        "for (i = 0 : N - 1) { A[i] = S(A[i]); }\n"
+    )
+    res = explore(p, {"N": 1000})
+    assert res.state_count == 1001
+    assert res.trace_count == 1 and res.terminated
+
+
 def test_dynamic_race_detection():
     p = parse(
         "param N >= 1;\narray A[1];\n"

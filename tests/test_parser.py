@@ -2,14 +2,10 @@ import pytest
 
 from clockrace import (
     ParseError,
-    SyncClass,
-    classify,
     parse,
     print_program,
     validate_clock_rules,
 )
-from clockrace.syntax import Async, Basic, Finish, For, Seq
-
 from conftest import CORPUS_NAMES, load
 
 
@@ -100,21 +96,3 @@ def test_corpus_is_valid(name):
     assert validate_clock_rules(load(name)) == []
 
 
-# ---------------------------------------------------------------------------
-# Synchronization classification
-
-
-def test_classify():
-    basic = Basic(name="f", write=None, reads=())
-    spawned = Async(clocked=False, body=basic)
-    assert classify(basic) is SyncClass.SYNC
-    assert classify(spawned) is SyncClass.ASYNC
-    assert classify(Seq(body=(spawned, spawned))) is SyncClass.ASYNC
-    assert classify(Seq(body=(spawned, basic))) is SyncClass.SYNC
-    assert classify(Finish(clocked=False, body=spawned)) is SyncClass.SYNC
-    lo = hi = None
-    from clockrace.syntax import AffineExpr
-
-    lo, hi = AffineExpr.const_expr(0), AffineExpr.const_expr(3)
-    assert classify(For(var="i", lo=lo, hi=hi, body=spawned)) is SyncClass.ASYNC
-    assert classify(For(var="i", lo=lo, hi=hi, body=basic)) is SyncClass.SYNC

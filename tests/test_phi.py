@@ -1,17 +1,16 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clockrace import QuasiPoly, count_concrete, dynamic_phi, explore, parse, phi
 from clockrace.syntax import AffineExpr
 
-
-def sym(name):
-    return sympy.Symbol(name, integer=True)
-
-
 from conftest import load
+from sympy_oracle import from_sympy, same_poly, sym, to_sympy
 
 
 # ---------------------------------------------------------------------------
@@ -20,27 +19,121 @@ from conftest import load
 
 def test_quasipoly_round_trip_and_str():
     e = sympy.expand(sym("N") * sym("u_k") - sympy.Rational(1, 2) * sym("u_k") ** 2)
-    q = QuasiPoly.from_sympy(e, ["u_k", "N"])
-    assert sympy.expand(q.to_sympy() - e) == 0
+    q = from_sympy(e, ["u_k", "N"])
+    assert sympy.expand(to_sympy(q) - e) == 0
     assert q.evaluate({"u_k": 3, "N": 5}) == Fraction(21, 2)
     assert not q.is_affine()
 
 
 def test_quasipoly_affine_conversion():
-    q = QuasiPoly.from_sympy(2 * sym("t") + 1, ["t"])
+    q = from_sympy(2 * sym("t") + 1, ["t"])
     assert q.is_affine()
     a = q.as_affine()
     assert a == AffineExpr.make(1, {"t": 2})
     # half-integer coefficients have no affine form
-    h = QuasiPoly.from_sympy(sym("t") / 2, ["t"])
+    h = from_sympy(sym("t") / 2, ["t"])
     assert h.as_affine() is None
 
 
 def test_quasipoly_substitute():
-    q = QuasiPoly.from_sympy(sym("x") ** 2 + sym("y"), ["x", "y"])
+    q = from_sympy(sym("x") ** 2 + sym("y"), ["x", "y"])
     r = q.substitute({"x": AffineExpr.make(1, {"z": 1})})  # x := z + 1
     expected = sympy.expand((sym("z") + 1) ** 2 + sym("y"))
-    assert sympy.expand(r.to_sympy() - expected) == 0
+    assert sympy.expand(to_sympy(r) - expected) == 0
+
+
+def is_canonical(q):
+    occurring = {v for exps, _ in q.coeffs for v, e in zip(q.variables, exps) if e}
+    exps = [exps for exps, _ in q.coeffs]
+    return (
+        list(q.variables) == sorted(occurring)
+        and exps == sorted(set(exps))
+        and all(c != 0 for _, c in q.coeffs)
+    )
+
+
+def test_quasipoly_constructors():
+    assert QuasiPoly.constant(0) == QuasiPoly.zero()
+    assert str(QuasiPoly.var("x") * 3 - QuasiPoly.constant(Fraction(1, 2))) == "3*x+(-1/2)"
+    a = QuasiPoly.from_affine(AffineExpr.make(-2, {"N": 1, "i": 3}))
+    assert a.as_affine() == AffineExpr.make(-2, {"N": 1, "i": 3})
+    assert (a - a) == QuasiPoly.zero()
+    # listing more variables keeps the value and the canonical order
+    w = a.with_variables(["u_k", "N"])
+    assert w.variables == ("N", "i", "u_k")
+    assert w.evaluate({"N": 4, "i": 1, "u_k": 9}) == 5
+
+
+# ---------------------------------------------------------------------------
+# Native arithmetic against sympy (an independent oracle) and point sums
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_sum_over_matches_sympy_and_point_sums(degree):
+    v, N, M = sym("v"), sym("N"), sym("M")
+    integrand = from_sympy(v**degree * (N - 2) + sympy.Rational(1, 3) * v * M + 5)
+    lo = AffineExpr.make(-1, {"N": 1, "M": -2})  # N - 2M - 1
+    hi = AffineExpr.make(3, {"N": 2})  # 2N + 3
+    got = integrand.sum_over("v", lo, hi)
+    assert is_canonical(got)
+    expected = sympy.summation(to_sympy(integrand), (v, N - 2 * M - 1, 2 * N + 3))
+    assert got == from_sympy(expected)
+    for n, m in itertools.product(range(-3, 4), range(-2, 3)):
+        a, b = lo.evaluate({"N": n, "M": m}), hi.evaluate({"N": n, "M": m})
+        if b < a - 1:
+            continue  # the closed form counts only non-negative extents
+        brute = sum(integrand.evaluate({"v": x, "N": n, "M": m}) for x in range(a, b + 1))
+        assert got.evaluate({"N": n, "M": m}) == brute
+
+
+NAMES = ("x", "y", "z")
+
+
+@st.composite
+def polys(draw):
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exps = [draw(st.integers(0, 3)) for _ in NAMES]
+        mono = tuple((v, e) for v, e in zip(NAMES, exps) if e)
+        num, den = draw(st.integers(-6, 6)), draw(st.integers(1, 4))
+        terms[mono] = Fraction(num, den)
+    return QuasiPoly.from_terms(terms)
+
+
+@st.composite
+def affines(draw):
+    coeffs = {v: draw(st.integers(-3, 3)) for v in NAMES + ("w",)}
+    return AffineExpr.make(draw(st.integers(-4, 4)), coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), st.integers(-5, 5))
+def test_ring_operations_match_sympy(p, q, k):
+    sp, sq = to_sympy(p), to_sympy(q)
+    for got, expected in (
+        (p + q, sp + sq),
+        (p - q, sp - sq),
+        (p * q, sp * sq),
+        (-p, -sp),
+        (p * k, sp * k),
+        (p**3, sp**3),
+        (k * p, sp * k),
+    ):
+        assert is_canonical(got)
+        assert sympy.expand(to_sympy(got) - expected) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.sampled_from(NAMES), affines(), st.sampled_from(NAMES), affines())
+def test_substitute_matches_sympy(p, v1, e1, v2, e2):
+    env = {v1: e1, v2: e2}
+    got = p.substitute(env)
+    assert is_canonical(got)
+    # simultaneous: the replacement for one variable is not substituted into
+    expected = to_sympy(p).xreplace(
+        {sym(v): to_sympy(QuasiPoly.from_affine(e)) for v, e in env.items()}
+    )
+    assert sympy.expand(to_sympy(got) - expected) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +147,7 @@ def corpus_phis(name):
 
 
 def assert_poly(q, expected):
-    assert q is not None
-    assert sympy.expand(q.to_sympy() - expected) == 0
+    assert same_poly(q, expected)
 
 
 def test_phi_jacobi():
@@ -182,4 +274,4 @@ def test_phi_zero_when_no_advances():
     p = parse("param N >= 1;\nclocked finish { S0(); }\n")
     stmt = p.basic_statements()[0]
     q = phi(p, 0, stmt.node_id, "u_")
-    assert q is not None and sympy.expand(q.to_sympy()) == 0
+    assert q is not None and sympy.expand(to_sympy(q)) == 0

@@ -1,26 +1,21 @@
 import stat
 
-import sympy
-
-from clockrace import AffineSet, QuasiPoly, emit_smtlib, parse, run_solver
+from clockrace import AffineSet, emit_smtlib, parse, run_solver
 from clockrace.affine import eq, ge
 from clockrace.races import race_candidates
 from clockrace.smt import parse_model
 from clockrace.syntax import AffineExpr
 
 from conftest import load
-
-
-def sym(name):
-    return sympy.Symbol(name, integer=True)
+from sympy_oracle import from_sympy, sym
 
 
 def test_script_shape():
     s = AffineSet.conjunction(
         ["u_i", "v_i"], [ge(AffineExpr.make(0, {"u_i": 1}))]
     ).with_context([ge(AffineExpr.make(-2, {"N": 1}))])
-    phi_u = QuasiPoly.from_sympy(sym("N") * sym("u_i"), ["u_i", "N"])
-    phi_v = QuasiPoly.from_sympy(2 * sym("v_i"), ["v_i"])
+    phi_u = from_sympy(sym("N") * sym("u_i"), ["u_i", "N"])
+    phi_v = from_sympy(2 * sym("v_i"), ["v_i"])
     script = emit_smtlib(s, phi_u, phi_v, comment="unit test")
     assert "; unit test" in script
     assert "(set-logic QF_NIA)" in script
@@ -41,8 +36,8 @@ def test_script_for_empty_set_is_unsat():
 
 def test_fractional_phases_are_scaled_to_integers():
     k = sym("u_k")
-    phi_u = QuasiPoly.from_sympy(k**2 / 2 + k / 2, ["u_k"])
-    phi_v = QuasiPoly.from_sympy(sym("v_k"), ["v_k"])
+    phi_u = from_sympy(k**2 / 2 + k / 2, ["u_k"])
+    phi_v = from_sympy(sym("v_k"), ["v_k"])
     s = AffineSet.conjunction(["u_k", "v_k"], [])
     script = emit_smtlib(s, phi_u, phi_v)
     assert "/" not in script  # SMT integers only; the equality was scaled
