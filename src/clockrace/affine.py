@@ -384,44 +384,3 @@ def enumerate_points(
         if s.contains(env):
             out.append(point)
     return out
-
-
-def lex_order_constraints(
-    pairs: Sequence[tuple[AffineExpr, AffineExpr]], p: int
-) -> Optional[list[Constraint]]:
-    """Constraints for ``u << _p v``: equal on the first p components and
-    strictly smaller on component p+1.  Returns None when constants make the
-    depth impossible; returns a (possibly empty) constraint list otherwise.
-    """
-    if p >= len(pairs):
-        return None
-    out: list[Constraint] = []
-    for ue, ve in pairs[:p]:
-        diff = ue - ve
-        if diff.is_constant():
-            if diff.const != 0:
-                return None
-            continue
-        out.append(eq(diff))
-    ue, ve = pairs[p]
-    strict = (ve - ue).shift(-1)  # v - u - 1 >= 0
-    if strict.is_constant():
-        if strict.const < 0:
-            return None
-        return out
-    out.append(ge(strict))
-    return out
-
-
-def lex_order(
-    u_vars: Sequence[str], v_vars: Sequence[str], p: int
-) -> AffineSet:
-    """Depth-p strict lexicographic order over two aligned variable lists."""
-    if len(u_vars) != len(v_vars):
-        raise ValueError("misaligned vectors")
-    pairs = [(AffineExpr.var(u), AffineExpr.var(v)) for u, v in zip(u_vars, v_vars)]
-    variables = tuple(u_vars) + tuple(v_vars)
-    cons = lex_order_constraints(pairs, p)
-    if cons is None:
-        return AffineSet.empty(variables)
-    return AffineSet.conjunction(variables, cons)

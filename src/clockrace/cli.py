@@ -32,25 +32,24 @@ EXIT_INCOMPLETE = 4
 
 
 def _load(path: str):
+    """The parsed, clock-valid program, or None after printing why not."""
     try:
         program = parse_file(path)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
-        return None, None
+        return None
     except ParseError as e:
         print(f"{path}:{e.line}:{e.col}: error: {e.message}", file=sys.stderr)
-        return None, None
+        return None
     diagnostics = validate_clock_rules(program)
-    return program, diagnostics
+    for d in diagnostics:
+        print(f"{path}: error: {d}", file=sys.stderr)
+    return None if diagnostics else program
 
 
 def _cmd_analyze(args) -> int:
-    program, diagnostics = _load(args.file)
+    program = _load(args.file)
     if program is None:
-        return EXIT_INPUT_ERROR
-    if diagnostics:
-        for d in diagnostics:
-            print(f"{args.file}: error: {d}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     t0 = time.monotonic()
     analysis = analyze(program, solver_cmd=args.solver_cmd, bound=args.bound)
@@ -87,19 +86,19 @@ def _parse_params(pairs, program) -> dict[str, int]:
 
 
 def _cmd_interpret(args) -> int:
-    program, diagnostics = _load(args.file)
+    program = _load(args.file)
     if program is None:
-        return EXIT_INPUT_ERROR
-    if diagnostics:
-        for d in diagnostics:
-            print(f"{args.file}: error: {d}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
         params = _parse_params(args.param, program)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    res = explore(program, params, max_states=args.max_states)
+    try:
+        res = explore(program, params, max_states=args.max_states)
+    except RecursionError:
+        print("error: program nested too deeply to interpret", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     print(f"instances: {len(res.instances)}")
     print(f"states explored: {res.state_count}")
     print(f"traces: {res.trace_count}")

@@ -23,6 +23,14 @@ front ``advance`` governed by it is consumed and the clock's phase counter
 increments.  Unclocked ``finish`` and ``async`` are transparent to both
 stuckness and the clock step, so an advance keeps synchronizing with its
 governing clock across them.
+
+There is one step relation, ``steps``: each step names the clock it
+advances (``None`` for a leaf step, which executes one basic statement)
+and the instances it fires.  Exploration keeps, for every state, the
+bitmask of instances still pending; a successor's mask is its parent's
+with the fired bits cleared.  The mask depends only on the term, so it is
+the same along every path that reaches a state, and no term is walked
+again after instantiation.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ Env = tuple[tuple[str, int], ...]
 Term = Optional[tuple]
 Instance = tuple[str, int, Env]  # (kind, node_id, env)
 ClockKey = tuple[int, Env]
+Step = tuple[Optional[ClockKey], tuple[Instance, ...], Term]
 
 
 def _env_tuple(env: Mapping[str, int], names) -> Env:
@@ -191,29 +200,6 @@ def _seq_replace(elems: tuple, i: int, new: Term) -> Term:
     return _mk_seq(parts)
 
 
-def leaf_steps(t: Term) -> list[tuple[Instance, Term]]:
-    """All enabled executions of basic statements: (instance, next term)."""
-    if t is None:
-        return []
-    kind = t[0]
-    if kind == "basic":
-        return [(("basic", t[1], t[2]), None)]
-    if kind == "advance":
-        return []
-    if kind == "async":
-        return [(inst, None if nt is None else ("async", nt)) for inst, nt in leaf_steps(t[1])]
-    if kind == "finish":
-        head = t[:4]
-        return [(inst, None if nt is None else head + (nt,)) for inst, nt in leaf_steps(t[4])]
-    out: list[tuple[Instance, Term]] = []
-    for i, u in enumerate(t[1]):
-        for inst, nu in leaf_steps(u):
-            out.append((inst, _seq_replace(t[1], i, nu)))
-        if not is_async_term(u):
-            break
-    return out
-
-
 def _yield_term(t: Term, consumed: list[Instance]) -> Term:
     """Consume the front advances of a stuck term (one clock step)."""
     kind = t[0]
@@ -243,23 +229,27 @@ def _yield_term(t: Term, consumed: list[Instance]) -> Term:
     raise AssertionError(f"yield reached non-stuck term {t!r}")
 
 
-def clock_steps(t: Term) -> list[tuple[ClockKey, tuple[Instance, ...], Term]]:
-    """All enabled clock steps: (clock instance, consumed advances, next term)."""
+def steps(t: Term) -> list[Step]:
+    """All enabled steps: (clock, fired instances, next term).  A leaf step
+    has clock None and fires one basic instance; a clock step names the
+    clock instance it advances and fires the advances it consumes."""
     if t is None:
         return []
     kind = t[0]
-    if kind in ("basic", "advance"):
+    if kind == "basic":
+        return [(None, (("basic", t[1], t[2]),), None)]
+    if kind == "advance":
         return []
     if kind == "async":
         return [
-            (key, adv, None if nt is None else ("async", nt))
-            for key, adv, nt in clock_steps(t[1])
+            (key, fired, None if nt is None else ("async", nt))
+            for key, fired, nt in steps(t[1])
         ]
     if kind == "finish":
         head = t[:4]
         out = [
-            (key, adv, None if nt is None else head + (nt,))
-            for key, adv, nt in clock_steps(t[4])
+            (key, fired, None if nt is None else head + (nt,))
+            for key, fired, nt in steps(t[4])
         ]
         if t[1] and stuck(t[4]):
             consumed: list[Instance] = []
@@ -269,8 +259,8 @@ def clock_steps(t: Term) -> list[tuple[ClockKey, tuple[Instance, ...], Term]]:
         return out
     out = []
     for i, u in enumerate(t[1]):
-        for key, adv, nu in clock_steps(u):
-            out.append((key, adv, _seq_replace(t[1], i, nu)))
+        for key, fired, nu in steps(u):
+            out.append((key, fired, _seq_replace(t[1], i, nu)))
         if not is_async_term(u):
             break
     return out
@@ -329,28 +319,13 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
     n = len(instances)
     all_mask = (1 << n) - 1
 
-    present_cache: dict[Term, int] = {}
-
-    def present_mask(t: Term) -> int:
-        if t is None:
-            return 0
-        got = present_cache.get(t)
-        if got is None:
-            got = 0
-            for inst in term_instances(t):
-                got |= 1 << index[inst]
-            present_cache[t] = got
-        return got
-
     initial: State = (t0, ())
     ids: dict[State, int] = {initial: 0}
     order: list[State] = [initial]
+    present: list[int] = [all_mask]  # per state: bitmask of pending instances
     succs: list[Optional[list[int]]] = [None]
     phases: dict[Instance, set[tuple]] = {}
     incomplete = False
-
-    def record_phase(inst: Instance, counters: tuple) -> None:
-        phases.setdefault(inst, set()).add(counters)
 
     stack = [0]
     while stack:
@@ -358,19 +333,18 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
         if succs[sid] is not None:
             continue
         term, counters = order[sid]
-        counter_map = dict(counters)
         out: list[int] = []
-        transitions: list[State] = []
-        for inst, nt in leaf_steps(term):
-            record_phase(inst, counters)
-            transitions.append((nt, counters))
-        for key, consumed, nt in clock_steps(term):
-            seq_no = counter_map.get(key, 0) + 1
-            new_counters = tuple(sorted({**counter_map, key: seq_no}.items()))
-            for inst in consumed:
-                record_phase(inst, counters)
-            transitions.append((nt, new_counters))
-        for state in transitions:
+        for key, fired, nt in steps(term):
+            mask = present[sid]
+            for inst in fired:
+                phases.setdefault(inst, set()).add(counters)
+                mask &= ~(1 << index[inst])
+            if key is None:
+                state = (nt, counters)
+            else:
+                counter_map = dict(counters)
+                counter_map[key] = counter_map.get(key, 0) + 1
+                state = (nt, tuple(sorted(counter_map.items())))
             tid = ids.get(state)
             if tid is None:
                 if len(ids) >= max_states:
@@ -379,6 +353,7 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
                 tid = len(order)
                 ids[state] = tid
                 order.append(state)
+                present.append(mask)
                 succs.append(None)
                 stack.append(tid)
             out.append(tid)
@@ -387,10 +362,8 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
     # Happens-before: hb(u, v) fails iff some reachable state has v already
     # executed while u is still pending.
     forbidden = [0] * n
-    for term, _ in order:
-        pres = present_mask(term)
-        executed = all_mask & ~pres
-        rest = executed
+    for pres in present:
+        rest = all_mask & ~pres
         while rest:
             v = rest & -rest
             forbidden[v.bit_length() - 1] |= pres
@@ -455,16 +428,15 @@ def _dynamic_races(
     p: Program, params: Mapping[str, int], res: ExploreResult
 ) -> list[tuple[Instance, Instance]]:
     basics = [i for i in res.instances if i[0] == "basic"]
+    accesses = {u: _accesses(p, params, u) for u in basics}
     races = []
     for u, v in itertools.combinations(basics, 2):
         if res.hb(u, v) or res.hb(v, u):
             continue
-        au, av = _accesses(p, params, u), _accesses(p, params, v)
         if any(
-            a == b and pa == pb and ("write" in (mu, mv))
-            for a, pa, mu in au
-            for b, pb, mv in av
-            if a == b and pa == pb
+            a == b and pa == pb and "write" in (mu, mv)
+            for a, pa, mu in accesses[u]
+            for b, pb, mv in accesses[v]
         ):
             races.append((u, v))
     return races

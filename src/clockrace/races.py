@@ -246,36 +246,27 @@ def disprove(
     clocked = cand.reduction is not None
     phases_known = cand.phi_u is not None and cand.phi_v is not None
 
-    # Tier 1: affine reasoning (exact when every disjunct linearizes).
+    # Tier 1: affine reasoning, on the system itself when unclocked and with
+    # phase equality added when every disjunct's phase difference linearizes.
+    system = None if clocked else cand.system
     if clocked and phases_known:
         augmented = []
         for d in cand.system.disjuncts:
             diff = _substituted_phase_diff(cand, d)
             if diff is None:
-                augmented = None
                 break
             augmented.append(tuple(d) + (eq(diff),))
-        if augmented is not None:
-            aug = AffineSet(cand.system.variables, tuple(augmented), cand.system.context)
-            empty, witness = is_empty_with_witness(aug)
-            if empty is True:
-                return Verdict("race-free", "affine")
-            if empty is False:
-                ok = _confirm_witness(cand, witness, confirmer, p)
-                if ok is not False:
-                    return Verdict(
-                        "witness", "affine", witness, confirmed=bool(ok)
-                    )
-                # the model disagreed with the interpreter: stay conservative
-                return Verdict("unknown", "affine", detail="unconfirmed witness")
-    elif not clocked:
-        empty, witness = is_empty_with_witness(cand.system)
+        else:
+            system = AffineSet(cand.system.variables, tuple(augmented), cand.system.context)
+    if system is not None:
+        empty, witness = is_empty_with_witness(system)
         if empty is True:
             return Verdict("race-free", "affine")
         if empty is False:
             ok = _confirm_witness(cand, witness, confirmer, p)
             if ok is not False:
                 return Verdict("witness", "affine", witness, confirmed=bool(ok))
+            # the model disagreed with the interpreter: stay conservative
             return Verdict("unknown", "affine", detail="unconfirmed witness")
 
     # Tier 2: external solver on the full system.

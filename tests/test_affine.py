@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clockrace import AffineSet, enumerate_points, eq, ge, is_empty
-from clockrace.affine import is_empty_with_witness, lex_order
+from clockrace.affine import is_empty_with_witness
 from clockrace.syntax import AffineExpr
 
 
@@ -83,21 +83,6 @@ def test_enumerate_triangle():
     assert len(pts) == 10
     assert pts == sorted(pts)
     assert all(0 <= x <= y <= 3 for x, y in pts)
-
-
-def test_lex_order():
-    def ordered(u, v):
-        return any(
-            lex_order(["u_i", "u_j"], ["v_i", "v_j"], p).contains(
-                {"u_i": u[0], "u_j": u[1], "v_i": v[0], "v_j": v[1]}
-            )
-            for p in range(2)
-        )
-
-    assert ordered((0, 5), (1, 0))  # first component decides
-    assert ordered((1, 0), (1, 2))  # tie broken by second
-    assert not ordered((1, 2), (1, 2))  # irreflexive
-    assert not ordered((2, 0), (1, 9))
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,19 @@ def test_interpret_missing_param_exit_1(capsys):
     assert "T" in err
 
 
+def test_interpret_deep_nesting_exit_1(tmp_path, capsys):
+    # deep enough for the interpreter's recursion, shallow enough to parse
+    depth = 400
+    f = tmp_path / "deep.cx10"
+    f.write_text(
+        "param N >= 1;\narray A[1];\n"
+        + "finish {\n" * depth + "A[0] = f();\n" + "}\n" * depth
+    )
+    code, _, err = run(capsys, "interpret", str(f), "--param", "N=1")
+    assert code == 1
+    assert err == "error: program nested too deeply to interpret\n"
+
+
 def test_interpret_param_below_bound_exit_1(capsys):
     code, out, err = run(capsys, "interpret", str(corpus_path("qr")), "--param", "N=-5")
     assert code == 1 and out == ""

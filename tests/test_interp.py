@@ -1,7 +1,10 @@
-from clockrace import dynamic_phi, explore, instantiate, parse
-from clockrace.interp import clock_steps, leaf_steps, stuck, term_instances
+import pytest
 
-from conftest import load
+from clockrace import dynamic_phi, explore, instantiate, parse
+from clockrace.interp import steps, stuck, term_instances
+
+import fuzzgen
+from conftest import CORPUS_NAMES, load
 
 
 def basics(res):
@@ -10,6 +13,14 @@ def basics(res):
 
 def env(inst):
     return dict(inst[2])
+
+
+def leaf_steps(t):
+    return [s for s in steps(t) if s[0] is None]
+
+
+def clock_steps(t):
+    return [s for s in steps(t) if s[0] is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -41,11 +52,14 @@ def test_stuck_and_clock_step():
     t = instantiate(p, {"N": 1})
     assert stuck(t) is False  # clocked finish absorbs the stuck body
     assert leaf_steps(t) == []  # nothing can move except the clock
-    steps = clock_steps(t)
-    assert len(steps) == 1
-    _, advanced, t2 = steps[0]
+    clocks = clock_steps(t)
+    assert len(clocks) == 1
+    key, advanced, t2 = clocks[0]
+    assert key == (0, ())  # the clock of the clocked finish, node 0
     assert [a[0] for a in advanced] == ["advance"]
-    assert len(leaf_steps(t2)) == 1  # the basic statement is now active
+    leaves = leaf_steps(t2)
+    assert len(leaves) == 1  # the basic statement is now active
+    assert [i[0] for i in leaves[0][1]] == ["basic"]  # and fires alone
 
 
 def test_seq_is_sequential_but_asyncs_overlap():
@@ -56,6 +70,7 @@ def test_seq_is_sequential_but_asyncs_overlap():
     t = instantiate(p, {"N": 1})
     # both the spawned f and the following g are simultaneously enabled
     assert len(leaf_steps(t)) == 2
+    assert clock_steps(t) == []
 
 
 def test_advance_through_unclocked_finish():
@@ -182,3 +197,83 @@ def test_clock_instances_in_a_loop_are_distinct():
         assert dynamic_phi(res, inst, first) == (0 if iteration == 0 else 1)
         assert dynamic_phi(res, inst, second) == 0
 
+
+# ---------------------------------------------------------------------------
+# Independent oracle: every maximal path of the step relation
+
+ORACLE_MAX_PATHS = 500
+
+
+def _maximal_paths(t, limit):
+    """Every maximal path of `steps` from term t, as (last term, firings):
+    firings maps each fired instance to (step number, clock counters before
+    the step).  None when there are more than `limit` paths."""
+    paths = []
+
+    def walk(t, counters, fired, depth):
+        enabled = steps(t)
+        if not enabled:
+            paths.append((t, dict(fired)))
+            return len(paths) <= limit
+        for key, insts, nt in enabled:
+            after = counters
+            if key is not None:
+                bumped = dict(counters)
+                bumped[key] = bumped.get(key, 0) + 1
+                after = tuple(sorted(bumped.items()))
+            for inst in insts:
+                fired[inst] = (depth, counters)
+            ok = walk(nt, after, fired, depth + 1)
+            for inst in insts:
+                del fired[inst]
+            if not ok:
+                return False
+        return True
+
+    return paths if walk(t, (), {}, 0) else None
+
+
+def _check_against_paths(p, params) -> bool:
+    """Compare explore with path enumeration; False when there are too many
+    paths to enumerate."""
+    paths = _maximal_paths(instantiate(p, params), ORACLE_MAX_PATHS)
+    if paths is None:
+        return False
+    res = explore(p, params)
+    assert res.trace_count == sum(last is None for last, _ in paths)
+    assert res.terminated == all(last is None for last, _ in paths)
+    # hb(u, v): on every path, once v has fired u has fired too (advances
+    # consumed by one clock step fire together)
+    n = len(res.instances)
+    ordered = [(1 << n) - 1] * n
+    phases = {}
+    for _, fired in paths:
+        for v, (step, counters) in fired.items():
+            phases.setdefault(v, set()).add(counters)
+            before = sum(
+                1 << res.index[u] for u, (s, _) in fired.items() if s <= step
+            )
+            ordered[res.index[v]] &= before
+    for u in res.instances:
+        for v in res.instances:
+            if u != v:
+                assert res.hb(u, v) == bool(ordered[res.index[v]] >> res.index[u] & 1)
+    assert res.phases == phases
+    return True
+
+
+def test_explore_matches_paths_on_corpus():
+    checked = 0
+    for name in CORPUS_NAMES:
+        p = load(name)
+        for n in (1, 2):
+            checked += _check_against_paths(p, {k: max(lb, n) for k, lb in p.params})
+    # all but moldyn at P = T = 2, which has 64 000 traces
+    assert checked == 2 * len(CORPUS_NAMES) - 1
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_explore_matches_paths_on_fuzz(seed):
+    p = fuzzgen.generate(20_000 + seed)
+    for n in (1, 2, 3):
+        _check_against_paths(p, {"N": n})
