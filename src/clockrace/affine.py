@@ -129,10 +129,6 @@ class _Infeasible(Exception):
     pass
 
 
-class _GiveUp(Exception):
-    pass
-
-
 class _System:
     """One conjunction plus context, prepared for the decision procedure."""
 

@@ -1,13 +1,21 @@
 """Static happens-before for mini-X10: an incomplete lexicographic order.
 
 Two statement instances are compared through their paths from the root.
-Shared ``for`` nodes contribute iterator components; the divergence node
-(always a sequence) contributes a pair of branch constants.  A component
-position can only order the pair when the earlier instance's remaining work
-completes synchronously: position p orders u before v exactly when the
-first ``async``/``finish`` node strictly below p's node on the path toward
-u is not an ``async`` (no such node, or a ``finish``, both seal the
-subcomputation).  The resulting order is sound but deliberately incomplete.
+:func:`_components` lists every way their iteration vectors can first
+differ: for each shared ``for`` node, outermost first, "u's index smaller"
+then "v's index smaller" with the outer shared iterators equal; then the
+divergence node (always a sequence) with every shared iterator equal, where
+the branch order says which side runs first.  A component orders the pair
+when the earlier instance's work below the component's node completes
+synchronously: the first ``async``/``finish`` node strictly below it on the
+earlier instance's path is not an ``async`` (no such node, or a ``finish``,
+seals the subcomputation).
+
+The components are disjoint and cover every pair of distinct instances, so
+the relation splits three ways by construction: :func:`hb_disjuncts` keeps
+the sealed components where u runs first, :func:`unordered_disjuncts` the
+unsealed ones, and the rest are ``v hb u``.  Identical instances satisfy
+none.  The order is sound but deliberately incomplete.
 
 For clocked programs, :func:`reduce_clock` maps a pair of leaves to the
 innermost clocked ``finish`` governing both, together with a representative
@@ -18,7 +26,7 @@ the leaf itself).  Phase reasoning is then performed on representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .affine import Constraint, eq, ge
 from .syntax import (
@@ -33,51 +41,62 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class PairShape:
-    """Aligned component structure of a pair of paths.
-
-    ``fors`` lists the shared ``for`` nodes in order (outermost first);
-    ``div`` is the divergence sequence node with the two branch indices,
-    or None when both paths end at the same node.
-    """
-
-    u_path: tuple[Stmt, ...]
-    v_path: tuple[Stmt, ...]
-    fors: tuple[For, ...]
-    div: Optional[Seq]
-    branch_u: int = -1
-    branch_v: int = -1
-
-
-def pair_shape(p: Program, u_id: int, v_id: int) -> PairShape:
-    pu, pv = tuple(p.path_to(u_id)), tuple(p.path_to(v_id))
+def _common_prefix(pu: Sequence[Stmt], pv: Sequence[Stmt]) -> int:
+    """Length of the longest common prefix of two root paths."""
     m = 0
     while m < len(pu) and m < len(pv) and pu[m] is pv[m]:
         m += 1
-    if m == len(pu) and m == len(pv):  # same node
-        fors = tuple(n for n in pu[:-1] if isinstance(n, For))
-        return PairShape(pu, pv, fors, None)
-    assert m < len(pu) and m < len(pv), "one statement nested inside the other"
-    div = pu[m - 1]
-    assert isinstance(div, Seq), "paths can only diverge at a sequence"
-    fors = tuple(n for n in pu[: m - 1] if isinstance(n, For))
-    bu = next(i for i, t in enumerate(div.body) if t is pu[m])
-    bv = next(i for i, t in enumerate(div.body) if t is pv[m])
-    return PairShape(pu, pv, fors, div, bu, bv)
+    return m
 
 
-def _seals(path: Sequence[Stmt], node: Stmt) -> bool:
-    """Whether the subcomputation below ``node`` along ``path`` completes
+def _seals(path: Sequence[Stmt], i: int) -> bool:
+    """Whether the subcomputation below ``path[i]`` along ``path`` completes
     before control returns: True unless the path escapes into an ``async``
     before any ``finish``."""
-    i = next(k for k, n in enumerate(path) if n is node)
     for n in path[i + 1 : len(path) - 1]:
         if isinstance(n, Async):
             return False
         if isinstance(n, Finish):
             return True
     return True
+
+
+def _components(
+    p: Program,
+    u_id: int,
+    v_id: int,
+    u_prefix: str,
+    v_prefix: str,
+    keep: Callable[[bool, bool], bool],
+) -> list[list[Constraint]]:
+    """The ways the two iteration vectors can first differ, in order, as
+    constraint systems over prefixed iterators.  Only the components for
+    which ``keep(u_first, seals)`` holds are built: ``u_first`` says whether
+    u's instance runs first, ``seals`` whether the earlier instance's path
+    seals at the component's node."""
+    pu, pv = p.path_to(u_id), p.path_to(v_id)
+    m = _common_prefix(pu, pv)
+    out: list[list[Constraint]] = []
+    equal: list[Constraint] = []
+    for i, n in enumerate(pu[:m]):
+        if not isinstance(n, For):
+            continue
+        v_minus_u = AffineExpr.var(v_prefix + n.var) - AffineExpr.var(u_prefix + n.var)
+        u_minus_v = -v_minus_u
+        if keep(True, _seals(pu, i)):
+            out.append(equal + [ge(v_minus_u.shift(-1))])
+        if keep(False, _seals(pv, i)):
+            out.append(equal + [ge(u_minus_v.shift(-1))])
+        equal = equal + [eq(u_minus_v)]
+    if m < len(pu) or m < len(pv):
+        div = pu[m - 1]
+        assert isinstance(div, Seq) and m < len(pu) and m < len(pv), (
+            "paths can only diverge at a sequence"
+        )
+        u_first = next(t for t in div.body if t is pu[m] or t is pv[m]) is pu[m]
+        if keep(u_first, _seals(pu if u_first else pv, m - 1)):
+            out.append(equal)
+    return out
 
 
 def _rename(expr: AffineExpr, prefix: str, iterators: Sequence[str]) -> AffineExpr:
@@ -120,20 +139,9 @@ def hb_disjuncts(
     Each disjunct fixes the first component where the iteration vectors
     differ, so the disjuncts never overlap -- counting arguments may sum
     over them."""
-    shape = pair_shape(p, u_id, v_id)
-    out: list[list[Constraint]] = []
-    for k, node in enumerate(shape.fors):
-        if not _seals(shape.u_path, node):
-            continue
-        d = _prefix_equalities(shape.fors[:k], u_prefix, v_prefix)
-        uk = AffineExpr.var(u_prefix + node.var)
-        vk = AffineExpr.var(v_prefix + node.var)
-        d.append(ge((vk - uk).shift(-1)))  # u's index strictly smaller
-        out.append(d)
-    if shape.div is not None and shape.branch_u < shape.branch_v:
-        if _seals(shape.u_path, shape.div):
-            out.append(_prefix_equalities(shape.fors, u_prefix, v_prefix))
-    return out
+    return _components(
+        p, u_id, v_id, u_prefix, v_prefix, lambda u_first, seals: u_first and seals
+    )
 
 
 def unordered_disjuncts(
@@ -146,34 +154,9 @@ def unordered_disjuncts(
     """Constraint systems covering exactly the instance pairs ordered in
     neither direction (clocks ignored).  Distinctness of the instances is
     implied; the systems are pairwise disjoint."""
-    shape = pair_shape(p, u_id, v_id)
-    out: list[list[Constraint]] = []
-    for k, node in enumerate(shape.fors):
-        for earlier_path, lo_pref, hi_pref in (
-            (shape.u_path, u_prefix, v_prefix),
-            (shape.v_path, v_prefix, u_prefix),
-        ):
-            if _seals(earlier_path, node):
-                continue  # this direction orders the pair
-            d = _prefix_equalities(shape.fors[:k], u_prefix, v_prefix)
-            lo = AffineExpr.var(lo_pref + node.var)
-            hi = AffineExpr.var(hi_pref + node.var)
-            d.append(ge((hi - lo).shift(-1)))
-            out.append(d)
-    if shape.div is not None:
-        earlier = shape.u_path if shape.branch_u < shape.branch_v else shape.v_path
-        if not _seals(earlier, shape.div):
-            out.append(_prefix_equalities(shape.fors, u_prefix, v_prefix))
-    return out
-
-
-def _prefix_equalities(
-    fors: Sequence[For], u_prefix: str, v_prefix: str
-) -> list[Constraint]:
-    return [
-        eq(AffineExpr.var(u_prefix + n.var) - AffineExpr.var(v_prefix + n.var))
-        for n in fors
-    ]
+    return _components(
+        p, u_id, v_id, u_prefix, v_prefix, lambda u_first, seals: not seals
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +175,8 @@ class ClockReduction:
 
 def reduce_clock(p: Program, u_id: int, v_id: int) -> Optional[ClockReduction]:
     pu, pv = p.path_to(u_id), p.path_to(v_id)
-    m = 0
-    while m < len(pu) and m < len(pv) and pu[m] is pv[m]:
-        m += 1
     finish = None
-    for n in pu[:m]:
+    for n in pu[: _common_prefix(pu, pv)]:
         if isinstance(n, Finish) and n.clocked:
             finish = n
     if finish is None:

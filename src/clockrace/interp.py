@@ -299,10 +299,6 @@ class ExploreResult:
         """Clock phases at which the instance was observed to execute."""
         return {dict(snap).get(clock, 0) for snap in self.phases.get(inst, set())}
 
-    def phase(self, inst: Instance, clock: ClockKey) -> Optional[int]:
-        vals = self.phase_values(inst, clock)
-        return next(iter(vals)) if len(vals) == 1 else None
-
     def clock_keys(self) -> set[ClockKey]:
         keys: set[ClockKey] = set()
         for snaps in self.phases.values():

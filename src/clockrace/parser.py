@@ -38,7 +38,6 @@ from .syntax import (
     Program,
     Seq,
     Stmt,
-    governing_clocked_finish,
 )
 
 KEYWORDS = {"param", "array", "clocked", "finish", "async", "for", "if", "advance"}
@@ -363,7 +362,8 @@ class Diagnostic:
 def validate_clock_rules(p: Program) -> list[Diagnostic]:
     """Check the structural rules for the implicit-clock syntax.
 
-    Returns one diagnostic per violation; an empty list means the program is
+    Returns the violations, innermost offender first and at most one
+    diagnostic per node and rule; an empty list means the program is
     legal.  Rules:
 
     1. a clocked async must have a governing clocked finish;
@@ -374,62 +374,29 @@ def validate_clock_rules(p: Program) -> list[Diagnostic]:
        clocked finish.
     """
     diags: list[Diagnostic] = []
-
-    def between(node_id: int, finish_id: int) -> list[Stmt]:
-        out = []
-        for anc in p.ancestors(node_id):
-            if anc.node_id == finish_id:
-                break
-            out.append(anc)
-        return out
-
     for node_id, s in sorted(p.nodes.items()):
         if isinstance(s, Async) and s.clocked:
-            gov = governing_clocked_finish(p, node_id)
-            if gov is None:
-                diags.append(
-                    Diagnostic(
-                        "clocked-async-enclosure",
-                        node_id,
-                        "clocked async has no governing clocked finish",
-                    )
-                )
-                continue
-            for anc in between(node_id, gov):
-                if isinstance(anc, Async) and not anc.clocked:
-                    diags.append(
-                        Diagnostic(
-                            "clocked-async-unclocked-async",
-                            node_id,
-                            f"clocked async under unclocked async (node {anc.node_id})",
-                        )
-                    )
-                if isinstance(anc, Finish) and not anc.clocked:
-                    diags.append(
-                        Diagnostic(
-                            "clocked-async-unclocked-finish",
-                            node_id,
-                            f"clocked async under unclocked finish (node {anc.node_id})",
-                        )
-                    )
+            what, offenders = "clocked async", (Async, Finish)
+            enclosure = "clocked async has no governing clocked finish"
         elif isinstance(s, Advance):
-            gov = governing_clocked_finish(p, node_id)
-            if gov is None:
-                diags.append(
-                    Diagnostic(
-                        "advance-enclosure",
+            what, offenders = "advance", (Async,)
+            enclosure = "advance is not enclosed by a clocked finish"
+        else:
+            continue
+        tag = what.replace(" ", "-")
+        found: dict[str, Diagnostic] = {}  # nearest offender per rule
+        for anc in p.ancestors(node_id):
+            if isinstance(anc, Finish) and anc.clocked:
+                diags.extend(found.values())
+                break
+            if isinstance(anc, offenders) and not anc.clocked:
+                word = "async" if isinstance(anc, Async) else "finish"
+                if word not in found:
+                    found[word] = Diagnostic(
+                        f"{tag}-unclocked-{word}",
                         node_id,
-                        "advance is not enclosed by a clocked finish",
+                        f"{what} under unclocked {word} (node {anc.node_id})",
                     )
-                )
-                continue
-            for anc in between(node_id, gov):
-                if isinstance(anc, Async) and not anc.clocked:
-                    diags.append(
-                        Diagnostic(
-                            "advance-unclocked-async",
-                            node_id,
-                            f"advance under unclocked async (node {anc.node_id})",
-                        )
-                    )
+        else:
+            diags.append(Diagnostic(f"{tag}-enclosure", node_id, enclosure))
     return diags

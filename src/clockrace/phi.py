@@ -35,7 +35,8 @@ from .hb import (
     param_context,
     statement_domain,
 )
-from .syntax import AffineExpr, For, If, Program
+from .interp import instantiate, term_instances
+from .syntax import AffineExpr, Program
 
 _ADV_PREFIX = "a_"
 
@@ -384,40 +385,18 @@ def count_concrete(
     params: Mapping[str, int],
 ) -> int:
     """Reference count of governed advances ordered before one concrete
-    instance, by exhaustive enumeration of advance iteration points."""
+    instance, by exhaustive enumeration of the instantiated advances."""
     env_v = {"v_" + k: x for k, x in point.items()}
     env_v.update(params)
+    instances = term_instances(instantiate(p, params))
     count = 0
     for adv_id in governed_advances(p, finish_id):
         disjuncts = hb_disjuncts(p, adv_id, stmt_id, "a_", "v_")
-        for adv_env in _iteration_points(p, adv_id, params):
-            env = {("a_" + k): x for k, x in adv_env.items()}
+        for _, node_id, adv_env in instances:
+            if node_id != adv_id:
+                continue
+            env = {("a_" + k): x for k, x in adv_env}
             env.update(env_v)
             if any(all(c.satisfied(env) for c in d) for d in disjuncts):
                 count += 1
     return count
-
-
-def _iteration_points(p: Program, node_id: int, params: Mapping[str, int]):
-    """All concrete iterator environments reaching a statement."""
-    path = p.path_to(node_id)
-
-    def rec(i: int, env: dict[str, int]):
-        if i == len(path) - 1:
-            yield dict(env)
-            return
-        n = path[i]
-        if isinstance(n, For):
-            full = {**env, **params}
-            for val in range(n.lo.evaluate(full), n.hi.evaluate(full) + 1):
-                env[n.var] = val
-                yield from rec(i + 1, env)
-            env.pop(n.var, None)
-        elif isinstance(n, If):
-            full = {**env, **params}
-            if all(c.evaluate(full) >= 0 for c in n.conds):
-                yield from rec(i + 1, env)
-        else:
-            yield from rec(i + 1, env)
-
-    yield from rec(0, {})

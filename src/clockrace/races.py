@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Union
 
 from .affine import AffineSet, Constraint, eq, is_empty, is_empty_with_witness
 from .hb import (
@@ -187,16 +187,21 @@ class _Confirmer:
     def __init__(self, p: Program, max_states: int = _CONFIRM_MAX_STATES):
         self.p = p
         self.max_states = max_states
-        self.cache: dict[tuple[tuple[str, int], ...], Optional[ExploreResult]] = {}
+        self.cache: dict[tuple[tuple[str, int], ...], Union[ExploreResult, str]] = {}
 
-    def run(self, params: Mapping[str, int]) -> Optional[ExploreResult]:
+    def run(self, params: Mapping[str, int]) -> Union[ExploreResult, str]:
+        """The complete exploration at these parameters, or why there is none."""
         key = tuple(sorted(params.items()))
         if key not in self.cache:
             try:
                 res = explore(self.p, params, max_states=self.max_states)
-            except (MemoryError, RecursionError):
-                res = None
-            self.cache[key] = None if res is not None and res.incomplete else res
+                if res.incomplete:
+                    res = "state limit hit"
+            except MemoryError:
+                res = "out of memory"
+            except RecursionError:
+                res = "program nested too deeply to interpret"
+            self.cache[key] = res
         return self.cache[key]
 
     def race_between(
@@ -204,7 +209,7 @@ class _Confirmer:
     ) -> Optional[dict[str, int]]:
         """A concrete dynamic race matching the candidate, if one exists."""
         res = self.run(params)
-        if res is None:
+        if isinstance(res, str):
             return None
         for iu, iv in res.races:
             for a, b in ((iu, iv), (iv, iu)):
@@ -225,15 +230,22 @@ class _Confirmer:
 
 def _confirm_witness(
     cand: RaceCandidate, witness: Mapping[str, int], confirmer: _Confirmer, p: Program
-) -> Optional[bool]:
-    """True/False when the interpreter could check the witness, else None."""
+) -> Union[bool, str]:
+    """True/False when the interpreter could check the witness, else why not."""
     params = {n: witness.get(n, lb) for n, lb in p.params}
     if any(v > 6 for v in params.values()):
-        return None
+        return "parameter above 6"
     res = confirmer.run(params)
-    if res is None:
-        return None
+    if isinstance(res, str):
+        return res
     return confirmer.race_between(cand, params) is not None
+
+
+def _witness(method: str, witness: Mapping[str, int], ok: Union[bool, str]) -> Verdict:
+    """A witness verdict; ``ok`` is True once replayed, else why it was not."""
+    if ok is True:
+        return Verdict("witness", method, witness, confirmed=True)
+    return Verdict("witness", method, witness, detail=f"not replayed: {ok}")
 
 
 def disprove(
@@ -265,7 +277,7 @@ def disprove(
         if empty is False:
             ok = _confirm_witness(cand, witness, confirmer, p)
             if ok is not False:
-                return Verdict("witness", "affine", witness, confirmed=bool(ok))
+                return _witness("affine", witness, ok)
             # the model disagreed with the interpreter: stay conservative
             return Verdict("unknown", "affine", detail="unconfirmed witness")
 
@@ -282,23 +294,23 @@ def disprove(
         if status == "sat" and _model_checks(cand, model):
             ok = _confirm_witness(cand, model, confirmer, p)
             if ok is not False:
-                return Verdict("witness", "smt", model, confirmed=bool(ok))
+                return _witness("smt", model, ok)
 
     # Tier 3: bounded exhaustive interpretation.
     grids = [range(lb, max(lb, bound) + 1) for _, lb in p.params]
     names = p.param_names()
     combos = sorted(itertools.product(*grids), key=lambda t: (max(t, default=0), t))
-    exhaustive = True
+    failures: dict[str, None] = {}
     for combo in combos:
         params = dict(zip(names, combo))
         res = confirmer.run(params)
-        if res is None:
-            exhaustive = False
+        if isinstance(res, str):
+            failures[res] = None
             continue
         env = confirmer.race_between(cand, params)
         if env is not None:
             return Verdict("witness", "bounded", env, confirmed=True, bound=bound)
-    detail = "" if exhaustive else "state limit hit during bounded search"
+    detail = " and ".join(failures) + " during bounded search" if failures else ""
     return Verdict("unknown", "bounded", bound=bound, detail=detail)
 
 

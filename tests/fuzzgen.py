@@ -10,10 +10,17 @@ but kills clocked asyncs; an unclocked async kills both).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
-from clockrace import analyze, explore, hb_disjuncts, parse, print_program
+from clockrace import (
+    analyze,
+    explore,
+    hb_disjuncts,
+    print_program,
+    unordered_disjuncts,
+)
 from clockrace.interp import instantiate, term_instances
 from clockrace.parser import validate_clock_rules
 from clockrace.syntax import (
@@ -160,18 +167,34 @@ def generate(seed: int) -> Program:
 
 
 def _static_subset_dynamic(p, res, params):
+    """Static hb implies dynamic hb, and ``hb(u, v)``, ``hb(v, u)`` and
+    ``unordered`` split every pair of distinct instances three ways while
+    identical instances satisfy none of them."""
     errors = []
-    for u, v in itertools.combinations(res.instances, 2):
-        for a, bb in ((u, v), (v, u)):
-            env = dict(params)
-            env.update(("u_" + k, x) for k, x in a[2])
-            env.update(("v_" + k, x) for k, x in bb[2])
-            static = any(
-                all(c.satisfied(env) for c in d)
-                for d in hb_disjuncts(p, a[1], bb[1], "u_", "v_")
+
+    @functools.cache
+    def systems(a, b):
+        return (
+            hb_disjuncts(p, a, b, "u_", "v_"),
+            hb_disjuncts(p, b, a, "v_", "u_"),
+            unordered_disjuncts(p, a, b),
+        )
+
+    for u, v in itertools.product(res.instances, repeat=2):
+        env = dict(params)
+        env.update(("u_" + k, x) for k, x in u[2])
+        env.update(("v_" + k, x) for k, x in v[2])
+        forward, backward, unordered = (
+            any(all(c.satisfied(env) for c in d) for d in disjuncts)
+            for disjuncts in systems(u[1], v[1])
+        )
+        if forward + backward + unordered != (u != v):
+            errors.append(
+                f"not a three-way split: {u}, {v} at {params}: "
+                f"hb {forward}, reverse hb {backward}, unordered {unordered}"
             )
-            if static and not res.hb(a, bb):
-                errors.append(f"static hb not dynamic: {a} -> {bb} at {params}")
+        if forward and not res.hb(u, v):
+            errors.append(f"static hb not dynamic: {u} -> {v} at {params}")
     return errors
 
 

@@ -11,7 +11,7 @@ import sympy
 
 from clockrace import analyze, count_concrete, dynamic_phi, explore, parse, phi
 from clockrace.generators import advance_count, counting_nest, parse_poly
-from clockrace.phi import _iteration_points
+from clockrace.interp import instantiate, term_instances
 
 import fuzzgen
 from conftest import load
@@ -180,7 +180,12 @@ def test_criterion_6_phi_validation():
             assert q is not None, (name, stmt.name)
             points_checked = 0
             for params in enum_grid:
-                for point in _iteration_points(p, stmt.node_id, params):
+                points = [
+                    dict(env)
+                    for _, node_id, env in term_instances(instantiate(p, params))
+                    if node_id == stmt.node_id
+                ]
+                for point in points:
                     expected = count_concrete(p, 0, stmt.node_id, point, params)
                     env = {("v_" + k): x for k, x in point.items()}
                     env.update(params)

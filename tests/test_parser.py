@@ -91,6 +91,36 @@ def test_no_unclocked_async_between_advance_and_finish():
     assert not _diags("param N >= 1;\nclocked finish { finish { advance; } }\n")
 
 
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("finish { clocked async { } }",
+         ["[clocked-async-enclosure] node 2: clocked async has no governing clocked finish"]),
+        ("clocked finish { async { clocked async { } } }",
+         ["[clocked-async-unclocked-async] node 4: clocked async under unclocked async (node 2)"]),
+        ("clocked finish { finish { clocked async { } } }",
+         ["[clocked-async-unclocked-finish] node 4: clocked async under unclocked finish (node 2)"]),
+        ("advance;",
+         ["[advance-enclosure] node 0: advance is not enclosed by a clocked finish"]),
+        ("clocked finish { async { advance; } }",
+         ["[advance-unclocked-async] node 4: advance under unclocked async (node 2)"]),
+        # innermost offender first, one diagnostic per node and rule
+        ("clocked finish { async { finish { async { finish { clocked async { } } } } } }",
+         ["[clocked-async-unclocked-finish] node 10: clocked async under unclocked finish (node 8)",
+          "[clocked-async-unclocked-async] node 10: clocked async under unclocked async (node 6)"]),
+        ("clocked finish { async { async { advance; } } }",
+         ["[advance-unclocked-async] node 6: advance under unclocked async (node 4)"]),
+        pytest.param(
+            "clocked finish { " + "finish { " * 400 + "clocked async { } " + "} " * 400 + "}",
+            ["[clocked-async-unclocked-finish] node 802: clocked async under unclocked finish (node 800)"],
+            id="400-nested-finish",
+        ),
+    ],
+)
+def test_clock_rule_tags(source, expected):
+    assert [str(d) for d in _diags("param N >= 1;\n" + source + "\n")] == expected
+
+
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_corpus_is_valid(name):
     assert validate_clock_rules(load(name)) == []

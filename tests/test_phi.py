@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clockrace import QuasiPoly, count_concrete, dynamic_phi, explore, parse, phi
+from clockrace.interp import instantiate, term_instances
 from clockrace.syntax import AffineExpr
 
 from conftest import load
@@ -198,9 +199,11 @@ def test_phi_sor_and_moldyn_and_lufact():
 
 
 def in_domain_points(p, stmt_id, params):
-    from clockrace.phi import _iteration_points
-
-    return list(_iteration_points(p, stmt_id, params))
+    return [
+        dict(env)
+        for _, node_id, env in term_instances(instantiate(p, params))
+        if node_id == stmt_id
+    ]
 
 
 @pytest.mark.parametrize(

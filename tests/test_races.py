@@ -190,3 +190,49 @@ def test_bounded_confirms_nonlinear_race():
     (pair,) = a.candidates
     _, v = pair
     assert v.status == "witness" and v.confirmed and v.method == "bounded"
+
+
+# ---------------------------------------------------------------------------
+# Why a witness was not replayed, and why the bounded search was partial
+
+RACING_ASYNCS = "async { A[0] = f(); } async { A[0] = g(); }"
+
+
+def _nested(body: str, depth: int = 400) -> str:
+    return "finish { " * depth + body + " }" * depth
+
+
+@pytest.mark.parametrize(
+    "source, max_states, detail",
+    [
+        ("param N >= 1;\narray A[1];\n" + _nested(RACING_ASYNCS), 60_000,
+         "not replayed: program nested too deeply to interpret"),
+        ("param N >= 7;\narray A[1];\nfinish { " + RACING_ASYNCS + " }", 60_000,
+         "not replayed: parameter above 6"),
+        ("param N >= 1;\narray A[1];\nfinish { " + RACING_ASYNCS + " }", 2,
+         "not replayed: state limit hit"),
+    ],
+    ids=["nested", "param-above-6", "state-limit"],
+)
+def test_unreplayed_witness_says_why(source, max_states, detail):
+    a = analyze(parse(source), bound=2, confirm_max_states=max_states)
+    ((_, v),) = a.candidates
+    assert (v.status, v.method, v.confirmed) == ("witness", "affine", False)
+    assert v.detail == detail
+
+
+def test_bounded_search_says_why_it_was_partial():
+    from conftest import corpus_path
+
+    lines = corpus_path("qr").read_text().splitlines()
+    decls = [ln for ln in lines if ln.startswith(("param", "array"))]
+    body = [ln for ln in lines if ln and not ln.startswith(("param", "array", "//"))]
+    nested = parse("\n".join(decls) + "\n" + _nested("\n".join(body)) + "\n")
+    for p, max_states, detail in (
+        (load("qr"), 5, "state limit hit during bounded search"),
+        (nested, 60_000, "program nested too deeply to interpret during bounded search"),
+    ):
+        a = analyze(p, bound=3, confirm_max_states=max_states)
+        assert a.candidates
+        for _, v in a.candidates:
+            assert (v.status, v.method, v.detail) == ("unknown", "bounded", detail)
