@@ -6,7 +6,7 @@ exhaustive reference interpreter used as ground truth, plus generators that
 compile polynomials into synchronization patterns.
 """
 
-from .affine import AffineSet, Constraint, enumerate_points, eq, ge, is_empty
+from .affine import AffineSet, Constraint, eq, ge, is_empty
 from .generators import counting_nest, parse_poly, race_test, race_tests_all_orthants
 from .hb import hb_disjuncts, reduce_clock, statement_domain, unordered_disjuncts
 from .interp import ExploreResult, dynamic_phi, explore, instantiate
@@ -36,7 +36,6 @@ __all__ = [
     "counting_nest",
     "dynamic_phi",
     "emit_smtlib",
-    "enumerate_points",
     "eq",
     "explore",
     "ge",

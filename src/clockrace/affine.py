@@ -361,22 +361,3 @@ def is_empty_with_witness(
             unknown = True
     return (None, None) if unknown else (True, None)
 
-
-def enumerate_points(
-    s: AffineSet, box: Mapping[str, tuple[int, int]]
-) -> list[tuple[int, ...]]:
-    """All integer points of the set within the box, in lexicographic order.
-
-    The context is ignored (parameters are expected to be fixed via the box
-    or absent).  Raises KeyError when the box misses a variable.
-    """
-    ranges = []
-    for v in s.variables:
-        lo, hi = box[v]
-        ranges.append(range(lo, hi + 1))
-    out = []
-    for point in itertools.product(*ranges):
-        env = dict(zip(s.variables, point))
-        if s.contains(env):
-            out.append(point)
-    return out

@@ -7,14 +7,20 @@ dynamic facts: the happens-before relation over statement instances, data
 races observed in some schedule, the number of distinct traces, termination,
 and the clock phase at which each instance executes.
 
-Runtime terms are nested tuples so that states hash:
+``instantiate`` returns a runtime term as nested tuples:
 
     ("basic", node_id, env)      ("advance", node_id, env)
     ("seq", (t1, ..., tn))       ("async", t)
     ("finish", clocked, node_id, env, t)
 
-where ``env`` is a sorted tuple of (iterator, value) bindings.  A finished
-subterm is represented by ``None`` and dropped by its parent.
+where ``env`` is a sorted tuple of (iterator, value) bindings, and an empty
+term is ``None``.  ``explore`` interns every subterm once into a hash-cons
+table, ``_Terms``, whose nodes have the same shapes but name their children
+by integer id.  A finished subterm is the id ``DONE``, which a seq drops and
+an ``async`` or ``finish`` passes up.  Equal terms get equal ids, so a state
+is ``(id, clock counters)`` and hashes in constant time.  Once the state
+limit is hit, no state is added any more, so the table freezes: it stops
+adding nodes, and a term it lacks is ``UNSEEN``, the term of a new state.
 
 Scheduling follows the statement classification: the i-th element of a
 sequence may take a step only when every earlier element is asynchronous.
@@ -24,18 +30,25 @@ increments.  Unclocked ``finish`` and ``async`` are transparent to both
 stuckness and the clock step, so an advance keeps synchronizing with its
 governing clock across them.
 
-There is one step relation, ``steps``: each step names the clock it
+There is one step relation, ``_Terms.steps``: each step names the clock it
 advances (``None`` for a leaf step, which executes one basic statement)
-and the instances it fires.  Exploration keeps, for every state, the
-bitmask of instances still pending; a successor's mask is its parent's
-with the fired bits cleared.  The mask depends only on the term, so it is
-the same along every path that reaches a state, and no term is walked
-again after instantiation.
+and the instances it fires.  The steps of an ``async`` node are memoized,
+because an activity's remaining body recurs across interleavings; the root
+``finish`` and the top seq are new in nearly every state and are not kept.
+
+Exploration keeps, for every state, the bitmask of instances still pending;
+a successor's mask is its parent's with the fired bits cleared.  The mask
+depends only on the term, so it is the same along every path that reaches
+a state.  hb(u, v) fails iff some reached state has v done and u pending.
+Those masks are collected on discovery edges only: masks shrink along
+edges, and each state's discovery edge either fires v or leaves a
+predecessor, itself reached that way, in which v was already done and whose
+mask contains the state's.  This holds for runs cut by the state limit too,
+since only the states they added count.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -55,7 +68,7 @@ Env = tuple[tuple[str, int], ...]
 Term = Optional[tuple]
 Instance = tuple[str, int, Env]  # (kind, node_id, env)
 ClockKey = tuple[int, Env]
-Step = tuple[Optional[ClockKey], tuple[Instance, ...], Term]
+Step = tuple[Optional[ClockKey], tuple[Instance, ...], int]
 
 
 def _env_tuple(env: Mapping[str, int], names) -> Env:
@@ -152,124 +165,150 @@ def term_instances(t: Term) -> list[Instance]:
 
 
 # ---------------------------------------------------------------------------
-# One-step semantics
+# One-step semantics, over interned terms
+
+DONE = -1  # the id of a finished subterm
+UNSEEN = -2  # a frozen table's answer for a term it lacks
 
 
-def is_async_term(t: Term) -> bool:
-    if t is None:
-        return True
-    if t[0] == "async":
-        return True
-    if t[0] == "seq":
-        return all(is_async_term(u) for u in t[1])
-    return False
+class _Terms:
+    """Hash-cons table of the runtime terms of one exploration.  Seq
+    elements are flat: none is a seq or DONE.  Once frozen, the table only
+    looks terms up, and a term containing UNSEEN is UNSEEN itself."""
 
+    def __init__(self) -> None:
+        self.nodes: list[tuple] = []
+        self.ids: dict[tuple, int] = {}
+        self.async_steps: dict[int, list[Step]] = {}
+        self.frozen = False
 
-def stuck(t: Term) -> bool:
-    """A term is stuck when it can only proceed via some enclosing clock."""
-    if t is None:
-        return False
-    kind = t[0]
-    if kind == "advance":
-        return True
-    if kind == "basic":
-        return False
-    if kind == "async":
-        return stuck(t[1])
-    if kind == "finish":
-        # A clocked finish owns its clock and can always advance it once its
-        # body is stuck, so it never blocks on an outer clock.
-        return False if t[1] else stuck(t[4])
-    if kind == "seq":
-        for u in t[1]:
-            if is_async_term(u):
-                if not stuck(u):
+    def node(self, t: tuple) -> int:
+        tid = self.ids.get(t)
+        if tid is None:
+            if self.frozen:
+                return UNSEEN
+            tid = self.ids[t] = len(self.nodes)
+            self.nodes.append(t)
+        return tid
+
+    def intern(self, t: Term) -> int:
+        if t is None:
+            return DONE
+        if t[0] == "seq":
+            return self.node(("seq", tuple(map(self.intern, t[1]))))
+        if t[0] in ("async", "finish"):
+            return self.wrap(t[:-1], self.intern(t[-1]))
+        return self.node(t)
+
+    def wrap(self, head: tuple, c: int) -> int:
+        """The async or finish node ``head + (c,)``; done when c is."""
+        return DONE if c == DONE else self.node(head + (c,))
+
+    def seq(self, elems: tuple) -> int:
+        if not elems:
+            return DONE
+        if len(elems) == 1:
+            return elems[0]
+        return self.node(("seq", elems))
+
+    def splice(self, elems: tuple, i: int, c: int) -> int:
+        """The seq ``elems`` with its i-th element replaced by c, dropped when
+        done.  An element only ever becomes one of its own kind or DONE, so
+        the result stays flat without re-scanning the other elements."""
+        mid = () if c == DONE else (c,)
+        return self.seq(elems[:i] + mid + elems[i + 1 :])
+
+    def is_async_term(self, t: int) -> bool:
+        """Whether a seq element lets later elements step; elements are never
+        DONE or seqs, so this is whether it is an async node."""
+        return self.nodes[t][0] == "async"
+
+    def stuck(self, t: int) -> bool:
+        """A term is stuck when it can only proceed via some enclosing clock."""
+        node = self.nodes[t]
+        kind = node[0]
+        if kind == "advance":
+            return True
+        if kind == "basic":
+            return False
+        if kind == "async":
+            return self.stuck(node[1])
+        if kind == "finish":
+            # A clocked finish owns its clock and can always advance it once
+            # its body is stuck, so it never blocks on an outer clock.
+            return False if node[1] else self.stuck(node[4])
+        for u in node[1]:
+            if self.is_async_term(u):
+                if not self.stuck(u):
                     return False
             else:
-                return stuck(u)
+                return self.stuck(u)
         return True
-    raise TypeError(f"unknown term {t!r}")
 
+    def yield_term(self, t: int, consumed: list[Instance]) -> int:
+        """Consume the front advances of a stuck term (one clock step)."""
+        node = self.nodes[t]
+        kind = node[0]
+        if kind == "advance":
+            consumed.append(node)
+            return DONE
+        if kind == "async":
+            return self.wrap(node[:1], self.yield_term(node[1], consumed))
+        if kind == "finish":
+            assert not node[1], "clock step reached a nested clocked finish"
+            return self.wrap(node[:4], self.yield_term(node[4], consumed))
+        if kind == "seq":
+            parts: tuple = ()
+            for i, u in enumerate(node[1]):
+                nu = self.yield_term(u, consumed)
+                parts += () if nu == DONE else (nu,)
+                if not self.is_async_term(u):  # the elements after it wait
+                    return self.seq(parts + node[1][i + 1 :])
+            return self.seq(parts)
+        raise AssertionError(f"yield reached non-stuck term {node!r}")
 
-def _seq_replace(elems: tuple, i: int, new: Term) -> Term:
-    parts = list(elems)
-    if new is None:
-        del parts[i]
-    else:
-        parts[i] = new
-    return _mk_seq(parts)
-
-
-def _yield_term(t: Term, consumed: list[Instance]) -> Term:
-    """Consume the front advances of a stuck term (one clock step)."""
-    kind = t[0]
-    if kind == "advance":
-        consumed.append(("advance", t[1], t[2]))
-        return None
-    if kind == "async":
-        nt = _yield_term(t[1], consumed)
-        return None if nt is None else ("async", nt)
-    if kind == "finish":
-        assert not t[1], "clock step reached a nested clocked finish"
-        nt = _yield_term(t[4], consumed)
-        return None if nt is None else t[:4] + (nt,)
-    if kind == "seq":
-        parts = []
-        hit_sync = False
-        for u in t[1]:
-            if hit_sync:
-                parts.append(u)
-            else:
-                nu = _yield_term(u, consumed)
-                if nu is not None:
-                    parts.append(nu)
-                if not is_async_term(u):
-                    hit_sync = True
-        return _mk_seq(parts)
-    raise AssertionError(f"yield reached non-stuck term {t!r}")
-
-
-def steps(t: Term) -> list[Step]:
-    """All enabled steps: (clock, fired instances, next term).  A leaf step
-    has clock None and fires one basic instance; a clock step names the
-    clock instance it advances and fires the advances it consumes."""
-    if t is None:
-        return []
-    kind = t[0]
-    if kind == "basic":
-        return [(None, (("basic", t[1], t[2]),), None)]
-    if kind == "advance":
-        return []
-    if kind == "async":
-        return [
-            (key, fired, None if nt is None else ("async", nt))
-            for key, fired, nt in steps(t[1])
-        ]
-    if kind == "finish":
-        head = t[:4]
-        out = [
-            (key, fired, None if nt is None else head + (nt,))
-            for key, fired, nt in steps(t[4])
-        ]
-        if t[1] and stuck(t[4]):
-            consumed: list[Instance] = []
-            nt = _yield_term(t[4], consumed)
-            body = None if nt is None else head + (nt,)
-            out.append(((t[2], t[3]), tuple(consumed), body))
+    def steps(self, t: int) -> list[Step]:
+        """All enabled steps: (clock, fired instances, next term id).  A leaf
+        step has clock None and fires one basic instance; a clock step names
+        the clock instance it advances and fires the advances it consumes."""
+        if t == DONE:
+            return []
+        node = self.nodes[t]
+        kind = node[0]
+        if kind == "basic":
+            return [(None, (node,), DONE)]
+        if kind == "advance":
+            return []
+        if kind == "async":
+            out = self.async_steps.get(t)
+            if out is None:
+                out = self.async_steps[t] = [
+                    (key, fired, self.wrap(node[:1], nt))
+                    for key, fired, nt in self.steps(node[1])
+                ]
+            return out
+        if kind == "finish":
+            head = node[:4]
+            out = [(key, fired, self.wrap(head, nt)) for key, fired, nt in self.steps(node[4])]
+            if node[1] and self.stuck(node[4]):
+                consumed: list[Instance] = []
+                nt = self.yield_term(node[4], consumed)
+                out.append(((node[2], node[3]), tuple(consumed), self.wrap(head, nt)))
+            return out
+        elems = node[1]
+        out = []
+        for i, u in enumerate(elems):
+            for key, fired, nu in self.steps(u):
+                out.append((key, fired, self.splice(elems, i, nu)))
+            if not self.is_async_term(u):
+                break
         return out
-    out = []
-    for i, u in enumerate(t[1]):
-        for key, fired, nu in steps(u):
-            out.append((key, fired, _seq_replace(t[1], i, nu)))
-        if not is_async_term(u):
-            break
-    return out
 
 
 # ---------------------------------------------------------------------------
 # State-space exploration
 
-State = tuple[Term, tuple[tuple[ClockKey, int], ...]]
+State = tuple[int, tuple[tuple[ClockKey, int], ...]]
 
 
 @dataclass
@@ -313,24 +352,23 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
     instances = term_instances(t0)
     index = {inst: i for i, inst in enumerate(instances)}
     n = len(instances)
-    all_mask = (1 << n) - 1
 
-    initial: State = (t0, ())
+    terms = _Terms()
+    initial: State = (terms.intern(t0), ())
     ids: dict[State, int] = {initial: 0}
     order: list[State] = [initial]
-    present: list[int] = [all_mask]  # per state: bitmask of pending instances
+    present: list[int] = [(1 << n) - 1]  # per state: bitmask of pending instances
     succs: list[Optional[list[int]]] = [None]
     phases: dict[Instance, set[tuple]] = {}
+    forbidden = [0] * n  # per instance v: instances pending in some state with v done
     incomplete = False
 
     stack = [0]
     while stack:
         sid = stack.pop()
-        if succs[sid] is not None:
-            continue
         term, counters = order[sid]
         out: list[int] = []
-        for key, fired, nt in steps(term):
+        for key, fired, nt in terms.steps(term):
             mask = present[sid]
             for inst in fired:
                 phases.setdefault(inst, set()).add(counters)
@@ -344,7 +382,7 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
             tid = ids.get(state)
             if tid is None:
                 if len(ids) >= max_states:
-                    incomplete = True
+                    incomplete = terms.frozen = True  # see the module doc
                     continue
                 tid = len(order)
                 ids[state] = tid
@@ -352,18 +390,10 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
                 present.append(mask)
                 succs.append(None)
                 stack.append(tid)
+                for inst in fired:  # on discovery edges only: see the module doc
+                    forbidden[index[inst]] |= mask
             out.append(tid)
         succs[sid] = out
-
-    # Happens-before: hb(u, v) fails iff some reachable state has v already
-    # executed while u is still pending.
-    forbidden = [0] * n
-    for pres in present:
-        rest = all_mask & ~pres
-        while rest:
-            v = rest & -rest
-            forbidden[v.bit_length() - 1] |= pres
-            rest ^= v
 
     # Trace counting / termination over the (acyclic) state graph, in
     # post-order with an explicit stack: a state is summed once all of its
@@ -382,7 +412,7 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
             pending.extend(todo)
             continue
         pending.pop()
-        if order[sid][0] is None:
+        if order[sid][0] == DONE:
             paths[sid] = 1
         else:
             terminated = terminated and bool(kids)
@@ -423,18 +453,34 @@ def _accesses(p: Program, params: Mapping[str, int], inst: Instance):
 def _dynamic_races(
     p: Program, params: Mapping[str, int], res: ExploreResult
 ) -> list[tuple[Instance, Instance]]:
+    """Unordered pairs of basic instances that touch one element, at least
+    one of them writing, in ``itertools.combinations`` order."""
     basics = [i for i in res.instances if i[0] == "basic"]
     accesses = {u: _accesses(p, params, u) for u in basics}
+    readers: dict[tuple, int] = {}  # element -> bitmask of instances
+    writers: dict[tuple, int] = {}
+    for u in basics:
+        for array, point, mode in accesses[u]:
+            cells = writers if mode == "write" else readers
+            cells[array, point] = cells.get((array, point), 0) | 1 << res.index[u]
+    forbidden = res._hb_forbidden
     races = []
-    for u, v in itertools.combinations(basics, 2):
-        if res.hb(u, v) or res.hb(v, u):
-            continue
-        if any(
-            a == b and pa == pb and "write" in (mu, mv)
-            for a, pa, mu in accesses[u]
-            for b, pb, mv in accesses[v]
-        ):
-            races.append((u, v))
+    for u in basics:
+        iu = res.index[u]
+        clash = 0
+        for array, point, mode in accesses[u]:
+            clash |= writers.get((array, point), 0)
+            if mode == "write":
+                clash |= readers.get((array, point), 0)
+        # instances after u in index order (bits above iu) with hb(v, u)
+        # false; the loop keeps those with hb(u, v) false too
+        later = clash & forbidden[iu] & -(2 << iu)
+        while later:
+            low = later & -later
+            iv = low.bit_length() - 1
+            if forbidden[iv] >> iu & 1:
+                races.append((u, res.instances[iv]))
+            later ^= low
     return races
 
 

@@ -49,9 +49,6 @@ class AffineExpr:
     def variables(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.terms)
 
-    def is_constant(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "AffineExpr") -> "AffineExpr":
         coeffs = dict(self.terms)
         for v, c in other.terms:

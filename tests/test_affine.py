@@ -1,9 +1,10 @@
+import itertools
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clockrace import AffineSet, enumerate_points, eq, ge, is_empty
+from clockrace import AffineSet, eq, ge, is_empty
 from clockrace.affine import is_empty_with_witness
 from clockrace.syntax import AffineExpr
 
@@ -14,6 +15,16 @@ def expr(const=0, **coeffs):
 
 def conj(variables, *constraints):
     return AffineSet.conjunction(variables, constraints)
+
+
+def enumerate_points(s, box):
+    """All integer points of the set within the box, in lexicographic order;
+    the context is ignored."""
+    return [
+        point
+        for point in itertools.product(*(range(box[v][0], box[v][1] + 1) for v in s.variables))
+        if s.contains(dict(zip(s.variables, point)))
+    ]
 
 
 # ---------------------------------------------------------------------------

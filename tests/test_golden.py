@@ -1,7 +1,10 @@
-"""Golden digests of the corpus reports.
+"""Golden digests of the corpus reports and of the interpreter's facts.
 
-Each digest is the sha256 of a corpus file's JSON report (without
+Each report digest is the sha256 of a corpus file's JSON report (without
 ``timings``) followed by its SMT scripts, at bound 8 (bound 3 for ``qr``).
+Each facts digest covers one group of ``explore`` runs: state and trace
+counts, termination, the races in order, the sorted phases and the full
+happens-before matrix over the instances.
 A refactor that should leave the analysis unchanged must keep every digest;
 a change that alters reports on purpose must update them here and say why.
 """
@@ -11,9 +14,10 @@ import json
 
 import pytest
 
-from clockrace import analyze
+from clockrace import analyze, explore
 from clockrace.report import build_report
 
+import fuzzgen
 from conftest import CORPUS_NAMES, corpus_path, load
 
 GOLDEN = {
@@ -39,3 +43,65 @@ def test_report_digest(name):
     for script in a.smt_scripts:
         h.update(b"\0" + script.encode())
     assert h.hexdigest() == GOLDEN[name], report.to_text()
+
+
+SINGLE_RUNS = {
+    "qr/N=6": ("qr", {"N": 6}, 1_000_000),
+    # runs cut by the state limit, like "fuzz/0-49,max_states=50"
+    "moldyn/P=3,T=2,max_states=50": ("moldyn", {"P": 3, "T": 2}, 50),
+    "qr/N=4,max_states=50": ("qr", {"N": 4}, 50),
+}
+
+
+def _fact_runs(group):
+    """(program, params, max_states) of each run in a facts group."""
+    if group.startswith("corpus/"):
+        p = load(group[len("corpus/"):])
+        return [(p, {k: max(lb, n) for k, lb in p.params}, 1_000_000) for n in (1, 2, 3)]
+    if group.startswith("fuzz/"):
+        seeds, _, limit = group[len("fuzz/"):].partition(",max_states=")
+        lo, hi = map(int, seeds.split("-"))
+        progs = [fuzzgen.generate(seed) for seed in range(lo, hi + 1)]
+        return [(p, {"N": n}, int(limit or 1_000_000)) for p in progs for n in (1, 2, 3)]
+    name, params, max_states = SINGLE_RUNS[group]
+    return [(load(name), params, max_states)]
+
+
+GOLDEN_FACTS = {
+    "corpus/jacobi": "1edc4d811c3aa1374398cc466c6958683eedab28dbf0527ece02a5ece003f3d2",
+    "corpus/gauss_seidel": "3ed9e9029766ca81ad570a485583ae69209654da9c35e720bb56bae086573a77",
+    "corpus/qr": "5d9163bfc1c91acda311e8638b4e2e224da55f994cd40741dc57a7e8413925bf",
+    "corpus/fig1a": "fbd1a056a51694facc52a499b68b2aecd38327c808c0be7353ace176966cd113",
+    "corpus/fig1b": "89ff6880659fb7b48e9239715f27d853ea6d92c4e0fce7f58135058d369257c3",
+    "corpus/sor": "e22d25ab1e73da2244c53144e0f1f2ea6a36438a0a23c37ea17adb3efbe6103f",
+    "corpus/moldyn": "934edd9651beaa6ce7d78929e554db3186f51fb657fe17aead8104ae3e1e207d",
+    "corpus/lufact": "65afaa60c26095a7d437799a5a7460efc6a692ceadda69f0f8985967c493149e",
+    "fuzz/0-9": "e12c49c105d0965ddf4466d0e1390d2c3781cc9b7c6a5a0d1ca90d2343068be9",
+    "fuzz/10-19": "c39c92a61114918af88a4553168aa4fde15194e61cea2b6055e280b8f1ee2a35",
+    "fuzz/20-29": "e04d5d6cd82c45d377667070c60267811e4f5563819ea9edf7e006df0070c263",
+    "fuzz/30-39": "61c49602b8c2b18f93f10b89d6d8ffa28f4e9bc43706719bdefd406ff9c40a57",
+    "fuzz/40-49": "14bd2f3be96b171c3c9f2ec509d74b6ccaa694696c67f894d5b60868fa167f0d",
+    "fuzz/0-49,max_states=50": "3128a805cd850bd0e1606149da1c0b01a9a4cd2ccb5c934bcbbe49fc2f1bb17a",
+    "qr/N=6": "657c121d9341ce0b60d58a4741c2eb23559ae658aa4cfeece51c37da8fa62719",
+    "moldyn/P=3,T=2,max_states=50": "d44bd61b0be8643a7a512748d33a13fdf88e341f82eab232f08c2324c578d4ac",
+    "qr/N=4,max_states=50": "096c71a586e0b2df5f2ef77740f8dee0ed68197b37783ca18b7dfe9f2dd4588d",
+}
+
+
+@pytest.mark.parametrize("group", GOLDEN_FACTS)
+def test_explore_facts_digest(group):
+    h = hashlib.sha256()
+    for p, params, max_states in _fact_runs(group):
+        res = explore(p, params, max_states=max_states)
+        insts = res.instances
+        facts = [
+            res.state_count,
+            res.trace_count,
+            res.terminated,
+            res.incomplete,
+            res.races,
+            sorted((inst, sorted(snaps)) for inst, snaps in res.phases.items()),
+            "".join("01"[res.hb(u, v)] for u in insts for v in insts),
+        ]
+        h.update(json.dumps(facts).encode() + b"\0")
+    assert h.hexdigest() == GOLDEN_FACTS[group]

@@ -1,7 +1,7 @@
 import pytest
 
 from clockrace import dynamic_phi, explore, instantiate, parse
-from clockrace.interp import steps, stuck, term_instances
+from clockrace.interp import DONE, _Terms, term_instances
 
 import fuzzgen
 from conftest import CORPUS_NAMES, load
@@ -15,12 +15,18 @@ def env(inst):
     return dict(inst[2])
 
 
-def leaf_steps(t):
-    return [s for s in steps(t) if s[0] is None]
+def interned(t):
+    """A fresh term table and the id of t in it."""
+    terms = _Terms()
+    return terms, terms.intern(t)
 
 
-def clock_steps(t):
-    return [s for s in steps(t) if s[0] is not None]
+def leaf_steps(terms, t):
+    return [s for s in terms.steps(t) if s[0] is None]
+
+
+def clock_steps(terms, t):
+    return [s for s in terms.steps(t) if s[0] is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -49,15 +55,15 @@ def test_instantiate_empty_loop():
 
 def test_stuck_and_clock_step():
     p = parse("param N >= 1;\narray A[1];\nclocked finish { advance; A[0] = f(); }\n")
-    t = instantiate(p, {"N": 1})
-    assert stuck(t) is False  # clocked finish absorbs the stuck body
-    assert leaf_steps(t) == []  # nothing can move except the clock
-    clocks = clock_steps(t)
+    terms, t = interned(instantiate(p, {"N": 1}))
+    assert terms.stuck(t) is False  # clocked finish absorbs the stuck body
+    assert leaf_steps(terms, t) == []  # nothing can move except the clock
+    clocks = clock_steps(terms, t)
     assert len(clocks) == 1
     key, advanced, t2 = clocks[0]
     assert key == (0, ())  # the clock of the clocked finish, node 0
     assert [a[0] for a in advanced] == ["advance"]
-    leaves = leaf_steps(t2)
+    leaves = leaf_steps(terms, t2)
     assert len(leaves) == 1  # the basic statement is now active
     assert [i[0] for i in leaves[0][1]] == ["basic"]  # and fires alone
 
@@ -67,10 +73,10 @@ def test_seq_is_sequential_but_asyncs_overlap():
         "param N >= 1;\narray A[1];\n"
         "finish { { async { A[0] = f(); } A[1] = g(); } }\n"
     )
-    t = instantiate(p, {"N": 1})
+    terms, t = interned(instantiate(p, {"N": 1}))
     # both the spawned f and the following g are simultaneously enabled
-    assert len(leaf_steps(t)) == 2
-    assert clock_steps(t) == []
+    assert len(leaf_steps(terms, t)) == 2
+    assert clock_steps(terms, t) == []
 
 
 def test_advance_through_unclocked_finish():
@@ -160,6 +166,12 @@ def test_ordered_by_clock_no_race():
         assert dynamic_phi(res, inst, clock) == expected
 
 
+def test_qr_state_counts():
+    # the bounded tier's cost on the paper's nonlinear kernel
+    p = load("qr")
+    assert [explore(p, {"N": n}).state_count for n in (6, 7)] == [1_642, 6_016]
+
+
 def test_state_limit_sets_incomplete():
     p = load("moldyn")
     res = explore(p, {"P": 3, "T": 2}, max_states=50)
@@ -205,13 +217,15 @@ ORACLE_MAX_PATHS = 500
 
 
 def _maximal_paths(t, limit):
-    """Every maximal path of `steps` from term t, as (last term, firings):
-    firings maps each fired instance to (step number, clock counters before
-    the step).  None when there are more than `limit` paths."""
+    """Every maximal path of the step relation from term t, as (last term
+    id, firings): firings maps each fired instance to (step number, clock
+    counters before the step).  None when there are more than `limit`
+    paths."""
+    terms, t = interned(t)
     paths = []
 
     def walk(t, counters, fired, depth):
-        enabled = steps(t)
+        enabled = terms.steps(t)
         if not enabled:
             paths.append((t, dict(fired)))
             return len(paths) <= limit
@@ -240,8 +254,8 @@ def _check_against_paths(p, params) -> bool:
     if paths is None:
         return False
     res = explore(p, params)
-    assert res.trace_count == sum(last is None for last, _ in paths)
-    assert res.terminated == all(last is None for last, _ in paths)
+    assert res.trace_count == sum(last == DONE for last, _ in paths)
+    assert res.terminated == all(last == DONE for last, _ in paths)
     # hb(u, v): on every path, once v has fired u has fired too (advances
     # consumed by one clock step fire together)
     n = len(res.instances)
