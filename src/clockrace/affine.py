@@ -71,17 +71,6 @@ class AffineSet:
     ) -> "AffineSet":
         return AffineSet(tuple(variables), (tuple(constraints),), tuple(context))
 
-    @staticmethod
-    def empty(variables: Sequence[str], context: Sequence[Constraint] = ()) -> "AffineSet":
-        return AffineSet(tuple(variables), (), tuple(context))
-
-    def union(self, other: "AffineSet") -> "AffineSet":
-        assert self.variables == other.variables
-        return AffineSet(self.variables, self.disjuncts + other.disjuncts, self.context)
-
-    def with_context(self, context: Sequence[Constraint]) -> "AffineSet":
-        return AffineSet(self.variables, self.disjuncts, tuple(context))
-
     def contains(self, env: Mapping[str, int]) -> bool:
         """Point membership; the context is not re-checked."""
         return any(all(c.satisfied(env) for c in d) for d in self.disjuncts)

@@ -152,15 +152,6 @@ def counting_nest(spec: QuasiPoly) -> Program:
     return Program(root=root, params=params, arrays=())
 
 
-def advance_count(p: Program, params) -> int:
-    """Number of advance instances the program executes (it is a straight
-    line of clock steps, so this equals the instantiated advance count)."""
-    from .interp import instantiate, term_instances
-
-    t = instantiate(p, params)
-    return sum(1 for inst in term_instances(t) if inst[0] == "advance")
-
-
 # ---------------------------------------------------------------------------
 # Race reductions
 

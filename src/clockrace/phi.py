@@ -15,6 +15,13 @@ coefficients come from the Bernoulli numbers; composed with affine bounds
 it keeps the count polynomial.  The identity needs ``hi >= lo - 1``, which
 the counter proves before it sums.
 
+The happens-before disjuncts of one advance differ only in their outer
+components, so the same inner sums and bound comparisons recur across them.
+One phase-function computation therefore counts each distinct subproblem
+once: a counter made per ``phi`` call memoizes every count, summation and
+emptiness query by its exact (frozen, hashable) arguments.  The memo never
+outlives the ``phi`` call, so nothing is shared between programs or calls.
+
 The summation is deliberately conservative: whenever a bound cannot be
 reduced to a single affine lower and upper bound with provably non-negative
 extent, the phase function is reported as unavailable rather than guessed.
@@ -191,12 +198,22 @@ class QuasiPoly:
         for m, c in self.terms().items():
             rest = tuple(x for x in m if x[0] != var)
             by_power.setdefault(dict(m).get(var, 0), {})[rest] = c
+        # F_e(hi) - F_e(lo - 1) = sum_k a_{e,k} (hi^k - (lo - 1)^k): the
+        # powers and their differences are shared by every exponent.
         upper = QuasiPoly.from_affine(hi)
         below = QuasiPoly.from_affine(lo.shift(-1))
+        up = down = QuasiPoly.constant(1)
+        diffs = [{}]
+        for _ in range(max(by_power) + 1):
+            up, down = up * upper, down * below
+            diffs.append((up - down).terms())
         total = QuasiPoly.zero()
         for e, rest in by_power.items():
-            power_sum = _faulhaber(e, upper) - _faulhaber(e, below)
-            total += QuasiPoly.from_terms(rest) * power_sum
+            power_sum: dict[Monomial, Fraction] = {}
+            for diff, a in zip(diffs, _faulhaber_coeffs(e)):
+                for m, c in diff.items():
+                    power_sum[m] = power_sum.get(m, 0) + a * c
+            total += QuasiPoly.from_terms(rest) * QuasiPoly.from_terms(power_sum)
         return total
 
     def __str__(self) -> str:
@@ -228,14 +245,14 @@ def _bernoulli(m: int) -> Fraction:
     return 1 - sum(comb(m + 1, k) * _bernoulli(k) for k in range(m)) / Fraction(m + 1)
 
 
-def _faulhaber(e: int, n: QuasiPoly) -> QuasiPoly:
-    """``F_e(n) = sum_{v=1}^{n} v^e``: ``sum_j C(e+1, j) B_j n^(e+1-j) / (e+1)``,
-    evaluated by Horner's rule from the highest power down."""
-    out = QuasiPoly.zero()
-    for j in range(e + 2):
-        coeff = comb(e + 1, j) * _bernoulli(j) / (e + 1) if j <= e else 0
-        out = out * n + QuasiPoly.constant(coeff)
-    return out
+@lru_cache(maxsize=None)
+def _faulhaber_coeffs(e: int) -> tuple[Fraction, ...]:
+    """Coefficients ``a_{e,k}``, k = 0..e+1, of ``F_e(n) = sum_{v=1}^{n} v^e
+    = sum_k a_{e,k} n^k``: ``a_{e,e+1-j} = C(e+1, j) B_j / (e+1)``."""
+    a = [Fraction(0)] * (e + 2)
+    for j in range(e + 1):
+        a[e + 1 - j] = comb(e + 1, j) * _bernoulli(j) / (e + 1)
+    return tuple(a)
 
 
 # ---------------------------------------------------------------------------
@@ -259,94 +276,113 @@ def _bounds_of(c: Constraint, var: str) -> Optional[tuple[str, AffineExpr]]:
     raise _CountFailure(f"non-unit coefficient on {var}")
 
 
-def _implied(ctx: Sequence[Constraint], claim: AffineExpr, context: Sequence[Constraint]) -> bool:
-    """Does ctx (integrally) imply claim >= 0?  Sound, incomplete."""
-    neg = (-claim).shift(-1)  # claim <= -1
-    variables = sorted(
-        {v for c in ctx for v in c.expr.variables} | set(claim.variables)
-    )
-    s = AffineSet.conjunction(variables, list(ctx) + [ge(neg)], context)
-    return is_empty(s) is True
+class _Counter:
+    """Symbolic counting for one phase-function computation: the parameter
+    context plus one memo of every subproblem counted or proved there, so
+    each distinct one is done once.  Sound because every key is a tuple of
+    frozen values and the answers are deterministic; a _CountFailure ends
+    the whole computation, so failures are never stored."""
 
+    def __init__(self, context: Sequence[Constraint]):
+        self.context = tuple(context)
+        self.memo: dict[tuple, object] = {}
 
-def _count_disjunct(
-    sum_vars: Sequence[str],
-    constraints: list[Constraint],
-    ctx: list[Constraint],
-    context: Sequence[Constraint],
-    integrand: QuasiPoly = QuasiPoly.constant(1),
-) -> QuasiPoly:
-    """Sum ``integrand`` over integer assignments of sum_vars satisfying
-    constraints, as a polynomial in the free variables.  ``ctx`` are facts
-    known about the free variables; ``context`` are parameter bounds.
-    Variables are eliminated innermost first, so each summation's bounds may
-    mention the still-outer summation variables.
+    def _once(self, key: tuple, compute):
+        """``compute(*key[1:])``, computed the first time the key is seen;
+        ``key[0]`` names the kind of subproblem."""
+        if key not in self.memo:
+            self.memo[key] = compute(*key[1:])
+        return self.memo[key]
 
-    Raises _CountFailure when the region is not a provable box chain."""
-    # Use equalities on sum variables to eliminate them outright.
-    for c in constraints:
-        if c.kind != "eq":
-            continue
-        for var in sum_vars:
-            k = c.expr.coeff(var)
-            if k in (1, -1):
-                rest = c.expr - AffineExpr.var(var, k)
-                repl = rest.scale(-k)  # var = -rest/k
-                new = [
-                    Constraint(d.expr.subst({var: repl}), d.kind)
-                    for d in constraints
-                    if d is not c
-                ]
-                body = integrand.substitute({var: repl})
-                return _count_disjunct(
-                    [v for v in sum_vars if v != var], new, ctx, context, body
-                )
-    if any(c.kind == "eq" and any(v in sum_vars for v in c.expr.variables) for c in constraints):
-        raise _CountFailure("equality with non-unit coefficient on a sum variable")
+    def empty(self, constraints: tuple[Constraint, ...]) -> bool:
+        """Is the conjunction (under the context) provably empty?"""
+        return self._once(("empty", constraints), self._empty)
 
-    if not sum_vars:
-        # Every residual constraint must be implied by what we know of the
-        # free variables, otherwise the count would be conditional.
+    def _empty(self, constraints: tuple[Constraint, ...]) -> bool:
+        variables = sorted({v for c in constraints for v in c.expr.variables})
+        return is_empty(AffineSet.conjunction(variables, constraints, self.context)) is True
+
+    def implied(self, ctx: tuple[Constraint, ...], claim: AffineExpr) -> bool:
+        """Does ctx (integrally) imply claim >= 0?  Sound, incomplete."""
+        return self.empty(ctx + (ge((-claim).shift(-1)),))  # claim <= -1
+
+    def count(
+        self,
+        sum_vars: tuple[str, ...],
+        constraints: tuple[Constraint, ...],
+        ctx: tuple[Constraint, ...],
+        integrand: QuasiPoly = QuasiPoly.constant(1),
+    ) -> QuasiPoly:
+        """Sum ``integrand`` over integer assignments of sum_vars satisfying
+        constraints, as a polynomial in the free variables.  ``ctx`` are
+        facts known about the free variables.  Variables are eliminated
+        innermost first, so each summation's bounds may mention the
+        still-outer summation variables.
+
+        Raises _CountFailure when the region is not a provable box chain."""
+        return self._once(("count", sum_vars, constraints, ctx, integrand), self._count)
+
+    def _count(self, sum_vars, constraints, ctx, integrand) -> QuasiPoly:
+        # Use equalities on sum variables to eliminate them outright.
         for c in constraints:
-            if c.kind == "eq":
-                if not (_implied(ctx, c.expr, context) and _implied(ctx, -c.expr, context)):
-                    raise _CountFailure(f"residual equality {c}")
-            elif not _implied(ctx, c.expr, context):
-                if is_empty(AffineSet.conjunction(
-                    sorted({v for d in ctx + [c] for v in d.expr.variables}),
-                    ctx + [c], context)) is True:
-                    return QuasiPoly.zero()
-                raise _CountFailure(f"residual constraint {c}")
-        return integrand
+            if c.kind != "eq":
+                continue
+            for var in sum_vars:
+                k = c.expr.coeff(var)
+                if k in (1, -1):
+                    rest = c.expr - AffineExpr.var(var, k)
+                    repl = rest.scale(-k)  # var = -rest/k
+                    new = tuple(
+                        Constraint(d.expr.subst({var: repl}), d.kind)
+                        for d in constraints
+                        if d is not c
+                    )
+                    body = integrand.substitute({var: repl})
+                    rest_vars = tuple(v for v in sum_vars if v != var)
+                    return self.count(rest_vars, new, ctx, body)
+        if any(c.kind == "eq" and any(v in sum_vars for v in c.expr.variables) for c in constraints):
+            raise _CountFailure("equality with non-unit coefficient on a sum variable")
 
-    var = sum_vars[-1]  # innermost loop variable
-    outer_vars = list(sum_vars[:-1])
-    with_var = [c for c in constraints if c.expr.coeff(var)]
-    without = [c for c in constraints if not c.expr.coeff(var)]
-    los, his = [], []
-    for c in with_var:
-        kind, bound = _bounds_of(c, var)
-        (los if kind == "lo" else his).append(bound)
-    if not los or not his:
-        raise _CountFailure(f"{var} unbounded")
-    side_ctx = ctx + without
+        if not sum_vars:
+            # Every residual constraint must be implied by what we know of
+            # the free variables, otherwise the count would be conditional.
+            for c in constraints:
+                if c.kind == "eq":
+                    if not (self.implied(ctx, c.expr) and self.implied(ctx, -c.expr)):
+                        raise _CountFailure(f"residual equality {c}")
+                elif not self.implied(ctx, c.expr):
+                    if self.empty(ctx + (c,)):
+                        return QuasiPoly.zero()
+                    raise _CountFailure(f"residual constraint {c}")
+            return integrand
 
-    def dominant(cands: list[AffineExpr], flip: bool) -> AffineExpr:
-        for b in cands:
-            if all(
-                b is o or _implied(side_ctx, (b - o) if not flip else (o - b), context)
-                for o in cands
-            ):
-                return b
-        raise _CountFailure(f"incomparable bounds on {var}")
+        var = sum_vars[-1]  # innermost loop variable
+        with_var = [c for c in constraints if c.expr.coeff(var)]
+        without = tuple(c for c in constraints if not c.expr.coeff(var))
+        los, his = [], []
+        for c in with_var:
+            kind, bound = _bounds_of(c, var)
+            (los if kind == "lo" else his).append(bound)
+        if not los or not his:
+            raise _CountFailure(f"{var} unbounded")
+        side_ctx = ctx + without
 
-    lo = dominant(los, flip=False)  # greatest lower bound
-    hi = dominant(his, flip=True)  # least upper bound
-    # The closed-form summation needs hi >= lo - 1 throughout the region.
-    if not _implied(side_ctx, (hi - lo).shift(1), context):
-        raise _CountFailure(f"possibly negative extent for {var}")
-    summed = integrand.sum_over(var, lo, hi)
-    return _count_disjunct(outer_vars, without, ctx, context, summed)
+        def dominant(cands: list[AffineExpr], flip: bool) -> AffineExpr:
+            for b in cands:
+                if all(
+                    b is o or self.implied(side_ctx, (b - o) if not flip else (o - b))
+                    for o in cands
+                ):
+                    return b
+            raise _CountFailure(f"incomparable bounds on {var}")
+
+        lo = dominant(los, flip=False)  # greatest lower bound
+        hi = dominant(his, flip=True)  # least upper bound
+        # The closed-form summation needs hi >= lo - 1 throughout the region.
+        if not self.implied(side_ctx, (hi - lo).shift(1)):
+            raise _CountFailure(f"possibly negative extent for {var}")
+        summed = self._once(("sum", integrand, var, lo, hi), QuasiPoly.sum_over)
+        return self.count(sum_vars[:-1], without, ctx, summed)
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +395,15 @@ def phi(
     """Advance-count polynomial for a statement (or clocked-finish
     representative) with respect to a clock, in the statement's prefixed
     iterators and the parameters.  None when counting fails."""
-    context = param_context(p)
-    stmt_dom = statement_domain(p, stmt_id, prefix)
+    counter = _Counter(param_context(p))
+    stmt_dom = tuple(statement_domain(p, stmt_id, prefix))
     total = QuasiPoly.zero()
     for adv_id in governed_advances(p, finish_id):
         adv_dom = statement_domain(p, adv_id, _ADV_PREFIX)
-        sum_vars = [_ADV_PREFIX + v for v in p.enclosing_iterators(adv_id)]
+        sum_vars = tuple(_ADV_PREFIX + v for v in p.enclosing_iterators(adv_id))
         for d in hb_disjuncts(p, adv_id, stmt_id, _ADV_PREFIX, prefix):
             try:
-                total += _count_disjunct(
-                    sum_vars, adv_dom + d, list(stmt_dom), context
-                )
+                total += counter.count(sum_vars, tuple(adv_dom + d), stmt_dom)
             except _CountFailure:
                 return None
     variables = [prefix + v for v in p.enclosing_iterators(stmt_id)]

@@ -10,11 +10,11 @@ import pytest
 import sympy
 
 from clockrace import analyze, count_concrete, dynamic_phi, explore, parse, phi
-from clockrace.generators import advance_count, counting_nest, parse_poly
+from clockrace.generators import counting_nest, parse_poly
 from clockrace.interp import instantiate, term_instances
 
 import fuzzgen
-from conftest import load
+from conftest import advance_count, load
 from sympy_oracle import same_poly, sym
 
 

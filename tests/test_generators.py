@@ -13,7 +13,8 @@ from clockrace import (
     validate_clock_rules,
 )
 from clockrace import parse
-from clockrace.generators import advance_count
+
+from conftest import advance_count
 
 
 # ---------------------------------------------------------------------------

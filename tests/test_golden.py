@@ -4,7 +4,9 @@ Each report digest is the sha256 of a corpus file's JSON report (without
 ``timings``) followed by its SMT scripts, at bound 8 (bound 3 for ``qr``).
 Each facts digest covers one group of ``explore`` runs: state and trace
 counts, termination, the races in order, the sorted phases and the full
-happens-before matrix over the instances.
+happens-before matrix over the instances.  Each phase digest covers the
+``phi_u``/``phi_v`` strings of every candidate of the all-orthant race tests
+of one polynomial pair, so the phase functions are pinned beyond the corpus.
 A refactor that should leave the analysis unchanged must keep every digest;
 a change that alters reports on purpose must update them here and say why.
 """
@@ -14,7 +16,7 @@ import json
 
 import pytest
 
-from clockrace import analyze, explore
+from clockrace import analyze, explore, parse_poly, race_candidates, race_tests_all_orthants
 from clockrace.report import build_report
 
 import fuzzgen
@@ -105,3 +107,23 @@ def test_explore_facts_digest(group):
         ]
         h.update(json.dumps(facts).encode() + b"\0")
     assert h.hexdigest() == GOLDEN_FACTS[group]
+
+
+GOLDEN_PHASES = {
+    ("x^2+3", "4*x"): "a311c1dc2c19f683c6f76889cba774df905ceeda91633fcb415a93ef25a04329",
+    ("2*x^2+1", "3*x+2"): "996ce4610d38b6e9029a98b8b5072e5cb707a99e28ca35ddb5beee965f5336c4",
+    ("x^2+x+2", "3*x"): "566060ca5c8925083720d2c6916bcdcb06b1c079e5b1a62d7aae27ac158206e0",
+    ("3*x^2+3*x*y+y^2+y+2", "3*x^2+3*x*y+x+y^2+2*y+1"):
+        "b4e969caa4685fc52bd80bc212108c6c094bf0be4c037fadd7e41f74ac411e67",
+    ("x*y+1", "x+y"): "240d221af7f16506f5219a09fd2420713fdf04f73cb52a8ab05577a080c0b4bb",
+    ("x^2+2*y", "y^2+2*x+1"): "d1f956b6e7229730367ba9257cda63a2f769418cd11e6f7c6b7cfabcfa19c859",
+}
+
+
+@pytest.mark.parametrize("pair", GOLDEN_PHASES, ids="=".join)
+def test_race_test_phase_digest(pair):
+    h = hashlib.sha256()
+    for test in race_tests_all_orthants(*map(parse_poly, pair)):
+        for c in race_candidates(test.program):
+            h.update(f"{c.phi_u}\0{c.phi_v}\0".encode())
+    assert h.hexdigest() == GOLDEN_PHASES[pair]

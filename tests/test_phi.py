@@ -1,3 +1,4 @@
+import importlib
 import itertools
 from fractions import Fraction
 
@@ -6,7 +7,17 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clockrace import QuasiPoly, count_concrete, dynamic_phi, explore, parse, phi
+from clockrace import (
+    QuasiPoly,
+    count_concrete,
+    dynamic_phi,
+    explore,
+    parse,
+    parse_poly,
+    phi,
+    race_test,
+    reduce_clock,
+)
 from clockrace.interp import instantiate, term_instances
 from clockrace.syntax import AffineExpr
 
@@ -278,3 +289,38 @@ def test_phi_zero_when_no_advances():
     stmt = p.basic_statements()[0]
     q = phi(p, 0, stmt.node_id, "u_")
     assert q is not None and sympy.expand(to_sympy(q)) == 0
+
+
+# ---------------------------------------------------------------------------
+# Each distinct subproblem is counted once per phase function
+
+
+def test_phi_counts_each_subproblem_once(monkeypatch):
+    """One phi call sums and proves each distinct subproblem once, and the
+    next call keeps nothing from it: it makes the same calls again."""
+    phi_module = importlib.import_module("clockrace.phi")
+    p = race_test(
+        parse_poly("3*x^2+3*x*y+y^2+y+2"), parse_poly("3*x^2+3*x*y+x+y^2+2*y+1")
+    ).program
+    writer, reader = p.basic_statements()
+    reduction = reduce_clock(p, writer.node_id, reader.node_id)
+    calls = []
+    sum_over, is_empty = QuasiPoly.sum_over, phi_module.is_empty
+
+    def recorded_sum_over(q, var, lo, hi):
+        calls.append(("sum_over", q, var, lo, hi))
+        return sum_over(q, var, lo, hi)
+
+    def recorded_is_empty(s):
+        calls.append(("is_empty", s))
+        return is_empty(s)
+
+    monkeypatch.setattr(QuasiPoly, "sum_over", recorded_sum_over)
+    monkeypatch.setattr(phi_module, "is_empty", recorded_is_empty)
+    first = phi(p, reduction.finish_id, reduction.rep_u, "u_")
+    once = list(calls)
+    assert first is not None
+    assert {c[0] for c in once} == {"sum_over", "is_empty"}
+    assert len(set(once)) == len(once)
+    assert phi(p, reduction.finish_id, reduction.rep_u, "u_") == first
+    assert calls[len(once):] == once

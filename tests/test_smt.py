@@ -12,8 +12,10 @@ from sympy_oracle import from_sympy, sym
 
 def test_script_shape():
     s = AffineSet.conjunction(
-        ["u_i", "v_i"], [ge(AffineExpr.make(0, {"u_i": 1}))]
-    ).with_context([ge(AffineExpr.make(-2, {"N": 1}))])
+        ["u_i", "v_i"],
+        [ge(AffineExpr.make(0, {"u_i": 1}))],
+        [ge(AffineExpr.make(-2, {"N": 1}))],
+    )
     phi_u = from_sympy(sym("N") * sym("u_i"), ["u_i", "N"])
     phi_v = from_sympy(2 * sym("v_i"), ["v_i"])
     script = emit_smtlib(s, phi_u, phi_v, comment="unit test")
@@ -29,7 +31,7 @@ def test_script_shape():
 
 
 def test_script_for_empty_set_is_unsat():
-    s = AffineSet.empty(["x"])
+    s = AffineSet(("x",), ())  # no disjunct: the empty set
     script = emit_smtlib(s)
     assert "(assert false)" in script
 
