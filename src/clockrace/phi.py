@@ -198,22 +198,12 @@ class QuasiPoly:
         for m, c in self.terms().items():
             rest = tuple(x for x in m if x[0] != var)
             by_power.setdefault(dict(m).get(var, 0), {})[rest] = c
-        # F_e(hi) - F_e(lo - 1) = sum_k a_{e,k} (hi^k - (lo - 1)^k): the
-        # powers and their differences are shared by every exponent.
         upper = QuasiPoly.from_affine(hi)
         below = QuasiPoly.from_affine(lo.shift(-1))
-        up = down = QuasiPoly.constant(1)
-        diffs = [{}]
-        for _ in range(max(by_power) + 1):
-            up, down = up * upper, down * below
-            diffs.append((up - down).terms())
         total = QuasiPoly.zero()
         for e, rest in by_power.items():
-            power_sum: dict[Monomial, Fraction] = {}
-            for diff, a in zip(diffs, _faulhaber_coeffs(e)):
-                for m, c in diff.items():
-                    power_sum[m] = power_sum.get(m, 0) + a * c
-            total += QuasiPoly.from_terms(rest) * QuasiPoly.from_terms(power_sum)
+            power_sum = _faulhaber(e, upper) - _faulhaber(e, below)
+            total += QuasiPoly.from_terms(rest) * power_sum
         return total
 
     def __str__(self) -> str:
@@ -245,14 +235,14 @@ def _bernoulli(m: int) -> Fraction:
     return 1 - sum(comb(m + 1, k) * _bernoulli(k) for k in range(m)) / Fraction(m + 1)
 
 
-@lru_cache(maxsize=None)
-def _faulhaber_coeffs(e: int) -> tuple[Fraction, ...]:
-    """Coefficients ``a_{e,k}``, k = 0..e+1, of ``F_e(n) = sum_{v=1}^{n} v^e
-    = sum_k a_{e,k} n^k``: ``a_{e,e+1-j} = C(e+1, j) B_j / (e+1)``."""
-    a = [Fraction(0)] * (e + 2)
-    for j in range(e + 1):
-        a[e + 1 - j] = comb(e + 1, j) * _bernoulli(j) / (e + 1)
-    return tuple(a)
+def _faulhaber(e: int, n: QuasiPoly) -> QuasiPoly:
+    """``F_e(n) = sum_{v=1}^{n} v^e``: ``sum_j C(e+1, j) B_j n^(e+1-j) / (e+1)``,
+    evaluated by Horner's rule from the highest power down."""
+    out = QuasiPoly.zero()
+    for j in range(e + 2):
+        coeff = comb(e + 1, j) * _bernoulli(j) / (e + 1) if j <= e else 0
+        out = out * n + QuasiPoly.constant(coeff)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,26 @@ def test_phi_zero_when_no_advances():
     assert q is not None and sympy.expand(to_sympy(q)) == 0
 
 
+def test_sum_over_of_zero_is_zero():
+    lo, hi = AffineExpr.var("i"), AffineExpr.var("N")
+    assert QuasiPoly.zero().sum_over("v", lo, hi) == QuasiPoly.zero()
+
+
+@pytest.mark.parametrize("body", [
+    "for (j = i + 1 : i) { advance; }",
+    "for (j = 0 : i) { if (j >= i + 1) advance; }",
+])
+def test_phi_zero_when_inner_range_is_empty(body):
+    """The inner count is 0 for every i, so the outer sum runs over 0."""
+    p = parse(
+        "param N >= 1;\n"
+        f"clocked finish {{ for (i = 1 : N) {{ {body} }} S0(); }}\n"
+    )
+    stmt = p.basic_statements()[0]
+    q = phi(p, 0, stmt.node_id, "u_")
+    assert q is not None and str(q) == "0"
+
+
 # ---------------------------------------------------------------------------
 # Each distinct subproblem is counted once per phase function
 
