@@ -48,6 +48,9 @@ def _load(path: str):
 
 
 def _cmd_analyze(args) -> int:
+    if args.bound < 0:
+        print(f"error: --bound must be at least 0, got {args.bound}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     program = _load(args.file)
     if program is None:
         return EXIT_INPUT_ERROR

@@ -13,7 +13,13 @@ Each summation over a loop variable uses Faulhaber's formula,
 ``F_e(n) = sum_{v=1}^{n} v^e`` a polynomial of degree ``e + 1`` whose
 coefficients come from the Bernoulli numbers; composed with affine bounds
 it keeps the count polynomial.  The identity needs ``hi >= lo - 1``, which
-the counter proves before it sums.
+the counter proves before it sums.  Each summation is one pass: the
+integrand's coefficients of every power of the variable are folded into a
+single antiderivative ``G(x) = sum_e c_e F_e(x)``, kept as one monomial dict
+per power of ``x``; ``G(hi) - G(lo - 1)`` is evaluated by Horner's rule on
+those dicts and made canonical once, at the end.  A phase function likewise
+adds its disjuncts' counts into one monomial dict before it is made
+canonical.
 
 The happens-before disjuncts of one advance differ only in their outer
 components, so the same inner sums and bound comparisons recur across them.
@@ -193,18 +199,29 @@ class QuasiPoly:
 
     def sum_over(self, var: str, lo: AffineExpr, hi: AffineExpr) -> "QuasiPoly":
         """``sum_{var=lo}^{hi}`` of the polynomial, for bounds free of var.
-        Exact only where ``hi >= lo - 1``."""
-        by_power: dict[int, dict[Monomial, Fraction]] = {}
+        Exact only where ``hi >= lo - 1``.
+
+        With ``c_e`` the coefficient of ``var^e``, the sum is ``G(hi) -
+        G(lo - 1)`` for the antiderivative ``G(x) = sum_e c_e F_e(x)``.
+        ``G``'s coefficient of each ``x^k`` is collected from the Faulhaber
+        coefficients as one monomial dict, both values are taken by Horner's
+        rule on monomial dicts, and only the difference is made canonical."""
+        g: dict[int, dict[Monomial, Fraction]] = {}  # x^k -> its coefficient
         for m, c in self.terms().items():
             rest = tuple(x for x in m if x[0] != var)
-            by_power.setdefault(dict(m).get(var, 0), {})[rest] = c
-        upper = QuasiPoly.from_affine(hi)
-        below = QuasiPoly.from_affine(lo.shift(-1))
-        total = QuasiPoly.zero()
-        for e, rest in by_power.items():
-            power_sum = _faulhaber(e, upper) - _faulhaber(e, below)
-            total += QuasiPoly.from_terms(rest) * power_sum
-        return total
+            for k, f in _power_sum_coeffs(dict(m).get(var, 0)):
+                coeff = g.setdefault(k, {})
+                coeff[rest] = coeff.get(rest, 0) + c * f
+        total: dict[Monomial, Fraction] = {}
+        for x, sign in ((hi, 1), (lo.shift(-1), -1)):
+            acc: dict[Monomial, Fraction] = {}
+            for k in range(max(g, default=0), 0, -1):  # G has no constant term
+                for m, c in g.get(k, {}).items():
+                    acc[m] = acc.get(m, 0) + c
+                acc = _times_affine(acc, x)
+            for m, c in acc.items():
+                total[m] = total.get(m, 0) + sign * c
+        return QuasiPoly.from_terms(total)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -235,13 +252,25 @@ def _bernoulli(m: int) -> Fraction:
     return 1 - sum(comb(m + 1, k) * _bernoulli(k) for k in range(m)) / Fraction(m + 1)
 
 
-def _faulhaber(e: int, n: QuasiPoly) -> QuasiPoly:
-    """``F_e(n) = sum_{v=1}^{n} v^e``: ``sum_j C(e+1, j) B_j n^(e+1-j) / (e+1)``,
-    evaluated by Horner's rule from the highest power down."""
-    out = QuasiPoly.zero()
-    for j in range(e + 2):
-        coeff = comb(e + 1, j) * _bernoulli(j) / (e + 1) if j <= e else 0
-        out = out * n + QuasiPoly.constant(coeff)
+@lru_cache(maxsize=None)
+def _power_sum_coeffs(e: int) -> tuple[tuple[int, Fraction], ...]:
+    """The nonzero ``(k, coefficient of n^k)`` of ``F_e(n) = sum_{v=1}^{n}
+    v^e = sum_j C(e+1, j) B_j n^(e+1-j) / (e+1)``; ``F_e(0) = 0``."""
+    out = ((e + 1 - j, comb(e + 1, j) * _bernoulli(j) / (e + 1)) for j in range(e + 1))
+    return tuple((k, f) for k, f in out if f)
+
+
+def _times_affine(
+    terms: Mapping[Monomial, Fraction], x: AffineExpr
+) -> dict[Monomial, Fraction]:
+    """The monomial dict ``terms`` multiplied by an affine expression."""
+    out: dict[Monomial, Fraction] = {}
+    for m, c in terms.items():
+        if x.const:
+            out[m] = out.get(m, 0) + c * x.const
+        for v, a in x.terms:
+            mv = _mono_mul(m, ((v, 1),))
+            out[mv] = out.get(mv, 0) + c * a
     return out
 
 
@@ -387,18 +416,20 @@ def phi(
     iterators and the parameters.  None when counting fails."""
     counter = _Counter(param_context(p))
     stmt_dom = tuple(statement_domain(p, stmt_id, prefix))
-    total = QuasiPoly.zero()
+    total: dict[Monomial, Fraction] = {}
     for adv_id in governed_advances(p, finish_id):
         adv_dom = statement_domain(p, adv_id, _ADV_PREFIX)
         sum_vars = tuple(_ADV_PREFIX + v for v in p.enclosing_iterators(adv_id))
         for d in hb_disjuncts(p, adv_id, stmt_id, _ADV_PREFIX, prefix):
             try:
-                total += counter.count(sum_vars, tuple(adv_dom + d), stmt_dom)
+                part = counter.count(sum_vars, tuple(adv_dom + d), stmt_dom)
             except _CountFailure:
                 return None
+            for m, c in part.terms().items():
+                total[m] = total.get(m, 0) + c
     variables = [prefix + v for v in p.enclosing_iterators(stmt_id)]
     variables += p.param_names()
-    return total.with_variables(variables)
+    return QuasiPoly.from_terms(total, variables)
 
 
 def count_concrete(

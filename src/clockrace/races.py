@@ -18,6 +18,7 @@ whenever the instantiated program is small enough to explore.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
@@ -95,37 +96,42 @@ def race_candidates(p: Program) -> list[RaceCandidate]:
     on a common array element."""
     basics = p.basic_statements()
     context = param_context(p)
-    phi_cache: dict[tuple[int, int, str], Optional[QuasiPoly]] = {}
-
-    def phase_of(finish_id: int, rep: int, prefix: str) -> Optional[QuasiPoly]:
-        key = (finish_id, rep, prefix)
-        if key not in phi_cache:
-            phi_cache[key] = phi(p, finish_id, rep, prefix)
-        return phi_cache[key]
-
     out: list[RaceCandidate] = []
 
-    def consider(su: Basic, u_ref: AccessRef, sv: Basic, v_ref: AccessRef, kind: str):
-        unordered = unordered_disjuncts(p, su.node_id, sv.node_id)
+    # Phases and the facts of a statement pair do not depend on the access
+    # pair, so each is computed once.
+    @functools.cache
+    def phase_of(finish_id: int, rep: int, prefix: str) -> Optional[QuasiPoly]:
+        return phi(p, finish_id, rep, prefix)
+
+    @functools.cache
+    def pair_facts(u_id: int, v_id: int):
+        """The unordered disjuncts, both domains, the variables and the clock
+        reduction; None when happens-before orders every instance pair."""
+        unordered = unordered_disjuncts(p, u_id, v_id)
         if not unordered:
-            return
-        dom = statement_domain(p, su.node_id, "u_") + statement_domain(
-            p, sv.node_id, "v_"
-        )
-        subs = _subscript_equalities(p, su.node_id, u_ref, sv.node_id, v_ref)
+            return None
+        dom = statement_domain(p, u_id, "u_") + statement_domain(p, v_id, "v_")
         variables = sorted(
-            {"u_" + v for v in p.enclosing_iterators(su.node_id)}
-            | {"v_" + v for v in p.enclosing_iterators(sv.node_id)}
+            {"u_" + v for v in p.enclosing_iterators(u_id)}
+            | {"v_" + v for v in p.enclosing_iterators(v_id)}
             | set(p.param_names())
         )
+        return unordered, dom, tuple(variables), reduce_clock(p, u_id, v_id)
+
+    def consider(su: Basic, u_ref: AccessRef, sv: Basic, v_ref: AccessRef, kind: str):
+        facts = pair_facts(su.node_id, sv.node_id)
+        if facts is None:
+            return
+        unordered, dom, variables, reduction = facts
+        subs = _subscript_equalities(p, su.node_id, u_ref, sv.node_id, v_ref)
         system = AffineSet(
-            tuple(variables),
+            variables,
             tuple(tuple(dom + subs + d) for d in unordered),
             tuple(context),
         )
         if is_empty(system) is True:
             return
-        reduction = reduce_clock(p, su.node_id, sv.node_id)
         pu = pv = None
         if reduction is not None:
             pu = phase_of(reduction.finish_id, reduction.rep_u, "u_")

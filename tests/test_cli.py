@@ -46,6 +46,15 @@ def test_analyze_unknown_exit_3(capsys):
     assert "Unknown(8)" in out
 
 
+def test_analyze_negative_bound_exit_1(capsys):
+    """A negative bound would search only at the parameters' lower bounds
+    and still be reported as the bound; it is refused instead."""
+    code, out, err = run(capsys, "analyze", str(corpus_path("qr")), "--bound", "-3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --bound must be at least 0, got -3\n"
+
+
 def test_analyze_parse_error_exit_1(tmp_path, capsys):
     f = tmp_path / "bad.cx10"
     f.write_text("param N >= ;\n")

@@ -1,10 +1,11 @@
 import importlib
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clockrace import (
@@ -19,6 +20,7 @@ from clockrace import (
     reduce_clock,
 )
 from clockrace.interp import instantiate, term_instances
+from clockrace.phi import _bernoulli
 from clockrace.syntax import AffineExpr
 
 from conftest import load
@@ -146,6 +148,75 @@ def test_substitute_matches_sympy(p, v1, e1, v2, e2):
         {sym(v): to_sympy(QuasiPoly.from_affine(e)) for v, e in env.items()}
     )
     assert sympy.expand(to_sympy(got) - expected) == 0
+
+
+# ---------------------------------------------------------------------------
+# sum_over against the per-power reference it replaced
+
+
+def reference_faulhaber(e, n):
+    """``F_e(n) = sum_{v=1}^{n} v^e`` by Horner's rule on whole polynomials."""
+    out = QuasiPoly.zero()
+    for j in range(e + 2):
+        coeff = comb(e + 1, j) * _bernoulli(j) / (e + 1) if j <= e else 0
+        out = out * n + QuasiPoly.constant(coeff)
+    return out
+
+
+def reference_sum_over(q, var, lo, hi):
+    """One Faulhaber difference per power of var, times its coefficient."""
+    by_power = {}
+    for m, c in q.terms().items():
+        rest = tuple(x for x in m if x[0] != var)
+        by_power.setdefault(dict(m).get(var, 0), {})[rest] = c
+    upper = QuasiPoly.from_affine(hi)
+    below = QuasiPoly.from_affine(lo.shift(-1))
+    total = QuasiPoly.zero()
+    for e, rest in by_power.items():
+        power_sum = reference_faulhaber(e, upper) - reference_faulhaber(e, below)
+        total += QuasiPoly.from_terms(rest) * power_sum
+    return total
+
+
+@st.composite
+def sum_cases(draw):
+    """An integrand of total degree <= 6 in x, y, z, a summation variable
+    and affine bounds over the other variables (and w)."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        budget, mono = 6, []
+        for v in NAMES:
+            e = draw(st.integers(0, budget))
+            budget -= e
+            if e:
+                mono.append((v, e))
+        terms[tuple(mono)] = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+    var = draw(st.sampled_from(NAMES))
+    lo, hi = (
+        AffineExpr.make(
+            draw(st.integers(-4, 4)),
+            {v: draw(st.integers(-3, 3)) for v in NAMES + ("w",) if v != var},
+        )
+        for _ in range(2)
+    )
+    return QuasiPoly.from_terms(terms), var, lo, hi
+
+
+LO = AffineExpr.make(-1, {"y": 2, "w": -1})
+HI = AffineExpr.make(3, {"z": 1})
+
+
+@settings(max_examples=150, deadline=None)
+@given(sum_cases())
+@example((QuasiPoly.zero(), "x", LO, HI))
+@example((QuasiPoly.constant(Fraction(-5, 2)), "x", LO, HI))
+@example((QuasiPoly.var("y") ** 3 * QuasiPoly.var("z"), "x", LO, HI))
+@example((QuasiPoly.var("x") ** 6, "x", LO, HI))
+def test_sum_over_matches_per_power_reference(case):
+    q, var, lo, hi = case
+    got = q.sum_over(var, lo, hi)
+    assert is_canonical(got)
+    assert got == reference_sum_over(q, var, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +360,22 @@ def test_phi_zero_when_no_advances():
     stmt = p.basic_statements()[0]
     q = phi(p, 0, stmt.node_id, "u_")
     assert q is not None and sympy.expand(to_sympy(q)) == 0
+
+
+@pytest.mark.parametrize("source, expected", [
+    # S0 runs before every advance, so its phase is 0.
+    ("clocked finish { for (i = 0 : N) { S0(); } for (j = 0 : M) { advance; } }", "0"),
+    # Every advance runs before S0, whatever its iterator.
+    ("clocked finish { for (j = 0 : N) { advance; } for (i = 0 : M) { S0(); } }", "N+1"),
+])
+def test_phi_lists_every_iterator_and_parameter(source, expected):
+    """The variables are the statement's prefixed iterators plus the
+    parameters, also those the polynomial does not mention."""
+    p = parse("param N >= 1;\nparam M >= 0;\n" + source + "\n")
+    stmt = p.basic_statements()[0]
+    q = phi(p, 0, stmt.node_id, "u_")
+    assert str(q) == expected
+    assert q.variables == ("M", "N", "u_i")
 
 
 def test_sum_over_of_zero_is_zero():
