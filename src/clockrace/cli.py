@@ -89,6 +89,9 @@ def _parse_params(pairs, program) -> dict[str, int]:
 
 
 def _cmd_interpret(args) -> int:
+    if args.max_states < 1:
+        print(f"error: --max-states must be at least 1, got {args.max_states}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     program = _load(args.file)
     if program is None:
         return EXIT_INPUT_ERROR

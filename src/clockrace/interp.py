@@ -14,13 +14,21 @@ and the clock phase at which each instance executes.
     ("finish", clocked, node_id, env, t)
 
 where ``env`` is a sorted tuple of (iterator, value) bindings, and an empty
-term is ``None``.  ``explore`` interns every subterm once into a hash-cons
-table, ``_Terms``, whose nodes have the same shapes but name their children
-by integer id.  A finished subterm is the id ``DONE``, which a seq drops and
-an ``async`` or ``finish`` passes up.  Equal terms get equal ids, so a state
-is ``(id, clock counters)`` and hashes in constant time.  Once the state
-limit is hit, no state is added any more, so the table freezes: it stops
-adding nodes, and a term it lacks is ``UNSEEN``, the term of a new state.
+term is ``None``.  A leaf is also a statement instance, ``(kind, node_id,
+env)``; instance i is bit ``1 << i`` of an instance bitmask, i being its
+position in ``term_instances`` of the whole program.
+
+``explore`` interns every subterm once into a hash-cons table, ``_Terms``,
+whose nodes have the same shapes but name their children by integer id; a
+leaf node also carries its instance bit as a fourth field.  A finished
+subterm is the id ``DONE``, which a seq drops and an ``async`` or
+``finish`` passes up.  Equal terms get equal ids.  The clock counter vector
+of a state (a sorted tuple of (clock, steps taken) pairs) is interned too,
+so a state is ``(term id, counter id)``: two ints, hashed in constant time.
+A clock step finds its successor's counter id in a memo keyed by the
+counter id and the clock it advances.  Once the state limit is hit, no
+state is added any more, so the table freezes: it stops adding nodes, and a
+term it lacks is ``UNSEEN``, the term of a new state.
 
 Scheduling follows the statement classification: the i-th element of a
 sequence may take a step only when every earlier element is asynchronous.
@@ -31,10 +39,12 @@ stuckness and the clock step, so an advance keeps synchronizing with its
 governing clock across them.
 
 There is one step relation, ``_Terms.steps``: each step names the clock it
-advances (``None`` for a leaf step, which executes one basic statement)
-and the instances it fires.  The steps of an ``async`` node are memoized,
-because an activity's remaining body recurs across interleavings; the root
-``finish`` and the top seq are new in nearly every state and are not kept.
+advances (``None`` for a leaf step, which executes one basic statement),
+the bitmask of the instances it fires, and the next term's id.  The steps
+and the stuckness of an ``async`` node are memoized, because an activity's
+remaining body recurs across interleavings; the root ``finish`` and the top
+seq are new in nearly every state, so no other node's steps or stuckness
+are kept.
 
 Exploration keeps, for every state, the bitmask of instances still pending;
 a successor's mask is its parent's with the fired bits cleared.  The mask
@@ -45,6 +55,14 @@ edges, and each state's discovery edge either fires v or leaves a
 predecessor, itself reached that way, in which v was already done and whose
 mask contains the state's.  This holds for runs cut by the state limit too,
 since only the states they added count.
+
+The phases of an instance are the counter vectors of the states from which
+some step fires it, including steps to states that a cut run did not add.
+That relation only pairs a counter id with fired bits, so exploration ORs
+each explored state's fired bits into one mask per counter id, and the
+per-instance sets are read off those masks once at the end: an instance
+gets a vector exactly when some edge out of a state with that vector fires
+it.
 """
 
 from __future__ import annotations
@@ -68,7 +86,7 @@ Env = tuple[tuple[str, int], ...]
 Term = Optional[tuple]
 Instance = tuple[str, int, Env]  # (kind, node_id, env)
 ClockKey = tuple[int, Env]
-Step = tuple[Optional[ClockKey], tuple[Instance, ...], int]
+Step = tuple[Optional[ClockKey], int, int]  # (clock, fired instance bits, next term id)
 
 
 def _env_tuple(env: Mapping[str, int], names) -> Env:
@@ -173,13 +191,17 @@ UNSEEN = -2  # a frozen table's answer for a term it lacks
 
 class _Terms:
     """Hash-cons table of the runtime terms of one exploration.  Seq
-    elements are flat: none is a seq or DONE.  Once frozen, the table only
-    looks terms up, and a term containing UNSEEN is UNSEEN itself."""
+    elements are flat: none is a seq or DONE.  A leaf node carries its
+    instance's bit, ``1 << index[instance]``, as a fourth field.  Once
+    frozen, the table only looks terms up, and a term containing UNSEEN is
+    UNSEEN itself."""
 
-    def __init__(self) -> None:
+    def __init__(self, index: Mapping[Instance, int]) -> None:
+        self.index = index
         self.nodes: list[tuple] = []
         self.ids: dict[tuple, int] = {}
         self.async_steps: dict[int, list[Step]] = {}
+        self.async_stuck: dict[int, bool] = {}
         self.frozen = False
 
     def node(self, t: tuple) -> int:
@@ -198,7 +220,7 @@ class _Terms:
             return self.node(("seq", tuple(map(self.intern, t[1]))))
         if t[0] in ("async", "finish"):
             return self.wrap(t[:-1], self.intern(t[-1]))
-        return self.node(t)
+        return self.node(t + (1 << self.index[t],))
 
     def wrap(self, head: tuple, c: int) -> int:
         """The async or finish node ``head + (c,)``; done when c is."""
@@ -210,13 +232,6 @@ class _Terms:
         if len(elems) == 1:
             return elems[0]
         return self.node(("seq", elems))
-
-    def splice(self, elems: tuple, i: int, c: int) -> int:
-        """The seq ``elems`` with its i-th element replaced by c, dropped when
-        done.  An element only ever becomes one of its own kind or DONE, so
-        the result stays flat without re-scanning the other elements."""
-        mid = () if c == DONE else (c,)
-        return self.seq(elems[:i] + mid + elems[i + 1 :])
 
     def is_async_term(self, t: int) -> bool:
         """Whether a seq element lets later elements step; elements are never
@@ -232,7 +247,10 @@ class _Terms:
         if kind == "basic":
             return False
         if kind == "async":
-            return self.stuck(node[1])
+            out = self.async_stuck.get(t)
+            if out is None:
+                out = self.async_stuck[t] = self.stuck(node[1])
+            return out
         if kind == "finish":
             # A clocked finish owns its clock and can always advance it once
             # its body is stuck, so it never blocks on an outer clock.
@@ -245,38 +263,43 @@ class _Terms:
                 return self.stuck(u)
         return True
 
-    def yield_term(self, t: int, consumed: list[Instance]) -> int:
-        """Consume the front advances of a stuck term (one clock step)."""
+    def yield_term(self, t: int) -> tuple[int, int]:
+        """Consume the front advances of a stuck term (one clock step): the
+        bits of the consumed advances, and the id of what is left."""
         node = self.nodes[t]
         kind = node[0]
         if kind == "advance":
-            consumed.append(node)
-            return DONE
+            return node[3], DONE
         if kind == "async":
-            return self.wrap(node[:1], self.yield_term(node[1], consumed))
+            fired, c = self.yield_term(node[1])
+            return fired, self.wrap(node[:1], c)
         if kind == "finish":
             assert not node[1], "clock step reached a nested clocked finish"
-            return self.wrap(node[:4], self.yield_term(node[4], consumed))
+            fired, c = self.yield_term(node[4])
+            return fired, self.wrap(node[:4], c)
         if kind == "seq":
+            fired = 0
             parts: tuple = ()
             for i, u in enumerate(node[1]):
-                nu = self.yield_term(u, consumed)
+                f, nu = self.yield_term(u)
+                fired |= f
                 parts += () if nu == DONE else (nu,)
                 if not self.is_async_term(u):  # the elements after it wait
-                    return self.seq(parts + node[1][i + 1 :])
-            return self.seq(parts)
+                    return fired, self.seq(parts + node[1][i + 1 :])
+            return fired, self.seq(parts)
         raise AssertionError(f"yield reached non-stuck term {node!r}")
 
     def steps(self, t: int) -> list[Step]:
-        """All enabled steps: (clock, fired instances, next term id).  A leaf
-        step has clock None and fires one basic instance; a clock step names
-        the clock instance it advances and fires the advances it consumes."""
+        """All enabled steps: (clock, fired instance bits, next term id).  A
+        leaf step has clock None and fires one basic instance; a clock step
+        names the clock instance it advances and fires the advances it
+        consumes."""
         if t == DONE:
             return []
         node = self.nodes[t]
         kind = node[0]
         if kind == "basic":
-            return [(None, (node,), DONE)]
+            return [(None, node[3], DONE)]
         if kind == "advance":
             return []
         if kind == "async":
@@ -291,16 +314,23 @@ class _Terms:
             head = node[:4]
             out = [(key, fired, self.wrap(head, nt)) for key, fired, nt in self.steps(node[4])]
             if node[1] and self.stuck(node[4]):
-                consumed: list[Instance] = []
-                nt = self.yield_term(node[4], consumed)
-                out.append(((node[2], node[3]), tuple(consumed), self.wrap(head, nt)))
+                fired, nt = self.yield_term(node[4])
+                out.append(((node[2], node[3]), fired, self.wrap(head, nt)))
             return out
+        # An element only ever becomes one of its own kind or DONE, so the
+        # result stays flat without re-scanning the other elements.
         elems = node[1]
         out = []
         for i, u in enumerate(elems):
-            for key, fired, nu in self.steps(u):
-                out.append((key, fired, self.splice(elems, i, nu)))
-            if not self.is_async_term(u):
+            is_async = self.is_async_term(u)
+            inner = self.async_steps.get(u) if is_async else None
+            if inner is None:
+                inner = self.steps(u)
+            if inner:
+                head, tail = elems[:i], elems[i + 1 :]
+                for key, fired, nu in inner:
+                    out.append((key, fired, self.seq(head + tail if nu == DONE else head + (nu,) + tail)))
+            if not is_async:
                 break
         return out
 
@@ -308,7 +338,8 @@ class _Terms:
 # ---------------------------------------------------------------------------
 # State-space exploration
 
-State = tuple[int, tuple[tuple[ClockKey, int], ...]]
+State = tuple[int, int]  # (term id, clock counter vector id)
+Counters = tuple[tuple[ClockKey, int], ...]
 
 
 @dataclass
@@ -324,7 +355,7 @@ class ExploreResult:
     incomplete: bool
     races: list[tuple[Instance, Instance]]
     # instance -> set of clock counter snapshots observed when it executed
-    phases: dict[Instance, set[tuple[tuple[ClockKey, int], ...]]]
+    phases: dict[Instance, set[Counters]]
     _hb_forbidden: list[int] = field(default_factory=list, repr=False)
 
     def hb(self, u: Instance, v: Instance) -> bool:
@@ -346,6 +377,14 @@ class ExploreResult:
         return keys
 
 
+def _bits(mask: int):
+    """The positions of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) -> ExploreResult:
     """Exhaustively interpret the program under the given parameters."""
     t0 = instantiate(p, params)
@@ -353,32 +392,43 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
     index = {inst: i for i, inst in enumerate(instances)}
     n = len(instances)
 
-    terms = _Terms()
-    initial: State = (terms.intern(t0), ())
+    terms = _Terms(index)
+    steps = terms.steps
+    counters: list[Counters] = [()]  # counter id -> clock counter vector
+    counter_ids: dict[Counters, int] = {(): 0}
+    ticked: dict[tuple[int, ClockKey], int] = {}  # (counter id, clock) -> successor id
+    fired_at = [0]  # per counter id: instances fired in some state with it
+    initial: State = (terms.intern(t0), 0)
     ids: dict[State, int] = {initial: 0}
     order: list[State] = [initial]
     present: list[int] = [(1 << n) - 1]  # per state: bitmask of pending instances
     succs: list[Optional[list[int]]] = [None]
-    phases: dict[Instance, set[tuple]] = {}
     forbidden = [0] * n  # per instance v: instances pending in some state with v done
     incomplete = False
 
     stack = [0]
     while stack:
         sid = stack.pop()
-        term, counters = order[sid]
+        term, cid = order[sid]
+        fired_here = 0
         out: list[int] = []
-        for key, fired, nt in terms.steps(term):
-            mask = present[sid]
-            for inst in fired:
-                phases.setdefault(inst, set()).add(counters)
-                mask &= ~(1 << index[inst])
+        for key, fired, nt in steps(term):
+            fired_here |= fired
             if key is None:
-                state = (nt, counters)
+                state = (nt, cid)
             else:
-                counter_map = dict(counters)
-                counter_map[key] = counter_map.get(key, 0) + 1
-                state = (nt, tuple(sorted(counter_map.items())))
+                next_cid = ticked.get((cid, key))
+                if next_cid is None:
+                    counter_map = dict(counters[cid])
+                    counter_map[key] = counter_map.get(key, 0) + 1
+                    vector = tuple(sorted(counter_map.items()))
+                    next_cid = counter_ids.get(vector)
+                    if next_cid is None:
+                        next_cid = counter_ids[vector] = len(counters)
+                        counters.append(vector)
+                        fired_at.append(0)
+                    ticked[cid, key] = next_cid
+                state = (nt, next_cid)
             tid = ids.get(state)
             if tid is None:
                 if len(ids) >= max_states:
@@ -387,13 +437,20 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
                 tid = len(order)
                 ids[state] = tid
                 order.append(state)
+                mask = present[sid] & ~fired
                 present.append(mask)
                 succs.append(None)
                 stack.append(tid)
-                for inst in fired:  # on discovery edges only: see the module doc
-                    forbidden[index[inst]] |= mask
+                for i in _bits(fired):  # on discovery edges only: see the module doc
+                    forbidden[i] |= mask
             out.append(tid)
+        fired_at[cid] |= fired_here
         succs[sid] = out
+
+    phases: dict[Instance, set[Counters]] = {}
+    for cid, fired in enumerate(fired_at):
+        for i in _bits(fired):
+            phases.setdefault(instances[i], set()).add(counters[cid])
 
     # Trace counting / termination over the (acyclic) state graph, in
     # post-order with an explicit stack: a state is summed once all of its
@@ -474,13 +531,9 @@ def _dynamic_races(
                 clash |= readers.get((array, point), 0)
         # instances after u in index order (bits above iu) with hb(v, u)
         # false; the loop keeps those with hb(u, v) false too
-        later = clash & forbidden[iu] & -(2 << iu)
-        while later:
-            low = later & -later
-            iv = low.bit_length() - 1
+        for iv in _bits(clash & forbidden[iu] & -(2 << iu)):
             if forbidden[iv] >> iu & 1:
                 races.append((u, res.instances[iv]))
-            later ^= low
     return races
 
 

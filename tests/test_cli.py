@@ -190,6 +190,22 @@ def test_interpret_state_limit_exit_4(capsys):
     assert "incomplete" in out
 
 
+
+def test_interpret_bad_max_states_exit_1(capsys):
+    """A limit below 1 would still explore the initial state and report the
+    run as cut; it is refused instead."""
+    for limit in ("0", "-1"):
+        code, out, err = run(
+            capsys,
+            "interpret",
+            str(corpus_path("jacobi")),
+            "--param", "N=2",
+            "--param", "T=1",
+            "--max-states", limit,
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: --max-states must be at least 1, got {limit}\n"
+
 # ---------------------------------------------------------------------------
 # generators
 

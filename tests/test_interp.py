@@ -16,17 +16,26 @@ def env(inst):
 
 
 def interned(t):
-    """A fresh term table and the id of t in it."""
-    terms = _Terms()
-    return terms, terms.intern(t)
+    """A fresh term table for t, the id of t in it, and t's instances."""
+    instances = term_instances(t)
+    terms = _Terms({inst: i for i, inst in enumerate(instances)})
+    return terms, terms.intern(t), instances
 
 
-def leaf_steps(terms, t):
-    return [s for s in terms.steps(t) if s[0] is None]
+def decoded_steps(terms, instances, t):
+    """The steps of t, with each fired bitmask decoded into its instances."""
+    return [
+        (key, tuple(inst for i, inst in enumerate(instances) if fired >> i & 1), nt)
+        for key, fired, nt in terms.steps(t)
+    ]
 
 
-def clock_steps(terms, t):
-    return [s for s in terms.steps(t) if s[0] is not None]
+def leaf_steps(terms, instances, t):
+    return [s for s in decoded_steps(terms, instances, t) if s[0] is None]
+
+
+def clock_steps(terms, instances, t):
+    return [s for s in decoded_steps(terms, instances, t) if s[0] is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -55,15 +64,15 @@ def test_instantiate_empty_loop():
 
 def test_stuck_and_clock_step():
     p = parse("param N >= 1;\narray A[1];\nclocked finish { advance; A[0] = f(); }\n")
-    terms, t = interned(instantiate(p, {"N": 1}))
+    terms, t, insts = interned(instantiate(p, {"N": 1}))
     assert terms.stuck(t) is False  # clocked finish absorbs the stuck body
-    assert leaf_steps(terms, t) == []  # nothing can move except the clock
-    clocks = clock_steps(terms, t)
+    assert leaf_steps(terms, insts, t) == []  # nothing can move except the clock
+    clocks = clock_steps(terms, insts, t)
     assert len(clocks) == 1
     key, advanced, t2 = clocks[0]
     assert key == (0, ())  # the clock of the clocked finish, node 0
     assert [a[0] for a in advanced] == ["advance"]
-    leaves = leaf_steps(terms, t2)
+    leaves = leaf_steps(terms, insts, t2)
     assert len(leaves) == 1  # the basic statement is now active
     assert [i[0] for i in leaves[0][1]] == ["basic"]  # and fires alone
 
@@ -73,10 +82,10 @@ def test_seq_is_sequential_but_asyncs_overlap():
         "param N >= 1;\narray A[1];\n"
         "finish { { async { A[0] = f(); } A[1] = g(); } }\n"
     )
-    terms, t = interned(instantiate(p, {"N": 1}))
+    terms, t, insts = interned(instantiate(p, {"N": 1}))
     # both the spawned f and the following g are simultaneously enabled
-    assert len(leaf_steps(terms, t)) == 2
-    assert clock_steps(terms, t) == []
+    assert len(leaf_steps(terms, insts, t)) == 2
+    assert clock_steps(terms, insts, t) == []
 
 
 def test_advance_through_unclocked_finish():
@@ -221,11 +230,11 @@ def _maximal_paths(t, limit):
     id, firings): firings maps each fired instance to (step number, clock
     counters before the step).  None when there are more than `limit`
     paths."""
-    terms, t = interned(t)
+    terms, t, instances = interned(t)
     paths = []
 
     def walk(t, counters, fired, depth):
-        enabled = terms.steps(t)
+        enabled = decoded_steps(terms, instances, t)
         if not enabled:
             paths.append((t, dict(fired)))
             return len(paths) <= limit
@@ -291,3 +300,22 @@ def test_explore_matches_paths_on_fuzz(seed):
     p = fuzzgen.generate(20_000 + seed)
     for n in (1, 2, 3):
         _check_against_paths(p, {"N": n})
+
+
+def test_explore_matches_paths_with_several_clocks():
+    # a fresh clock per loop iteration, one after another and side by side:
+    # the counter vectors hold several clocks, and the vector after a clock
+    # step depends on which clock it advances
+    in_turn = parse(
+        "param N >= 1;\n"
+        "for (i=0:N-1) { clocked finish { clocked async { advance; } advance; } }\n"
+    )
+    side_by_side = parse(
+        "param N >= 1;\narray A[1];\n"
+        "finish { for (i=0:N-1) { async { clocked finish {\n"
+        "  clocked async { advance; A[i] = f(); } advance; A[i] = g(); } } } }\n"
+    )
+    for n in (1, 2, 3):
+        assert _check_against_paths(in_turn, {"N": n})
+    for n in (1, 2):  # 13 440 traces at N = 3
+        assert _check_against_paths(side_by_side, {"N": n})
