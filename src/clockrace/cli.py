@@ -13,6 +13,7 @@ Exit codes: 0 race-free / success, 1 parse or validation error,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from pathlib import Path
@@ -77,7 +78,7 @@ def _parse_params(pairs, program) -> dict[str, int]:
     out = {}
     for item in pairs or ():
         name, _, value = item.partition("=")
-        if not _ or not name or not value.lstrip("-").isdigit():
+        if not _ or not name or not re.fullmatch("-?[0-9]+", value):
             raise ValueError(f"bad --param {item!r}, expected NAME=INT")
         out[name] = int(value)
     for name, lb in program.params:

@@ -30,6 +30,15 @@ counter id and the clock it advances.  Once the state limit is hit, no
 state is added any more, so the table freezes: it stops adding nodes, and a
 term it lacks is ``UNSEEN``, the term of a new state.
 
+The root ``finish`` is a frame, not a node: a state's term is the id of
+the root finish's body, and ``_Terms.body_steps`` gives the finish's steps
+with the body's successor ids.  A root that is not a finish is the body of
+an unclocked frame.  This is exact because wrapping a body id in a fixed
+finish head is injective and maps ``DONE`` to ``DONE``: body and finish ids
+correspond one to one, with the same successors in the same order, and a
+successor is a new state under one naming exactly when it is under the
+other, so the state limit cuts the same runs at the same edge.
+
 Scheduling follows the statement classification: the i-th element of a
 sequence may take a step only when every earlier element is asynchronous.
 A clocked ``finish`` performs a clock step when its body is stuck: every
@@ -42,9 +51,8 @@ There is one step relation, ``_Terms.steps``: each step names the clock it
 advances (``None`` for a leaf step, which executes one basic statement),
 the bitmask of the instances it fires, and the next term's id.  The steps
 and the stuckness of an ``async`` node are memoized, because an activity's
-remaining body recurs across interleavings; the root ``finish`` and the top
-seq are new in nearly every state, so no other node's steps or stuckness
-are kept.
+remaining body recurs across interleavings; the top seq is new in nearly
+every state, so no other node's steps or stuckness are kept.
 
 Exploration keeps, for every state, the bitmask of instances still pending;
 a successor's mask is its parent's with the fired bits cleared.  The mask
@@ -63,6 +71,13 @@ each explored state's fired bits into one mask per counter id, and the
 per-instance sets are read off those masks once at the end: an instance
 gets a vector exactly when some edge out of a state with that vector fires
 it.
+
+Traces are counted in one pass over the states in ascending order of their
+pending-instance count.  Every step fires at least one pending instance (a
+leaf step its basic instance, a clock step the front advances of a stuck
+body, of which there is at least one), so the count drops strictly along
+every edge and a state comes after all of its successors: the order is a
+reverse topological order of the acyclic state graph.
 """
 
 from __future__ import annotations
@@ -233,11 +248,6 @@ class _Terms:
             return elems[0]
         return self.node(("seq", elems))
 
-    def is_async_term(self, t: int) -> bool:
-        """Whether a seq element lets later elements step; elements are never
-        DONE or seqs, so this is whether it is an async node."""
-        return self.nodes[t][0] == "async"
-
     def stuck(self, t: int) -> bool:
         """A term is stuck when it can only proceed via some enclosing clock."""
         node = self.nodes[t]
@@ -255,12 +265,17 @@ class _Terms:
             # A clocked finish owns its clock and can always advance it once
             # its body is stuck, so it never blocks on an outer clock.
             return False if node[1] else self.stuck(node[4])
+        # Seq elements are never DONE or seqs; an async element lets the later
+        # elements step.
+        nodes, async_stuck = self.nodes, self.async_stuck
         for u in node[1]:
-            if self.is_async_term(u):
-                if not self.stuck(u):
-                    return False
-            else:
+            if nodes[u][0] != "async":
                 return self.stuck(u)
+            out = async_stuck.get(u)
+            if out is None:
+                out = self.stuck(u)
+            if not out:
+                return False
         return True
 
     def yield_term(self, t: int) -> tuple[int, int]:
@@ -284,7 +299,7 @@ class _Terms:
                 f, nu = self.yield_term(u)
                 fired |= f
                 parts += () if nu == DONE else (nu,)
-                if not self.is_async_term(u):  # the elements after it wait
+                if self.nodes[u][0] != "async":  # the elements after it wait
                     return fired, self.seq(parts + node[1][i + 1 :])
             return fired, self.seq(parts)
         raise AssertionError(f"yield reached non-stuck term {node!r}")
@@ -312,33 +327,52 @@ class _Terms:
             return out
         if kind == "finish":
             head = node[:4]
-            out = [(key, fired, self.wrap(head, nt)) for key, fired, nt in self.steps(node[4])]
-            if node[1] and self.stuck(node[4]):
-                fired, nt = self.yield_term(node[4])
-                out.append(((node[2], node[3]), fired, self.wrap(head, nt)))
-            return out
+            return [
+                (key, fired, self.wrap(head, nt))
+                for key, fired, nt in self.body_steps(node[1], (node[2], node[3]), node[4])
+            ]
         # An element only ever becomes one of its own kind or DONE, so the
-        # result stays flat without re-scanning the other elements.
+        # result stays flat without re-scanning the other elements.  A seq
+        # has at least two elements, so it leaves one only when one of two
+        # is DONE.
+        nodes, async_steps, intern = self.nodes, self.async_steps, self.node
         elems = node[1]
         out = []
         for i, u in enumerate(elems):
-            is_async = self.is_async_term(u)
-            inner = self.async_steps.get(u) if is_async else None
+            is_async = nodes[u][0] == "async"
+            inner = async_steps.get(u) if is_async else None
             if inner is None:
                 inner = self.steps(u)
             if inner:
                 head, tail = elems[:i], elems[i + 1 :]
                 for key, fired, nu in inner:
-                    out.append((key, fired, self.seq(head + tail if nu == DONE else head + (nu,) + tail)))
+                    if nu != DONE:
+                        nt = intern(("seq", head + (nu,) + tail))
+                    elif len(elems) == 2:
+                        nt = elems[1 - i]
+                    else:
+                        nt = intern(("seq", head + tail))
+                    out.append((key, fired, nt))
             if not is_async:
                 break
+        return out
+
+    def body_steps(self, clocked: bool, clock: Optional[ClockKey], body: int) -> list[Step]:
+        """The steps of a finish around ``body``, naming the body's next id:
+        the body's own steps and, when the finish is clocked and its body is
+        stuck, one step of the finish's clock.  A stuck term has no steps of
+        its own, so stuckness is only asked of a body without steps."""
+        out = self.steps(body)
+        if clocked and not out and body != DONE and self.stuck(body):
+            fired, nt = self.yield_term(body)
+            return [(clock, fired, nt)]
         return out
 
 
 # ---------------------------------------------------------------------------
 # State-space exploration
 
-State = tuple[int, int]  # (term id, clock counter vector id)
+State = tuple[int, int]  # (id of the root frame's body, clock counter vector id)
 Counters = tuple[tuple[ClockKey, int], ...]
 
 
@@ -392,13 +426,21 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
     index = {inst: i for i, inst in enumerate(instances)}
     n = len(instances)
 
+    # The root finish is a frame: a state holds the id of its body, never of
+    # the finish itself (see the module doc).  Any other root is the body of
+    # an unclocked frame.
+    if t0 is not None and t0[0] == "finish":
+        _, clocked, node_id, env, body = t0
+        clock: Optional[ClockKey] = (node_id, env)
+    else:
+        clocked, clock, body = False, None, t0
     terms = _Terms(index)
-    steps = terms.steps
+    body_steps = terms.body_steps
     counters: list[Counters] = [()]  # counter id -> clock counter vector
     counter_ids: dict[Counters, int] = {(): 0}
     ticked: dict[tuple[int, ClockKey], int] = {}  # (counter id, clock) -> successor id
     fired_at = [0]  # per counter id: instances fired in some state with it
-    initial: State = (terms.intern(t0), 0)
+    initial: State = (terms.intern(body), 0)
     ids: dict[State, int] = {initial: 0}
     order: list[State] = [initial]
     present: list[int] = [(1 << n) - 1]  # per state: bitmask of pending instances
@@ -412,7 +454,7 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
         term, cid = order[sid]
         fired_here = 0
         out: list[int] = []
-        for key, fired, nt in steps(term):
+        for key, fired, nt in body_steps(clocked, clock, term):
             fired_here |= fired
             if key is None:
                 state = (nt, cid)
@@ -452,28 +494,19 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
         for i in _bits(fired):
             phases.setdefault(instances[i], set()).add(counters[cid])
 
-    # Trace counting / termination over the (acyclic) state graph, in
-    # post-order with an explicit stack: a state is summed once all of its
-    # successors are.
-    paths: list[Optional[int]] = [None] * len(order)
+    # Trace counting / termination, each state after its successors: see
+    # the module doc.
+    pending = list(map(int.bit_count, present))
+    paths = [0] * len(order)
     terminated = True
-    pending = [0]
-    while pending:
-        sid = pending[-1]
-        if paths[sid] is not None:
-            pending.pop()
-            continue
-        kids = succs[sid] or []
-        todo = [k for k in kids if paths[k] is None]
-        if todo:
-            pending.extend(todo)
-            continue
-        pending.pop()
-        if order[sid][0] == DONE:
+    for sid in sorted(range(len(order)), key=pending.__getitem__):
+        kids = succs[sid]
+        if kids:
+            paths[sid] = sum(map(paths.__getitem__, kids))
+        elif order[sid][0] == DONE:
             paths[sid] = 1
         else:
-            terminated = terminated and bool(kids)
-            paths[sid] = sum(paths[k] for k in kids)
+            terminated = False
     trace_count = paths[0]
     if incomplete:
         terminated = False

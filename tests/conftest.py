@@ -1,6 +1,6 @@
 from pathlib import Path
 
-from clockrace import parse_file
+from clockrace import parse, parse_file
 from clockrace.interp import instantiate, term_instances
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -23,6 +23,16 @@ def corpus_path(name: str) -> Path:
 
 def load(name: str):
     return parse_file(str(corpus_path(name)))
+
+
+# A fresh clock per loop iteration, the clocks live side by side: the counter
+# vectors hold several clocks at once, and the vector after a clock step
+# depends on which clock it advances.
+SIDE_BY_SIDE_CLOCKS = parse(
+    "param N >= 1;\narray A[1];\n"
+    "finish { for (i=0:N-1) { async { clocked finish {\n"
+    "  clocked async { advance; A[i] = f(); } advance; A[i] = g(); } } } }\n"
+)
 
 
 def advance_count(p, params) -> int:

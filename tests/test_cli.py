@@ -206,6 +206,15 @@ def test_interpret_bad_max_states_exit_1(capsys):
         assert code == 1 and out == ""
         assert err == f"error: --max-states must be at least 1, got {limit}\n"
 
+
+def test_interpret_bad_param_value_exit_1(capsys):
+    """Only an optionally signed run of ASCII digits is an INT."""
+    for value in ("--5", "\u00b2"):
+        code, out, err = run(capsys, "interpret", str(corpus_path("qr")), "--param", f"N={value}")
+        assert code == 1 and out == ""
+        assert err == f"error: bad --param 'N={value}', expected NAME=INT\n"
+
+
 # ---------------------------------------------------------------------------
 # generators
 

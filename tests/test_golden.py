@@ -20,7 +20,7 @@ from clockrace import analyze, explore, parse_poly, race_candidates, race_tests_
 from clockrace.report import build_report
 
 import fuzzgen
-from conftest import CORPUS_NAMES, corpus_path, load
+from conftest import CORPUS_NAMES, SIDE_BY_SIDE_CLOCKS, corpus_path, load
 
 GOLDEN = {
     "jacobi": "01d2da75d9a6b5376b62b9182804d674d909fc007071a3f439b81ef3aa7afadd",
@@ -65,6 +65,8 @@ def _fact_runs(group):
         lo, hi = map(int, seeds.split("-"))
         progs = [fuzzgen.generate(seed) for seed in range(lo, hi + 1)]
         return [(p, {"N": n}, int(limit or 1_000_000)) for p in progs for n in (1, 2, 3)]
+    if group == "side_by_side_clocks/N=1,2":
+        return [(SIDE_BY_SIDE_CLOCKS, {"N": n}, 1_000_000) for n in (1, 2)]
     name, params, max_states = SINGLE_RUNS[group]
     return [(load(name), params, max_states)]
 
@@ -87,6 +89,8 @@ GOLDEN_FACTS = {
     "qr/N=6": "657c121d9341ce0b60d58a4741c2eb23559ae658aa4cfeece51c37da8fa62719",
     "moldyn/P=3,T=2,max_states=50": "d44bd61b0be8643a7a512748d33a13fdf88e341f82eab232f08c2324c578d4ac",
     "qr/N=4,max_states=50": "096c71a586e0b2df5f2ef77740f8dee0ed68197b37783ca18b7dfe9f2dd4588d",
+    # two clocks live at once, so a step's counter vector depends on its clock
+    "side_by_side_clocks/N=1,2": "4c0195426d83a1c776ced4fd10a917977a9f6e1435eedf8739508df7843cc941",
 }
 
 

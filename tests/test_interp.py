@@ -4,7 +4,7 @@ from clockrace import dynamic_phi, explore, instantiate, parse
 from clockrace.interp import DONE, _Terms, term_instances
 
 import fuzzgen
-from conftest import CORPUS_NAMES, load
+from conftest import CORPUS_NAMES, SIDE_BY_SIDE_CLOCKS, load
 
 
 def basics(res):
@@ -310,12 +310,32 @@ def test_explore_matches_paths_with_several_clocks():
         "param N >= 1;\n"
         "for (i=0:N-1) { clocked finish { clocked async { advance; } advance; } }\n"
     )
-    side_by_side = parse(
-        "param N >= 1;\narray A[1];\n"
-        "finish { for (i=0:N-1) { async { clocked finish {\n"
-        "  clocked async { advance; A[i] = f(); } advance; A[i] = g(); } } } }\n"
-    )
     for n in (1, 2, 3):
         assert _check_against_paths(in_turn, {"N": n})
     for n in (1, 2):  # 13 440 traces at N = 3
-        assert _check_against_paths(side_by_side, {"N": n})
+        assert _check_against_paths(SIDE_BY_SIDE_CLOCKS, {"N": n})
+
+
+ROOT_SHAPES = {
+    "unclocked finish around a clocked finish": (
+        "finish { async { A[0] = h(); } clocked finish {\n"
+        "  clocked async { advance; A[0] = f(); } advance; A[0] = g(); } }\n"
+    ),
+    "clocked finish around one basic statement": "clocked finish { A[0] = f(); }\n",
+    "no finish: a seq of asyncs": (
+        "{ for (i=0:N-1) { async { A[i] = f(); A[i] = g(); } } async { A[0] = h(); } }\n"
+    ),
+    "clocked finish around a clocked async and a statement": (
+        "clocked finish { for (i=0:N-1) { clocked async { advance; A[i] = f(); } }\n"
+        "  A[0] = g(); advance; A[0] = h(); }\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("source", ROOT_SHAPES.values(), ids=list(ROOT_SHAPES))
+def test_explore_matches_paths_on_root_shapes(source):
+    # explore runs the root finish as a frame around its body, and any other
+    # root as the body of an unclocked frame
+    p = parse("param N >= 1;\narray A[1];\n" + source)
+    for n in (1, 2):
+        assert _check_against_paths(p, {"N": n})
