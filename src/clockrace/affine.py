@@ -39,9 +39,6 @@ class Constraint:
         v = self.expr.evaluate(env)
         return v == 0 if self.kind == "eq" else v >= 0
 
-    def rename(self, mapping: Mapping[str, str]) -> "Constraint":
-        return Constraint(self.expr.rename(mapping), self.kind)
-
     def __str__(self) -> str:
         op = "=" if self.kind == "eq" else ">="
         return f"{self.expr} {op} 0"

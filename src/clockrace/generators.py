@@ -162,8 +162,6 @@ class RaceTest:
 
     program: Program
     signs: tuple[tuple[str, int], ...]  # original var -> +1 / -1
-    p1: QuasiPoly
-    p2: QuasiPoly
 
 
 def _split_by_sign(
@@ -218,7 +216,7 @@ def race_test(
     params = tuple((f"m_{v}", 0) for v in variables)
     program = Program(root=body, params=params, arrays=(("u", 0),))
     sign_map = tuple(sorted((signs or {v: 1 for v in variables}).items()))
-    return RaceTest(program, sign_map, p1, p2)
+    return RaceTest(program, sign_map)
 
 
 def race_tests_all_orthants(p1: QuasiPoly, p2: QuasiPoly) -> list[RaceTest]:

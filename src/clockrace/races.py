@@ -2,28 +2,36 @@
 
 A race candidate pairs a write with another access to the same array such
 that some pair of instances is unordered by the clock-free happens-before
-and touches the same element.  Candidates are then disproved in tiers:
+and touches the same element.  Enumeration decides each candidate's system
+once: an empty one is pruned, and the answer is kept for the affine tier.
+``disprove`` then tries an ordered list of tiers, each of which returns a
+verdict or passes the candidate on:
 
-1. affine reasoning -- when the phase difference becomes affine after
-   substituting the candidate's equalities, phase equality is added to the
-   system and exact integer emptiness is decided in-process;
-2. an external SMT solver on the full nonlinear system (QF_NIA);
-3. bounded search -- small parameter valuations are interpreted exhaustively
-   and observed races are matched against the candidate.
+1. affine -- exact integer emptiness of the system when unclocked, or, when
+   the phase difference becomes affine after substituting the candidate's
+   equalities, of the system with phase equality added;
+2. smt -- an external solver on the full nonlinear system (QF_NIA);
+3. bounded -- small parameter valuations are interpreted exhaustively and
+   observed races are matched against the candidate; always decides.
 
-A verdict of ``race-free`` is only ever produced by a sound emptiness or
-unsat proof; witnesses are cross-checked against the reference interpreter
-whenever the instantiated program is small enough to explore.
+``race-free`` only ever comes from a sound emptiness or unsat proof.
+Affine points and SMT models pass one witness gate: substitution into the
+context, the system and (when clocked) phase equality, then a replay in
+the reference interpreter when the program is small enough to explore.
+SMT-LIB scripts are built only on request (``Analysis.smt_scripts``).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import lcm
 from typing import Mapping, Optional, Union
 
-from .affine import AffineSet, Constraint, eq, is_empty, is_empty_with_witness
+# is_empty is not called here but stays bound: perfbench/tracing.py wraps
+# ``races.is_empty`` by name with getattr and fails if it is missing.
+from .affine import AffineSet, Constraint, eq, is_empty, is_empty_with_witness  # noqa: F401
 from .hb import (
     ClockReduction,
     param_context,
@@ -49,6 +57,8 @@ class RaceCandidate:
     v_ref: AccessRef
     kind: str  # "read-write" | "write-write"
     system: AffineSet
+    # is_empty_with_witness of the system, decided once when pruning
+    emptiness: tuple[Optional[bool], Optional[dict[str, int]]]
     reduction: Optional[ClockReduction]
     phi_u: Optional[QuasiPoly]
     phi_v: Optional[QuasiPoly]
@@ -75,7 +85,14 @@ class Analysis:
     program: Program
     verdict: str  # "RaceFree" | "PotentialRaces" | "Unknown"
     candidates: list[tuple[RaceCandidate, Verdict]]
-    smt_scripts: list[str] = field(default_factory=list)
+
+    @property
+    def smt_scripts(self) -> list[str]:
+        """One SMT-LIB script per candidate, built on request."""
+        return [
+            _smt_script(c, f"race candidate {c.index}: {c.describe(self.program)}")
+            for c, _ in self.candidates
+        ]
 
 
 def _subscript_equalities(
@@ -130,7 +147,8 @@ def race_candidates(p: Program) -> list[RaceCandidate]:
             tuple(tuple(dom + subs + d) for d in unordered),
             tuple(context),
         )
-        if is_empty(system) is True:
+        emptiness = is_empty_with_witness(system)
+        if emptiness[0] is True:
             return
         pu = pv = None
         if reduction is not None:
@@ -139,7 +157,7 @@ def race_candidates(p: Program) -> list[RaceCandidate]:
         out.append(
             RaceCandidate(
                 len(out), su.node_id, sv.node_id, u_ref, v_ref, kind,
-                system, reduction, pu, pv,
+                system, emptiness, reduction, pu, pv,
             )
         )
 
@@ -180,8 +198,6 @@ def _substituted_phase_diff(
                 break
     if not diff.is_affine():
         return None
-    from math import lcm
-
     denoms = [c.denominator for _, c in diff.coeffs] or [1]
     scale = lcm(*denoms)
     return (diff * scale).as_affine()
@@ -234,75 +250,83 @@ class _Confirmer:
         return None
 
 
-def _confirm_witness(
-    cand: RaceCandidate, witness: Mapping[str, int], confirmer: _Confirmer, p: Program
-) -> Union[bool, str]:
-    """True/False when the interpreter could check the witness, else why not."""
-    params = {n: witness.get(n, lb) for n, lb in p.params}
-    if any(v > 6 for v in params.values()):
-        return "parameter above 6"
-    res = confirmer.run(params)
-    if isinstance(res, str):
-        return res
-    return confirmer.race_between(cand, params) is not None
-
-
-def _witness(method: str, witness: Mapping[str, int], ok: Union[bool, str]) -> Verdict:
-    """A witness verdict; ``ok`` is True once replayed, else why it was not."""
-    if ok is True:
-        return Verdict("witness", method, witness, confirmed=True)
-    return Verdict("witness", method, witness, detail=f"not replayed: {ok}")
-
-
-def disprove(
-    p: Program,
-    cand: RaceCandidate,
+def _gate(
+    p: Program, cand: RaceCandidate, point: Mapping[str, int], method: str,
     confirmer: _Confirmer,
-    solver_cmd: Optional[str] = None,
-    bound: int = DEFAULT_BOUND,
-) -> Verdict:
-    clocked = cand.reduction is not None
-    phases_known = cand.phi_u is not None and cand.phi_v is not None
+) -> Optional[Verdict]:
+    """The witness verdict for a point a tier claims races, or None when it
+    fails substitution into the context, the system and (when clocked) phase
+    equality, or when a replay finds no matching race.  A point that cannot
+    be replayed is still reported, with the reason in ``detail``."""
+    s = cand.system
+    try:
+        holds = all(c.satisfied(point) for c in s.context) and s.contains(point) and (
+            cand.reduction is None or cand.phi_u.evaluate(point) == cand.phi_v.evaluate(point)
+        )
+    except KeyError:  # the point leaves a variable unset
+        holds = False
+    if not holds:
+        return None
+    params = {n: point.get(n, lb) for n, lb in p.params}
+    above_6 = any(v > 6 for v in params.values())
+    res = "parameter above 6" if above_6 else confirmer.run(params)
+    if isinstance(res, str):
+        return Verdict("witness", method, point, detail=f"not replayed: {res}")
+    if confirmer.race_between(cand, params) is None:
+        return None
+    return Verdict("witness", method, point, confirmed=True)
 
-    # Tier 1: affine reasoning, on the system itself when unclocked and with
-    # phase equality added when every disjunct's phase difference linearizes.
-    system = None if clocked else cand.system
-    if clocked and phases_known:
-        augmented = []
-        for d in cand.system.disjuncts:
+
+def _smt_script(cand: RaceCandidate, comment: str = "") -> str:
+    """The candidate's SMT-LIB script, with phase equality only when clocked."""
+    phases = (cand.phi_u, cand.phi_v) if cand.reduction is not None else (None, None)
+    return emit_smtlib(cand.system, *phases, comment=comment)
+
+
+# Each tier takes (p, cand, confirmer, solver_cmd, bound) and returns a
+# verdict, or None to pass the candidate on to the next tier.
+
+
+def _affine_tier(p, cand, confirmer, solver_cmd, bound) -> Optional[Verdict]:
+    """Exact integer emptiness: of the system itself when unclocked (decided
+    in race_candidates already), else with phase equality added when every
+    disjunct's phase difference linearizes."""
+    if cand.reduction is None:
+        empty, point = cand.emptiness
+    else:
+        if cand.phi_u is None or cand.phi_v is None:
+            return None
+        s, augmented = cand.system, []
+        for d in s.disjuncts:
             diff = _substituted_phase_diff(cand, d)
             if diff is None:
-                break
+                return None
             augmented.append(tuple(d) + (eq(diff),))
-        else:
-            system = AffineSet(cand.system.variables, tuple(augmented), cand.system.context)
-    if system is not None:
-        empty, witness = is_empty_with_witness(system)
-        if empty is True:
-            return Verdict("race-free", "affine")
-        if empty is False:
-            ok = _confirm_witness(cand, witness, confirmer, p)
-            if ok is not False:
-                return _witness("affine", witness, ok)
-            # the model disagreed with the interpreter: stay conservative
-            return Verdict("unknown", "affine", detail="unconfirmed witness")
+        empty, point = is_empty_with_witness(AffineSet(s.variables, tuple(augmented), s.context))
+    if empty is True:
+        return Verdict("race-free", "affine")
+    if empty is None:
+        return None
+    # a point the gate refutes: stay conservative
+    return _gate(p, cand, point, "affine", confirmer) or Verdict(
+        "unknown", "affine", detail="unconfirmed witness"
+    )
 
-    # Tier 2: external solver on the full system.
-    if solver_cmd and (phases_known or not clocked):
-        script = emit_smtlib(
-            cand.system,
-            cand.phi_u if clocked else None,
-            cand.phi_v if clocked else None,
-        )
-        status, model = run_solver(solver_cmd, script)
-        if status == "unsat":
-            return Verdict("race-free", "smt")
-        if status == "sat" and _model_checks(cand, model):
-            ok = _confirm_witness(cand, model, confirmer, p)
-            if ok is not False:
-                return _witness("smt", model, ok)
 
-    # Tier 3: bounded exhaustive interpretation.
+def _smt_tier(p, cand, confirmer, solver_cmd, bound) -> Optional[Verdict]:
+    """An external solver on the full, possibly nonlinear, system."""
+    clocked = cand.reduction is not None
+    if not solver_cmd or (clocked and (cand.phi_u is None or cand.phi_v is None)):
+        return None
+    status, model = run_solver(solver_cmd, _smt_script(cand))
+    if status == "unsat":
+        return Verdict("race-free", "smt")
+    return _gate(p, cand, model, "smt", confirmer) if status == "sat" else None
+
+
+def _bounded_tier(p, cand, confirmer, solver_cmd, bound) -> Verdict:
+    """Exhaustive interpretation at every parameter valuation up to the
+    bound, smallest maximum first; always decides."""
     grids = [range(lb, max(lb, bound) + 1) for _, lb in p.params]
     names = p.param_names()
     combos = sorted(itertools.product(*grids), key=lambda t: (max(t, default=0), t))
@@ -320,18 +344,22 @@ def disprove(
     return Verdict("unknown", "bounded", bound=bound, detail=detail)
 
 
-def _model_checks(cand: RaceCandidate, model: Mapping[str, int]) -> bool:
-    try:
-        if not all(c.satisfied(model) for c in cand.system.context):
-            return False
-        if not cand.system.contains(model):
-            return False
-        if cand.reduction is not None and cand.phi_u is not None:
-            if cand.phi_u.evaluate(model) != cand.phi_v.evaluate(model):
-                return False
-    except KeyError:
-        return False
-    return True
+_TIERS = (_affine_tier, _smt_tier, _bounded_tier)
+
+
+def disprove(
+    p: Program,
+    cand: RaceCandidate,
+    confirmer: _Confirmer,
+    solver_cmd: Optional[str] = None,
+    bound: int = DEFAULT_BOUND,
+) -> Verdict:
+    """The first verdict of the tiers, tried in order."""
+    for tier in _TIERS:
+        verdict = tier(p, cand, confirmer, solver_cmd, bound)
+        if verdict is not None:
+            return verdict
+    raise AssertionError("the bounded tier always returns a verdict")
 
 
 def analyze(
@@ -342,22 +370,11 @@ def analyze(
 ) -> Analysis:
     candidates = race_candidates(p)
     confirmer = _Confirmer(p, confirm_max_states)
-    results: list[tuple[RaceCandidate, Verdict]] = []
-    scripts: list[str] = []
-    for cand in candidates:
-        scripts.append(
-            emit_smtlib(
-                cand.system,
-                cand.phi_u if cand.reduction else None,
-                cand.phi_v if cand.reduction else None,
-                comment=f"race candidate {cand.index}: {cand.describe(p)}",
-            )
-        )
-        results.append((cand, disprove(p, cand, confirmer, solver_cmd, bound)))
+    results = [(c, disprove(p, c, confirmer, solver_cmd, bound)) for c in candidates]
     if any(v.status == "witness" for _, v in results):
         verdict = "PotentialRaces"
     elif any(v.status == "unknown" for _, v in results):
         verdict = "Unknown"
     else:
         verdict = "RaceFree"
-    return Analysis(p, verdict, results, scripts)
+    return Analysis(p, verdict, results)

@@ -17,6 +17,8 @@ from .affine import AffineSet, Constraint
 from .phi import QuasiPoly
 from .syntax import AffineExpr
 
+SOLVER_TIMEOUT_S = 60.0
+
 
 def _sexpr_int(k: int) -> str:
     return str(k) if k >= 0 else f"(- {-k})"
@@ -117,19 +119,18 @@ def parse_model(output: str) -> dict[str, int]:
     return model
 
 
-def run_solver(
-    solver_cmd: str, script: str, timeout: float = 60.0
-) -> tuple[str, dict[str, int]]:
+def run_solver(solver_cmd: str, script: str) -> tuple[str, dict[str, int]]:
     """Run the solver on a script; returns (status, model).
 
-    Status is "sat", "unsat", or "unknown" (also used for solver errors)."""
+    Status is "sat", "unsat", or "unknown" (also used for solver errors and
+    for a solver still running after SOLVER_TIMEOUT_S seconds)."""
     try:
         proc = subprocess.run(
             shlex.split(solver_cmd),
             input=script,
             capture_output=True,
             text=True,
-            timeout=timeout,
+            timeout=SOLVER_TIMEOUT_S,
         )
     except (OSError, subprocess.TimeoutExpired):
         return "unknown", {}

@@ -245,6 +245,13 @@ def test_gen_race_all_orthants(capsys):
     assert "// orthant 1: x-" in out
 
 
+def test_gen_race_negative_coefficient_exit_1(capsys):
+    # without --all-orthants each side must have nonnegative coefficients
+    code, out, err = run(capsys, "gen-race", "--p1", "x", "--p2", "x-1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # packaging
 

@@ -44,6 +44,11 @@ def test_comments_and_whitespace_ignored():
         ("param N >= 1;\nB[0] = f();\n", 2),  # undeclared array
         ("param N >= 1;\nfor (i=0:N*N) advance;\n", 2),  # non-affine bound
         ("param N >= 1;\nfor (i=0:N) for (i=0:N) advance;\n", 2),  # shadowing
+        ("param N >= 1;\narray A[1];\nS(B[0]);\n", 3),  # read of undeclared array
+        ("param N >= 1;\n{ advance;\n", 3),  # unterminated block
+        ("param N >= 1;\nadvance;\nadvance;\n", 3),  # trailing input
+        ("param N >= 1;\nclocked for (i=0:N) advance;\n", 2),  # clocked neither async nor finish
+        ("array A[1];\narray A[2];\n", 2),  # duplicate array
     ],
 )
 def test_parse_errors_have_positions(source, line):
@@ -51,6 +56,23 @@ def test_parse_errors_have_positions(source, line):
         parse(source)
     assert exc.value.line == line
     assert exc.value.col >= 1
+
+
+@pytest.mark.parametrize(
+    "guard, canonical",
+    [
+        ("i < N", "N - 1 >= i"),
+        ("i <= N - 1", "N - 1 >= i"),
+        ("i == 2", "i >= 2 && 2 >= i"),
+        ("(i + 1) * 2 > N", "2*i + 1 >= N"),
+    ],
+)
+def test_guard_forms_parse_to_their_ge_conditions(guard, canonical):
+    def conds(g):
+        p = parse(f"param N >= 1;\narray A[1];\nfor (i=0:N) if ({g}) A[i] = f();\n")
+        return p.root.body.conds
+
+    assert conds(guard) == conds(canonical)
 
 
 # ---------------------------------------------------------------------------

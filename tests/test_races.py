@@ -153,6 +153,71 @@ def test_unsound_sat_model_is_rejected():
 
 
 # ---------------------------------------------------------------------------
+# The witness gate: substitution, then replay
+
+
+def _squares():
+    # races exactly when x*x = y*y in one (x, y) iteration, i.e. at x = y
+    from clockrace import parse_poly, race_test
+
+    return race_test(parse_poly("x^2"), parse_poly("y^2")).program
+
+
+def _solver_printing(model):
+    defs = " ".join(f"(define-fun {k} () Int {v})" for k, v in model.items())
+    return f"echo 'sat ({defs})'"
+
+
+def test_valid_smt_model_is_a_confirmed_witness():
+    model = {"m_x": 1, "m_y": 1, "u_x": 1, "u_y": 1, "v_x": 1, "v_y": 1}
+    a = analyze(_squares(), solver_cmd=_solver_printing(model), bound=2)
+    ((_, v),) = a.candidates
+    assert (v.status, v.method, v.confirmed, v.witness) == ("witness", "smt", True, model)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        # in the system, but the phases x^2 = 1 and y^2 = 0 differ
+        {"m_x": 1, "m_y": 1, "u_x": 1, "u_y": 0, "v_x": 1, "v_y": 0},
+        # equal phases, but x = 2 lies outside 0..m_x
+        {"m_x": 1, "m_y": 1, "u_x": 2, "u_y": 2, "v_x": 2, "v_y": 2},
+    ],
+    ids=["unequal-phases", "outside-system"],
+)
+def test_smt_model_failing_substitution_is_not_the_witness(model):
+    # a race exists at m_x = m_y = 1, so a replay alone would accept the
+    # model; substitution rejects it and the bounded tier finds its own
+    a = analyze(_squares(), solver_cmd=_solver_printing(model), bound=2)
+    ((_, v),) = a.candidates
+    assert (v.status, v.method, v.confirmed) == ("witness", "bounded", True)
+    assert v.witness != model
+
+
+def test_refuted_affine_point_is_unknown():
+    from clockrace.races import _Confirmer, disprove
+
+    class NoRaces(_Confirmer):
+        def race_between(self, cand, params):
+            return None
+
+    p = parse(
+        "param N >= 1;\narray A[1];\n"
+        "finish { for (i=0:N-1) { async { A[0] = W(); } } }\n"
+    )
+    (cand,) = race_candidates(p)
+    # N = 2 races, but i = 2 lies outside 0..N-1
+    outside = {"N": 2, "u_i": 0, "v_i": 2}
+    for confirmer, emptiness in (
+        (NoRaces(p), cand.emptiness),  # the replay refutes the point
+        (_Confirmer(p), (False, outside)),  # substitution refutes it
+    ):
+        cand.emptiness = emptiness
+        v = disprove(p, cand, confirmer)
+        assert (v.status, v.method, v.detail) == ("unknown", "affine", "unconfirmed witness")
+
+
+# ---------------------------------------------------------------------------
 # Bounded tier (tier 3)
 
 
