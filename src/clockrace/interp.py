@@ -50,9 +50,19 @@ governing clock across them.
 There is one step relation, ``_Terms.steps``: each step names the clock it
 advances (``None`` for a leaf step, which executes one basic statement),
 the bitmask of the instances it fires, and the next term's id.  The steps
-and the stuckness of an ``async`` node are memoized, because an activity's
-remaining body recurs across interleavings; the top seq is new in nearly
-every state, so no other node's steps or stuckness are kept.
+of an ``async`` node are memoized, because an activity's remaining body
+recurs across interleavings; the top seq is new in nearly every state, so
+no other node's steps are kept.
+
+A term other than ``DONE`` is stuck exactly when it has no step, so
+``_Terms.body_steps`` offers a clocked finish's clock step exactly when its
+body is not ``DONE`` and has no step.  By induction on the term: a
+``basic`` steps and is not stuck, an ``advance`` has no step and is stuck;
+an ``async`` or unclocked ``finish`` inherits both from its child; a
+clocked ``finish`` is never stuck and always steps, since a body without
+steps is stuck and so gives it the clock step; a seq is stuck iff every
+element up to and including the first non-``async`` one is stuck, which
+holds iff none of them has a step, that is iff the seq has none.
 
 Exploration keeps, for every state, the bitmask of instances still pending;
 a successor's mask is its parent's with the fired bits cleared.  The mask
@@ -216,7 +226,6 @@ class _Terms:
         self.nodes: list[tuple] = []
         self.ids: dict[tuple, int] = {}
         self.async_steps: dict[int, list[Step]] = {}
-        self.async_stuck: dict[int, bool] = {}
         self.frozen = False
 
     def node(self, t: tuple) -> int:
@@ -248,39 +257,9 @@ class _Terms:
             return elems[0]
         return self.node(("seq", elems))
 
-    def stuck(self, t: int) -> bool:
-        """A term is stuck when it can only proceed via some enclosing clock."""
-        node = self.nodes[t]
-        kind = node[0]
-        if kind == "advance":
-            return True
-        if kind == "basic":
-            return False
-        if kind == "async":
-            out = self.async_stuck.get(t)
-            if out is None:
-                out = self.async_stuck[t] = self.stuck(node[1])
-            return out
-        if kind == "finish":
-            # A clocked finish owns its clock and can always advance it once
-            # its body is stuck, so it never blocks on an outer clock.
-            return False if node[1] else self.stuck(node[4])
-        # Seq elements are never DONE or seqs; an async element lets the later
-        # elements step.
-        nodes, async_stuck = self.nodes, self.async_stuck
-        for u in node[1]:
-            if nodes[u][0] != "async":
-                return self.stuck(u)
-            out = async_stuck.get(u)
-            if out is None:
-                out = self.stuck(u)
-            if not out:
-                return False
-        return True
-
     def yield_term(self, t: int) -> tuple[int, int]:
-        """Consume the front advances of a stuck term (one clock step): the
-        bits of the consumed advances, and the id of what is left."""
+        """Consume the front advances of a stuck term, one without steps (a
+        clock step): the consumed advances' bits, and the id of the rest."""
         node = self.nodes[t]
         kind = node[0]
         if kind == "advance":
@@ -302,7 +281,7 @@ class _Terms:
                 if self.nodes[u][0] != "async":  # the elements after it wait
                     return fired, self.seq(parts + node[1][i + 1 :])
             return fired, self.seq(parts)
-        raise AssertionError(f"yield reached non-stuck term {node!r}")
+        raise AssertionError(f"yield reached a term with steps: {node!r}")
 
     def steps(self, t: int) -> list[Step]:
         """All enabled steps: (clock, fired instance bits, next term id).  A
@@ -359,11 +338,10 @@ class _Terms:
 
     def body_steps(self, clocked: bool, clock: Optional[ClockKey], body: int) -> list[Step]:
         """The steps of a finish around ``body``, naming the body's next id:
-        the body's own steps and, when the finish is clocked and its body is
-        stuck, one step of the finish's clock.  A stuck term has no steps of
-        its own, so stuckness is only asked of a body without steps."""
+        the body's own steps or, when the finish is clocked and its body is
+        stuck (see the module doc), one step of the finish's clock."""
         out = self.steps(body)
-        if clocked and not out and body != DONE and self.stuck(body):
+        if clocked and not out and body != DONE:
             fired, nt = self.yield_term(body)
             return [(clock, fired, nt)]
         return out
@@ -380,7 +358,6 @@ Counters = tuple[tuple[ClockKey, int], ...]
 class ExploreResult:
     """Ground-truth dynamic facts for one parameter valuation."""
 
-    params: dict[str, int]
     instances: list[Instance]
     index: dict[Instance, int]
     state_count: int
@@ -398,17 +375,6 @@ class ExploreResult:
         if iu == iv:
             return False
         return not (self._hb_forbidden[iv] >> iu) & 1
-
-    def phase_values(self, inst: Instance, clock: ClockKey) -> set[int]:
-        """Clock phases at which the instance was observed to execute."""
-        return {dict(snap).get(clock, 0) for snap in self.phases.get(inst, set())}
-
-    def clock_keys(self) -> set[ClockKey]:
-        keys: set[ClockKey] = set()
-        for snaps in self.phases.values():
-            for snap in snaps:
-                keys.update(k for k, _ in snap)
-        return keys
 
 
 def _bits(mask: int):
@@ -512,7 +478,6 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
         terminated = False
 
     result = ExploreResult(
-        params=dict(params),
         instances=instances,
         index=index,
         state_count=len(order),
@@ -575,7 +540,7 @@ def dynamic_phi(res: ExploreResult, inst: Instance, clock: ClockKey) -> int:
     steps the given clock instance had taken when the statement ran.  The
     phase is schedule-independent for well-clocked programs; a multi-valued
     observation is reported as an error."""
-    vals = res.phase_values(inst, clock)
+    vals = {dict(snap).get(clock, 0) for snap in res.phases.get(inst, ())}
     if len(vals) != 1:
         raise ValueError(f"phase of {inst} w.r.t. {clock} is not unique: {sorted(vals)}")
     return next(iter(vals))

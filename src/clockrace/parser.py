@@ -41,6 +41,8 @@ from .syntax import (
 )
 
 KEYWORDS = {"param", "array", "clocked", "finish", "async", "for", "if", "advance"}
+# The analysis names instance variables u_<it>, v_<it> and a_<it> beside parameters.
+RESERVED_PREFIXES = ("u_", "v_", "a_")
 
 _TOKEN_RE = re.compile(
     r"""
@@ -136,9 +138,12 @@ class _Parser:
     def parse_program(self) -> Program:
         while self.peek().text in ("param", "array"):
             if self.accept("param"):
-                name = self.expect_ident().text
+                tok = self.expect_ident()
+                name = tok.text
                 if name in dict(self.params) or name in self.arrays:
                     raise self.error(f"duplicate declaration of {name!r}")
+                if name.startswith(RESERVED_PREFIXES):
+                    raise self.error(f"parameter {name!r} uses a reserved prefix u_, v_ or a_", tok)
                 self.expect(">=")
                 neg = self.accept("-")
                 tok = self.next()

@@ -17,7 +17,8 @@ verdict or passes the candidate on:
 ``race-free`` only ever comes from a sound emptiness or unsat proof.
 Affine points and SMT models pass one witness gate: substitution into the
 context, the system and (when clocked) phase equality, then a replay in
-the reference interpreter when the program is small enough to explore.
+the reference interpreter, when the program is small enough to explore, in
+which the point's own pair of instances must race.
 SMT-LIB scripts are built only on request (``Analysis.smt_scripts``).
 """
 
@@ -39,13 +40,14 @@ from .hb import (
     statement_domain,
     unordered_disjuncts,
 )
-from .interp import ExploreResult, explore
+from .interp import ExploreResult, Instance, explore
 from .phi import QuasiPoly, phi
 from .smt import emit_smtlib, run_solver
 from .syntax import AccessRef, AffineExpr, Basic, Program
 
 DEFAULT_BOUND = 8
 _CONFIRM_MAX_STATES = 60_000
+_REPLAY_MAX_PARAM = 6  # a witness with a larger parameter is not replayed
 
 
 @dataclass
@@ -229,25 +231,26 @@ class _Confirmer:
     def race_between(
         self, cand: RaceCandidate, params: Mapping[str, int]
     ) -> Optional[dict[str, int]]:
-        """A concrete dynamic race matching the candidate, if one exists."""
+        """A dynamic race matching the candidate, if any (bounded tier)."""
         res = self.run(params)
         if isinstance(res, str):
             return None
-        for iu, iv in res.races:
-            for a, b in ((iu, iv), (iv, iu)):
-                if a[1] != cand.u_id or b[1] != cand.v_id:
+        for pair in res.races:
+            for a, b in (pair, pair[::-1]):
+                if (a[1], b[1]) != (cand.u_id, cand.v_id):
                     continue
-                env = dict(params)
-                full_a = {**dict(a[2]), **params}
-                full_b = {**dict(b[2]), **params}
-                pu = tuple(e.evaluate(full_a) for e in cand.u_ref.subscripts)
-                pv = tuple(e.evaluate(full_b) for e in cand.v_ref.subscripts)
-                if pu != pv:
-                    continue
-                env.update({"u_" + k: x for k, x in a[2]})
-                env.update({"v_" + k: x for k, x in b[2]})
-                return env
+                full_a, full_b = {**dict(a[2]), **params}, {**dict(b[2]), **params}
+                if all(su.evaluate(full_a) == sv.evaluate(full_b)
+                       for su, sv in zip(cand.u_ref.subscripts, cand.v_ref.subscripts)):
+                    return {**params, **{"u_" + k: x for k, x in a[2]},
+                            **{"v_" + k: x for k, x in b[2]}}
         return None
+
+
+def _instance(p: Program, stmt_id: int, point: Mapping[str, int], prefix: str) -> Instance:
+    """The statement instance a point names by its prefixed iterators."""
+    env = sorted((it, point[prefix + it]) for it in p.enclosing_iterators(stmt_id))
+    return ("basic", stmt_id, tuple(env))
 
 
 def _gate(
@@ -256,23 +259,25 @@ def _gate(
 ) -> Optional[Verdict]:
     """The witness verdict for a point a tier claims races, or None when it
     fails substitution into the context, the system and (when clocked) phase
-    equality, or when a replay finds no matching race.  A point that cannot
-    be replayed is still reported, with the reason in ``detail``."""
+    equality, or when the replay does not race the point's own instance pair
+    (distinct, both executed, unordered by happens-before).  A point that
+    cannot be replayed is still reported, with the reason in ``detail``."""
     s = cand.system
     try:
         holds = all(c.satisfied(point) for c in s.context) and s.contains(point) and (
             cand.reduction is None or cand.phi_u.evaluate(point) == cand.phi_v.evaluate(point)
         )
+        u, v = _instance(p, cand.u_id, point, "u_"), _instance(p, cand.v_id, point, "v_")
     except KeyError:  # the point leaves a variable unset
         holds = False
     if not holds:
         return None
     params = {n: point.get(n, lb) for n, lb in p.params}
-    above_6 = any(v > 6 for v in params.values())
-    res = "parameter above 6" if above_6 else confirmer.run(params)
+    too_large = any(x > _REPLAY_MAX_PARAM for x in params.values())
+    res = f"parameter above {_REPLAY_MAX_PARAM}" if too_large else confirmer.run(params)
     if isinstance(res, str):
         return Verdict("witness", method, point, detail=f"not replayed: {res}")
-    if confirmer.race_between(cand, params) is None:
+    if u == v or u not in res.index or v not in res.index or res.hb(u, v) or res.hb(v, u):
         return None
     return Verdict("witness", method, point, confirmed=True)
 

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .phi import QuasiPoly
 from .races import Analysis
 from .syntax import Program
 
@@ -66,6 +68,12 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+def _phase_label(p: Program, stmt_id: int, poly: QuasiPoly, prefix: str) -> str:
+    """The phase with the prefix dropped, token by token, from the statement's iterators."""
+    names = {prefix + it: it for it in p.enclosing_iterators(stmt_id)}
+    return re.sub(r"[A-Za-z_]\w*", lambda m: names.get(m[0], m[0]), str(poly))
+
+
 def build_report(
     source: str,
     p: Program,
@@ -82,12 +90,12 @@ def build_report(
         elif verdict.status == "unknown":
             n_unknown += 1
         if cand.reduction is not None:
-            for stmt_id, poly in (
-                (cand.reduction.rep_u, cand.phi_u),
-                (cand.reduction.rep_v, cand.phi_v),
+            for stmt_id, poly, prefix in (
+                (cand.reduction.rep_u, cand.phi_u, "u_"),
+                (cand.reduction.rep_v, cand.phi_v, "v_"),
             ):
                 key = f"{p.stmt_label(stmt_id)}@clock{cand.reduction.finish_id}"
-                phi_table[key] = "unavailable" if poly is None else str(poly).replace("u_", "").replace("v_", "")
+                phi_table[key] = "unavailable" if poly is None else _phase_label(p, stmt_id, poly, prefix)
         candidates.append(
             {
                 "index": cand.index,

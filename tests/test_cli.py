@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import clockrace
 from clockrace import parse
 from clockrace.cli import main
@@ -69,6 +71,44 @@ def test_analyze_validation_error_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(f))
     assert code == 1
     assert "advance" in err
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        # would read as RaceFree: the parameter u_i is captured by the
+        # instance variable of iterator i, yet S0 at i = 1 reads the A[0]
+        # that S0 at i = 0 writes
+        "param u_i >= 1;\narray A[1];\n"
+        "finish { for (i = 0 : u_i) { async { A[i] = S0(A[0]); } } }\n",
+        # would print the phase as unavailable: a_t is a phase-counting name
+        "param a_t >= 1;\narray A[1];\n"
+        "clocked finish { for (t = 0 : a_t) { advance; }\n"
+        "  clocked async { A[0] = S0(); } A[0] = S1(); }\n",
+    ],
+    ids=["u_i", "a_t"],
+)
+def test_analyze_reserved_parameter_prefix_exit_1(tmp_path, capsys, source):
+    f = tmp_path / "reserved.cx10"
+    f.write_text(source)
+    code, out, err = run(capsys, "analyze", str(f))
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"{f}:1:7: error: parameter ") and "reserved prefix" in line
+
+
+def test_analyze_phase_table_keeps_parameter_names(tmp_path, capsys):
+    # a parameter whose name contains u_ keeps it in the phase table
+    f = tmp_path / "mu.cx10"
+    f.write_text(
+        "param mu_N >= 1;\narray A[1];\n"
+        "clocked finish { for (t = 0 : mu_N) { advance; }\n"
+        "  clocked async { A[0] = S0(); } A[0] = S1(); }\n"
+    )
+    code, out, _ = run(capsys, "analyze", str(f))
+    assert code == 2
+    assert "  phi[S0@clock0] = mu_N+1\n  phi[S1@clock0] = mu_N+1\n" in out
 
 
 def test_analyze_deep_nesting_exit_1(tmp_path, capsys):

@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from clockrace import analyze, explore, parse_poly, race_candidates, race_tests_all_orthants
+from clockrace import analyze, explore, parse, parse_poly, race_candidates, race_tests_all_orthants
 from clockrace.report import build_report
 
 import fuzzgen
@@ -47,6 +47,14 @@ def test_report_digest(name):
     assert h.hexdigest() == GOLDEN[name], report.to_text()
 
 
+# An advance under an unclocked finish inside a clocked async: the root
+# clock steps only once each activity is stuck through that finish.
+STUCK_THROUGH_FINISH = parse(
+    "param N >= 1;\narray A[1];\n"
+    "clocked finish { for (i=0:N-1) { clocked async {\n"
+    "  finish { advance; A[i] = f(); } A[i] = g(); } } advance; A[0] = h(); }\n"
+)
+
 SINGLE_RUNS = {
     "qr/N=6": ("qr", {"N": 6}, 1_000_000),
     # runs cut by the state limit, like "fuzz/0-49,max_states=50"
@@ -67,6 +75,8 @@ def _fact_runs(group):
         return [(p, {"N": n}, int(limit or 1_000_000)) for p in progs for n in (1, 2, 3)]
     if group == "side_by_side_clocks/N=1,2":
         return [(SIDE_BY_SIDE_CLOCKS, {"N": n}, 1_000_000) for n in (1, 2)]
+    if group == "stuck_through_finish/N=1,2,3":
+        return [(STUCK_THROUGH_FINISH, {"N": n}, 1_000_000) for n in (1, 2, 3)]
     name, params, max_states = SINGLE_RUNS[group]
     return [(load(name), params, max_states)]
 
@@ -91,6 +101,8 @@ GOLDEN_FACTS = {
     "qr/N=4,max_states=50": "096c71a586e0b2df5f2ef77740f8dee0ed68197b37783ca18b7dfe9f2dd4588d",
     # two clocks live at once, so a step's counter vector depends on its clock
     "side_by_side_clocks/N=1,2": "4c0195426d83a1c776ced4fd10a917977a9f6e1435eedf8739508df7843cc941",
+    # stuckness through an unclocked finish (7, 19 and 55 states)
+    "stuck_through_finish/N=1,2,3": "ef54f4c78387ae33472cf8e89d481cc85acd77ea9bc5ba926d952d4dbbf31730",
 }
 
 

@@ -49,6 +49,7 @@ def test_comments_and_whitespace_ignored():
         ("param N >= 1;\nadvance;\nadvance;\n", 3),  # trailing input
         ("param N >= 1;\nclocked for (i=0:N) advance;\n", 2),  # clocked neither async nor finish
         ("array A[1];\narray A[2];\n", 2),  # duplicate array
+        ("param N >= 1;\nparam v_x >= 0;\n", 2),  # reserved parameter prefix
     ],
 )
 def test_parse_errors_have_positions(source, line):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from clockrace import analyze, explore, parse, race_candidates
@@ -198,8 +200,10 @@ def test_refuted_affine_point_is_unknown():
     from clockrace.races import _Confirmer, disprove
 
     class NoRaces(_Confirmer):
-        def race_between(self, cand, params):
-            return None
+        def run(self, params):
+            # every instance pair ordered both ways, so none can race
+            res = super().run(params)
+            return dataclasses.replace(res, _hb_forbidden=[0] * len(res.instances))
 
     p = parse(
         "param N >= 1;\narray A[1];\n"
@@ -242,6 +246,22 @@ def test_qr_nonstrict_guard_races():
     hits = [v for _, v in a.candidates if v.status == "witness"]
     assert hits and all(v.confirmed for v in hits)
     assert explore(p, {"N": 2}).races
+
+
+def test_replay_refutes_a_point_whose_own_pair_does_not_race():
+    from clockrace.races import _Confirmer, _gate
+
+    p = _squares()
+    (cand,) = race_candidates(p)
+    confirmer = _Confirmer(p)
+    # at m_x = m_y = 1 the instances x = y = 0 race ...
+    assert confirmer.race_between(cand, {"m_x": 1, "m_y": 1}) is not None
+    # ... but this point's own pair runs at phases 1 and 0; without the
+    # phase check it passes substitution, and only the replay refutes it
+    point = {"m_x": 1, "m_y": 1, "u_x": 1, "u_y": 0, "v_x": 1, "v_y": 0}
+    unphased = dataclasses.replace(cand, reduction=None)
+    assert unphased.system.contains(point)
+    assert _gate(p, unphased, point, "smt", confirmer) is None
 
 
 def test_bounded_confirms_nonlinear_race():
