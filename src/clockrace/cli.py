@@ -32,12 +32,20 @@ EXIT_UNKNOWN = 3
 EXIT_INCOMPLETE = 4
 
 
+def _fail(message: object) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
+
+
 def _load(path: str):
     """The parsed, clock-valid program, or None after printing why not."""
     try:
         program = parse_file(path)
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+        _fail(e)
+        return None
+    except UnicodeDecodeError as e:
+        _fail(f"{path} is not UTF-8 text: {e}")
         return None
     except ParseError as e:
         print(f"{path}:{e.line}:{e.col}: error: {e.message}", file=sys.stderr)
@@ -50,8 +58,7 @@ def _load(path: str):
 
 def _cmd_analyze(args) -> int:
     if args.bound < 0:
-        print(f"error: --bound must be at least 0, got {args.bound}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _fail(f"--bound must be at least 0, got {args.bound}")
     program = _load(args.file)
     if program is None:
         return EXIT_INPUT_ERROR
@@ -59,13 +66,16 @@ def _cmd_analyze(args) -> int:
     analysis = analyze(program, solver_cmd=args.solver_cmd, bound=args.bound)
     timings = {"analysis": time.monotonic() - t0}
     report = build_report(args.file, program, analysis, [], timings)
-    if args.emit_smt:
-        outdir = Path(args.emit_smt)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for k, script in enumerate(analysis.smt_scripts):
-            (outdir / f"race_{k}.smt2").write_text(script)
-    if args.json:
-        Path(args.json).write_text(report.to_json())
+    try:
+        if args.emit_smt:
+            outdir = Path(args.emit_smt)
+            outdir.mkdir(parents=True, exist_ok=True)
+            for k, script in enumerate(analysis.smt_scripts):
+                (outdir / f"race_{k}.smt2").write_text(script)
+        if args.json:
+            Path(args.json).write_text(report.to_json())
+    except OSError as e:
+        return _fail(e)
     print(report.to_text(), end="")
     if analysis.verdict == "PotentialRaces":
         return EXIT_POTENTIAL_RACES
@@ -91,21 +101,18 @@ def _parse_params(pairs, program) -> dict[str, int]:
 
 def _cmd_interpret(args) -> int:
     if args.max_states < 1:
-        print(f"error: --max-states must be at least 1, got {args.max_states}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _fail(f"--max-states must be at least 1, got {args.max_states}")
     program = _load(args.file)
     if program is None:
         return EXIT_INPUT_ERROR
     try:
         params = _parse_params(args.param, program)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _fail(e)
     try:
         res = explore(program, params, max_states=args.max_states)
     except RecursionError:
-        print("error: program nested too deeply to interpret", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _fail("program nested too deeply to interpret")
     print(f"instances: {len(res.instances)}")
     print(f"states explored: {res.state_count}")
     print(f"traces: {res.trace_count}")
@@ -128,8 +135,7 @@ def _cmd_gen_count(args) -> int:
         spec = parse_poly(args.poly)
         program = counting_nest(spec)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _fail(e)
     print(print_program(program), end="")
     return EXIT_OK
 
@@ -143,8 +149,7 @@ def _cmd_gen_race(args) -> int:
         else:
             tests = [race_test(p1, p2)]
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _fail(e)
     for i, t in enumerate(tests):
         signs = " ".join(f"{v}{'+' if s > 0 else '-'}" for v, s in t.signs)
         print(f"// orthant {i}: {signs or '(none)'}")

@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .parser import RESERVED_PREFIXES
 from .phi import QuasiPoly
 from .syntax import (
     AccessRef,
@@ -146,6 +147,9 @@ def counting_nest(spec: QuasiPoly) -> Program:
     """Clocked program whose advance count equals the polynomial."""
     if not _nonneg(spec):
         raise ValueError("counting nests need nonnegative coefficients")
+    for v in spec.variables:
+        if v.startswith(RESERVED_PREFIXES):
+            raise ValueError(f"variable {v!r} uses a reserved prefix u_, v_ or a_")
     stmts = _emit_count(spec, _Fresh())
     root = Finish(clocked=True, body=Seq(body=tuple(stmts)))
     params = tuple((v, 0) for v in spec.variables)

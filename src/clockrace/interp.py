@@ -23,21 +23,26 @@ whose nodes have the same shapes but name their children by integer id; a
 leaf node also carries its instance bit as a fourth field.  A finished
 subterm is the id ``DONE``, which a seq drops and an ``async`` or
 ``finish`` passes up.  Equal terms get equal ids.  The clock counter vector
-of a state (a sorted tuple of (clock, steps taken) pairs) is interned too,
-so a state is ``(term id, counter id)``: two ints, hashed in constant time.
+of a state (a sorted tuple of (clock, steps taken) pairs) is interned too.
 A clock step finds its successor's counter id in a memo keyed by the
 counter id and the clock it advances.  Once the state limit is hit, no
 state is added any more, so the table freezes: it stops adding nodes, and a
 term it lacks is ``UNSEEN``, the term of a new state.
 
-The root ``finish`` is a frame, not a node: a state's term is the id of
-the root finish's body, and ``_Terms.body_steps`` gives the finish's steps
-with the body's successor ids.  A root that is not a finish is the body of
-an unclocked frame.  This is exact because wrapping a body id in a fixed
-finish head is injective and maps ``DONE`` to ``DONE``: body and finish ids
-correspond one to one, with the same successors in the same order, and a
-successor is a new state under one naming exactly when it is under the
-other, so the state limit cuts the same runs at the same edge.
+The root ``finish`` and the top seq of its body are a frame, not nodes: a
+state is ``(elements, counter id)``, where ``elements`` is the flat tuple
+of the root body's element ids, ``(b,)`` for a body ``b`` that is not a seq
+and ``()`` once the body is done.  ``_Terms.frame_steps`` gives the
+finish's steps with the body's next elements; a root that is not a finish
+is the body of an unclocked frame.  This is exact.  Wrapping a body id in
+a fixed finish head is injective and maps ``DONE`` to ``DONE``, and
+hash-consing makes a flat element tuple and its interned body id
+correspond one to one (``_Terms.seq`` of one element is that element, of
+``()`` it is ``DONE``).  So elements and finish ids correspond one to one,
+with the same successors in the same order: the depth-first search adds
+the same states in the same order, and the state limit cuts the same runs
+at the same edge.  Once the table is frozen, elements holding ``UNSEEN``
+are never a state, just as the id ``UNSEEN`` never was.
 
 Scheduling follows the statement classification: the i-th element of a
 sequence may take a step only when every earlier element is asynchronous.
@@ -49,14 +54,16 @@ governing clock across them.
 
 There is one step relation, ``_Terms.steps``: each step names the clock it
 advances (``None`` for a leaf step, which executes one basic statement),
-the bitmask of the instances it fires, and the next term's id.  The steps
-of an ``async`` node are memoized, because an activity's remaining body
-recurs across interleavings; the top seq is new in nearly every state, so
+the bitmask of the instances it fires, and the next term's id.  The seq
+rule lives in ``_Terms.seq_steps`` alone, over flat elements: a seq node,
+a ``finish`` node's body and the root frame all step through it.  The
+steps of an ``async`` node are memoized, because an activity's remaining
+body recurs across interleavings; a seq is new in nearly every state, so
 no other node's steps are kept.
 
 A term other than ``DONE`` is stuck exactly when it has no step, so
-``_Terms.body_steps`` offers a clocked finish's clock step exactly when its
-body is not ``DONE`` and has no step.  By induction on the term: a
+``_Terms.frame_steps`` offers a clocked finish's clock step exactly when
+its body is not done and has no step.  By induction on the term: a
 ``basic`` steps and is not stuck, an ``advance`` has no step and is stuck;
 an ``async`` or unclocked ``finish`` inherits both from its child; a
 clocked ``finish`` is never stuck and always steps, since a body without
@@ -112,6 +119,7 @@ Term = Optional[tuple]
 Instance = tuple[str, int, Env]  # (kind, node_id, env)
 ClockKey = tuple[int, Env]
 Step = tuple[Optional[ClockKey], int, int]  # (clock, fired instance bits, next term id)
+BodyStep = tuple[Optional[ClockKey], int, tuple]  # the same, with the next body's elements
 
 
 def _env_tuple(env: Mapping[str, int], names) -> Env:
@@ -136,24 +144,14 @@ def instantiate(p: Program, params: Mapping[str, int]) -> Term:
         if isinstance(s, Advance):
             return ("advance", s.node_id, _env_tuple(env, iters))
         if isinstance(s, Seq):
-            parts = [build(t, env, iters) for t in s.body]
-            return _mk_seq([t for t in parts if t is not None])
+            return _mk_seq([build(t, env, iters) for t in s.body])
         if isinstance(s, For):
-            full = dict(env)
-            full.update(params)
+            full = {**env, **params}
             lo, hi = s.lo.evaluate(full), s.hi.evaluate(full)
-            parts = []
-            for val in range(lo, hi + 1):
-                env2 = dict(env)
-                env2[s.var] = val
-                t = build(s.body, env2, iters + (s.var,))
-                if t is not None:
-                    parts.append(t)
-            return _mk_seq(parts)
+            inner = iters + (s.var,)
+            return _mk_seq([build(s.body, {**env, s.var: val}, inner) for val in range(lo, hi + 1)])
         if isinstance(s, If):
-            full = dict(env)
-            full.update(params)
-            if all(c.evaluate(full) >= 0 for c in s.conds):
+            if all(c.evaluate({**env, **params}) >= 0 for c in s.conds):
                 return build(s.body, env, iters)
             return None
         if isinstance(s, Async):
@@ -170,14 +168,11 @@ def instantiate(p: Program, params: Mapping[str, int]) -> Term:
 
 
 def _mk_seq(parts: list) -> Term:
+    """The flat seq of the parts that are not empty."""
     flat: list = []
     for t in parts:
-        if t is None:
-            continue
-        if t[0] == "seq":
-            flat.extend(t[1])
-        else:
-            flat.append(t)
+        if t is not None:
+            flat.extend(t[1] if t[0] == "seq" else (t,))
     if not flat:
         return None
     if len(flat) == 1:
@@ -198,10 +193,8 @@ def term_instances(t: Term) -> list[Instance]:
         elif kind == "seq":
             for u in t[1]:
                 walk(u)
-        elif kind == "async":
-            walk(t[1])
-        elif kind == "finish":
-            walk(t[4])
+        elif kind in ("async", "finish"):
+            walk(t[-1])
 
     walk(t)
     return out
@@ -216,10 +209,11 @@ UNSEEN = -2  # a frozen table's answer for a term it lacks
 
 class _Terms:
     """Hash-cons table of the runtime terms of one exploration.  Seq
-    elements are flat: none is a seq or DONE.  A leaf node carries its
-    instance's bit, ``1 << index[instance]``, as a fourth field.  Once
-    frozen, the table only looks terms up, and a term containing UNSEEN is
-    UNSEEN itself."""
+    elements are flat: none is a seq or DONE.  ``steps`` steps a node, and
+    ``seq_steps`` and ``frame_steps`` a body given by its elements.  A leaf
+    node carries its instance's bit, ``1 << index[instance]``, as a fourth
+    field.  Once frozen, the table only looks terms up, and a term
+    containing UNSEEN is UNSEEN itself."""
 
     def __init__(self, index: Mapping[Instance, int]) -> None:
         self.index = index
@@ -257,6 +251,13 @@ class _Terms:
             return elems[0]
         return self.node(("seq", elems))
 
+    def elements(self, t: int) -> tuple:
+        """The flat elements of body ``t``: a seq's own, ``()`` for DONE."""
+        if t == DONE:
+            return ()
+        node = self.nodes[t]
+        return node[1] if node[0] == "seq" else (t,)
+
     def yield_term(self, t: int) -> tuple[int, int]:
         """Consume the front advances of a stuck term, one without steps (a
         clock step): the consumed advances' bits, and the id of the rest."""
@@ -264,24 +265,26 @@ class _Terms:
         kind = node[0]
         if kind == "advance":
             return node[3], DONE
-        if kind == "async":
-            fired, c = self.yield_term(node[1])
-            return fired, self.wrap(node[:1], c)
-        if kind == "finish":
-            assert not node[1], "clock step reached a nested clocked finish"
-            fired, c = self.yield_term(node[4])
-            return fired, self.wrap(node[:4], c)
+        if kind in ("async", "finish"):
+            assert kind == "async" or not node[1], "clock step reached a nested clocked finish"
+            fired, c = self.yield_term(node[-1])
+            return fired, self.wrap(node[:-1], c)
         if kind == "seq":
-            fired = 0
-            parts: tuple = ()
-            for i, u in enumerate(node[1]):
-                f, nu = self.yield_term(u)
-                fired |= f
-                parts += () if nu == DONE else (nu,)
-                if self.nodes[u][0] != "async":  # the elements after it wait
-                    return fired, self.seq(parts + node[1][i + 1 :])
-            return fired, self.seq(parts)
+            fired, rest = self.yield_seq(node[1])
+            return fired, self.seq(rest)
         raise AssertionError(f"yield reached a term with steps: {node!r}")
+
+    def yield_seq(self, elems: tuple) -> tuple[int, tuple]:
+        """``yield_term`` of a stuck body given by its elements."""
+        fired = 0
+        parts: tuple = ()
+        for i, u in enumerate(elems):
+            f, nu = self.yield_term(u)
+            fired |= f
+            parts += () if nu == DONE else (nu,)
+            if self.nodes[u][0] != "async":  # the elements after it wait
+                return fired, parts + elems[i + 1 :]
+        return fired, parts
 
     def steps(self, t: int) -> list[Step]:
         """All enabled steps: (clock, fired instance bits, next term id).  A
@@ -299,23 +302,20 @@ class _Terms:
         if kind == "async":
             out = self.async_steps.get(t)
             if out is None:
-                out = self.async_steps[t] = [
-                    (key, fired, self.wrap(node[:1], nt))
-                    for key, fired, nt in self.steps(node[1])
-                ]
+                inner = self.steps(node[1])
+                out = self.async_steps[t] = [(k, f, self.wrap(node[:1], nt)) for k, f, nt in inner]
             return out
         if kind == "finish":
-            head = node[:4]
-            return [
-                (key, fired, self.wrap(head, nt))
-                for key, fired, nt in self.body_steps(node[1], (node[2], node[3]), node[4])
-            ]
-        # An element only ever becomes one of its own kind or DONE, so the
-        # result stays flat without re-scanning the other elements.  A seq
-        # has at least two elements, so it leaves one only when one of two
-        # is DONE.
-        nodes, async_steps, intern = self.nodes, self.async_steps, self.node
-        elems = node[1]
+            frame = self.frame_steps(node[1], (node[2], node[3]), self.elements(node[4]))
+            return [(k, f, self.wrap(node[:4], self.seq(rest))) for k, f, rest in frame]
+        return [(k, f, self.seq(rest)) for k, f, rest in self.seq_steps(node[1])]
+
+    def seq_steps(self, elems: tuple) -> list[BodyStep]:
+        """The steps of flat elements run in sequence: element i steps only
+        when every earlier element is async.  An element only ever becomes
+        one of its own kind or DONE, which is dropped, so the next elements
+        stay flat without re-scanning the others."""
+        nodes, async_steps = self.nodes, self.async_steps
         out = []
         for i, u in enumerate(elems):
             is_async = nodes[u][0] == "async"
@@ -325,32 +325,27 @@ class _Terms:
             if inner:
                 head, tail = elems[:i], elems[i + 1 :]
                 for key, fired, nu in inner:
-                    if nu != DONE:
-                        nt = intern(("seq", head + (nu,) + tail))
-                    elif len(elems) == 2:
-                        nt = elems[1 - i]
-                    else:
-                        nt = intern(("seq", head + tail))
-                    out.append((key, fired, nt))
+                    out.append((key, fired, head + tail if nu == DONE else head + (nu,) + tail))
             if not is_async:
                 break
         return out
 
-    def body_steps(self, clocked: bool, clock: Optional[ClockKey], body: int) -> list[Step]:
-        """The steps of a finish around ``body``, naming the body's next id:
-        the body's own steps or, when the finish is clocked and its body is
-        stuck (see the module doc), one step of the finish's clock."""
-        out = self.steps(body)
-        if clocked and not out and body != DONE:
-            fired, nt = self.yield_term(body)
-            return [(clock, fired, nt)]
+    def frame_steps(self, clocked: bool, clock: Optional[ClockKey], elems: tuple) -> list[BodyStep]:
+        """The steps of a finish around the body with flat elements
+        ``elems``, naming the body's next elements: the body's own steps
+        or, when the finish is clocked and its body is stuck (see the
+        module doc), one step of the finish's clock."""
+        out = self.seq_steps(elems)
+        if clocked and not out and elems:
+            fired, rest = self.yield_seq(elems)
+            return [(clock, fired, rest)]
         return out
 
 
 # ---------------------------------------------------------------------------
 # State-space exploration
 
-State = tuple[int, int]  # (id of the root frame's body, clock counter vector id)
+State = tuple[tuple[int, ...], int]  # (the root body's elements, clock counter vector id)
 Counters = tuple[tuple[ClockKey, int], ...]
 
 
@@ -392,21 +387,21 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
     index = {inst: i for i, inst in enumerate(instances)}
     n = len(instances)
 
-    # The root finish is a frame: a state holds the id of its body, never of
-    # the finish itself (see the module doc).  Any other root is the body of
-    # an unclocked frame.
+    # The root finish is a frame: a state holds the elements of its body,
+    # never an id of the body or the finish (see the module doc).  Any other
+    # root is the body of an unclocked frame.
     if t0 is not None and t0[0] == "finish":
         _, clocked, node_id, env, body = t0
         clock: Optional[ClockKey] = (node_id, env)
     else:
         clocked, clock, body = False, None, t0
     terms = _Terms(index)
-    body_steps = terms.body_steps
+    frame_steps = terms.frame_steps
     counters: list[Counters] = [()]  # counter id -> clock counter vector
     counter_ids: dict[Counters, int] = {(): 0}
     ticked: dict[tuple[int, ClockKey], int] = {}  # (counter id, clock) -> successor id
     fired_at = [0]  # per counter id: instances fired in some state with it
-    initial: State = (terms.intern(body), 0)
+    initial: State = (terms.elements(terms.intern(body)), 0)
     ids: dict[State, int] = {initial: 0}
     order: list[State] = [initial]
     present: list[int] = [(1 << n) - 1]  # per state: bitmask of pending instances
@@ -417,13 +412,13 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
     stack = [0]
     while stack:
         sid = stack.pop()
-        term, cid = order[sid]
+        elems, cid = order[sid]
         fired_here = 0
         out: list[int] = []
-        for key, fired, nt in body_steps(clocked, clock, term):
+        for key, fired, rest in frame_steps(clocked, clock, elems):
             fired_here |= fired
             if key is None:
-                state = (nt, cid)
+                state = (rest, cid)
             else:
                 next_cid = ticked.get((cid, key))
                 if next_cid is None:
@@ -436,7 +431,7 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
                         counters.append(vector)
                         fired_at.append(0)
                     ticked[cid, key] = next_cid
-                state = (nt, next_cid)
+                state = (rest, next_cid)
             tid = ids.get(state)
             if tid is None:
                 if len(ids) >= max_states:
@@ -469,7 +464,7 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
         kids = succs[sid]
         if kids:
             paths[sid] = sum(map(paths.__getitem__, kids))
-        elif order[sid][0] == DONE:
+        elif not order[sid][0]:
             paths[sid] = 1
         else:
             terminated = False

@@ -125,6 +125,33 @@ def test_analyze_missing_file_exit_1(capsys):
     assert code == 1 and err
 
 
+def test_analyze_non_utf8_file_exit_1(tmp_path, capsys):
+    f = tmp_path / "latin1.cx10"
+    f.write_bytes("param N >= 1; // caf\xe9\n".encode("latin-1"))
+    code, out, err = run(capsys, "analyze", str(f))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {f} is not UTF-8 text: ") and err.count("\n") == 1
+
+
+def test_analyze_json_into_missing_directory_exit_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "analyze", str(corpus_path("jacobi")), "--json", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_analyze_emit_smt_onto_a_file_exit_1(tmp_path, capsys):
+    existing = tmp_path / "smt"
+    existing.write_text("keep")
+    code, out, err = run(
+        capsys, "analyze", str(corpus_path("gauss_seidel")), "--emit-smt", str(existing)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert existing.read_text() == "keep"
+
+
 def test_analyze_json_is_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -269,6 +296,13 @@ def test_gen_count_output_reparses(capsys):
 def test_gen_count_bad_poly_exit_1(capsys):
     code, _, err = run(capsys, "gen-count", "--poly", "x^")
     assert code == 1 and err
+
+
+def test_gen_count_reserved_variable_exit_1(capsys):
+    # the variable would become a parameter that analyze refuses
+    code, out, err = run(capsys, "gen-count", "--poly", "u_x^2+1")
+    assert code == 1 and out == ""
+    assert err == "error: variable 'u_x' uses a reserved prefix u_, v_ or a_\n"
 
 
 def test_gen_race_output_reparses(capsys):

@@ -66,6 +66,13 @@ def test_counting_nest_rejects_negative_coefficients():
         counting_nest(parse_poly("x - 1"))
 
 
+@pytest.mark.parametrize("poly", ["u_x^2+1", "x*v_y", "a_0+2"])
+def test_counting_nest_rejects_reserved_variables(poly):
+    # its variables become parameters, which may not use the analysis' prefixes
+    with pytest.raises(ValueError, match="reserved prefix"):
+        counting_nest(parse_poly(poly))
+
+
 def test_counting_nest_runs_to_completion():
     p = counting_nest(parse_poly("x^2"))
     res = explore(p, {"x": 3})

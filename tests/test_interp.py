@@ -334,6 +334,10 @@ ROOT_SHAPES = {
         "clocked finish { for (i=0:N-1) { clocked async { advance; A[i] = f(); } }\n"
         "  A[0] = g(); advance; A[0] = h(); }\n"
     ),
+    "a root that is empty at N = 1": "for (i=1:N-1) { async { A[i] = f(); } }\n",
+    "a statement before asyncs at the root": (
+        "{ A[0] = g(); for (i=0:N-1) { async { A[i] = f(); } } }\n"
+    ),
 }
 
 
@@ -344,3 +348,20 @@ def test_explore_matches_paths_on_root_shapes(source):
     p = parse("param N >= 1;\narray A[1];\n" + source)
     for n in (1, 2):
         assert _check_against_paths(p, {"N": n})
+
+
+# (states, traces) at N = 1, 2, 3 on the frame's edges: a body that is done
+# from the start, and a first element that blocks the asyncs after it.
+FRAME_EDGE_COUNTS = {
+    "a root that is empty at N = 1": ([1, 2, 4], [1, 1, 2]),
+    "a statement before asyncs at the root": ([3, 5, 9], [1, 2, 6]),
+}
+
+
+@pytest.mark.parametrize("shape", FRAME_EDGE_COUNTS)
+def test_frame_edge_counts(shape):
+    p = parse("param N >= 1;\narray A[1];\n" + ROOT_SHAPES[shape])
+    runs = [explore(p, {"N": n}) for n in (1, 2, 3)]
+    counts = ([r.state_count for r in runs], [r.trace_count for r in runs])
+    assert counts == FRAME_EDGE_COUNTS[shape]
+    assert _check_against_paths(p, {"N": 3})
