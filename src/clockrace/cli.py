@@ -111,6 +111,8 @@ def _cmd_interpret(args) -> int:
         return _fail(e)
     try:
         res = explore(program, params, max_states=args.max_states)
+    except MemoryError:
+        return _fail("out of memory")
     except RecursionError:
         return _fail("program nested too deeply to interpret")
     print(f"instances: {len(res.instances)}")

@@ -71,15 +71,14 @@ steps is stuck and so gives it the clock step; a seq is stuck iff every
 element up to and including the first non-``async`` one is stuck, which
 holds iff none of them has a step, that is iff the seq has none.
 
-Exploration keeps, for every state, the bitmask of instances still pending;
-a successor's mask is its parent's with the fired bits cleared.  The mask
-depends only on the term, so it is the same along every path that reaches
-a state.  hb(u, v) fails iff some reached state has v done and u pending.
-Those masks are collected on discovery edges only: masks shrink along
-edges, and each state's discovery edge either fires v or leaves a
-predecessor, itself reached that way, in which v was already done and whose
-mask contains the state's.  This holds for runs cut by the state limit too,
-since only the states they added count.
+A state's bitmask of pending instances is its parent's with the fired bits
+cleared.  The mask depends only on the term, so it is the same along every
+path that reaches a state.  hb(u, v) fails iff some reached state has v
+done and u pending.  Those masks are collected on discovery edges only:
+masks shrink along edges, and each state's discovery edge either fires v
+or leaves a predecessor, itself reached that way, in which v was already
+done and whose mask contains the state's.  This holds for runs cut by the
+state limit too, since only the states they added count.
 
 The phases of an instance are the counter vectors of the states from which
 some step fires it, including steps to states that a cut run did not add.
@@ -89,16 +88,31 @@ per-instance sets are read off those masks once at the end: an instance
 gets a vector exactly when some edge out of a state with that vector fires
 it.
 
-Traces are counted in one pass over the states in ascending order of their
-pending-instance count.  Every step fires at least one pending instance (a
-leaf step its basic instance, a clock step the front advances of a stuck
-body, of which there is at least one), so the count drops strictly along
-every edge and a state comes after all of its successors: the order is a
-reverse topological order of the acyclic state graph.
+Per state, exploration keeps only what a later pass reads.  A state's
+elements are its key in the table of its counter id (one dict per counter
+vector, elements -> state id), so an edge hashes only its successor's
+elements.  Its pending mask rides on the depth-first stack with it, and
+only its pending count is kept.  Each state is expanded once, so its
+successor ids go into one flat array, and two per-state arrays hold its
+span there.  The tables, and the element tuples with them, are freed
+before traces are counted.
+
+Traces are counted in one pass over the successor spans, taking the states
+in ascending order of their pending-instance count.  Every step fires at
+least one pending instance (a leaf step its basic instance, a clock step
+the front advances of a stuck body, of which there is at least one), so
+the count drops strictly along every edge and a state comes after all of
+its successors: the order is a reverse topological order of the acyclic
+state graph.  A state without successors ends a trace exactly when it has
+no pending instance.  That is the test for a done body: instances are the
+leaves of the term, a leaf leaves the term only when it fires, and a term
+without leaves is ``DONE``, since a seq of no elements is ``DONE`` and an
+``async`` or ``finish`` passes ``DONE`` up.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -345,7 +359,6 @@ class _Terms:
 # ---------------------------------------------------------------------------
 # State-space exploration
 
-State = tuple[tuple[int, ...], int]  # (the root body's elements, clock counter vector id)
 Counters = tuple[tuple[ClockKey, int], ...]
 
 
@@ -401,25 +414,25 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
     counter_ids: dict[Counters, int] = {(): 0}
     ticked: dict[tuple[int, ClockKey], int] = {}  # (counter id, clock) -> successor id
     fired_at = [0]  # per counter id: instances fired in some state with it
-    initial: State = (terms.elements(terms.intern(body)), 0)
-    ids: dict[State, int] = {initial: 0}
-    order: list[State] = [initial]
-    present: list[int] = [(1 << n) - 1]  # per state: bitmask of pending instances
-    succs: list[Optional[list[int]]] = [None]
+    initial = terms.elements(terms.intern(body))
+    tables: list[dict[tuple, int]] = [{initial: 0}]  # per counter id: elements -> state id
+    pending = array("q", [n])  # per state: number of pending instances
+    succ_start = array("q", [0])  # per state: its span of succ_ids
+    succ_stop = array("q", [0])
+    succ_ids = array("q")  # successor state ids, one span per state
     forbidden = [0] * n  # per instance v: instances pending in some state with v done
     incomplete = False
 
-    stack = [0]
+    # a stack entry: (state id, elements, counter id, pending mask)
+    stack = [(0, initial, 0, (1 << n) - 1)]
     while stack:
-        sid = stack.pop()
-        elems, cid = order[sid]
+        sid, elems, cid, mask = stack.pop()
         fired_here = 0
-        out: list[int] = []
+        succ_start[sid] = len(succ_ids)
         for key, fired, rest in frame_steps(clocked, clock, elems):
             fired_here |= fired
-            if key is None:
-                state = (rest, cid)
-            else:
+            next_cid = cid
+            if key is not None:
                 next_cid = ticked.get((cid, key))
                 if next_cid is None:
                     counter_map = dict(counters[cid])
@@ -430,25 +443,26 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
                         next_cid = counter_ids[vector] = len(counters)
                         counters.append(vector)
                         fired_at.append(0)
+                        tables.append({})
                     ticked[cid, key] = next_cid
-                state = (rest, next_cid)
-            tid = ids.get(state)
+            table = tables[next_cid]
+            tid = table.get(rest)
             if tid is None:
-                if len(ids) >= max_states:
+                if len(pending) >= max_states:
                     incomplete = terms.frozen = True  # see the module doc
                     continue
-                tid = len(order)
-                ids[state] = tid
-                order.append(state)
-                mask = present[sid] & ~fired
-                present.append(mask)
-                succs.append(None)
-                stack.append(tid)
+                tid = table[rest] = len(pending)
+                next_mask = mask & ~fired
+                pending.append(next_mask.bit_count())
+                succ_start.append(0)
+                succ_stop.append(0)
+                stack.append((tid, rest, next_cid, next_mask))
                 for i in _bits(fired):  # on discovery edges only: see the module doc
-                    forbidden[i] |= mask
-            out.append(tid)
+                    forbidden[i] |= next_mask
+            succ_ids.append(tid)
         fired_at[cid] |= fired_here
-        succs[sid] = out
+        succ_stop[sid] = len(succ_ids)
+    del tables, terms, frame_steps  # the element tuples and the nodes they name
 
     phases: dict[Instance, set[Counters]] = {}
     for cid, fired in enumerate(fired_at):
@@ -457,14 +471,14 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
 
     # Trace counting / termination, each state after its successors: see
     # the module doc.
-    pending = list(map(int.bit_count, present))
-    paths = [0] * len(order)
+    state_count = len(pending)
+    paths = [0] * state_count
     terminated = True
-    for sid in sorted(range(len(order)), key=pending.__getitem__):
-        kids = succs[sid]
-        if kids:
-            paths[sid] = sum(map(paths.__getitem__, kids))
-        elif not order[sid][0]:
+    for sid in sorted(range(state_count), key=pending.__getitem__):
+        start, stop = succ_start[sid], succ_stop[sid]
+        if start < stop:
+            paths[sid] = sum(map(paths.__getitem__, succ_ids[start:stop]))
+        elif not pending[sid]:
             paths[sid] = 1
         else:
             terminated = False
@@ -475,7 +489,7 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
     result = ExploreResult(
         instances=instances,
         index=index,
-        state_count=len(order),
+        state_count=state_count,
         trace_count=trace_count,
         terminated=terminated,
         incomplete=incomplete,

@@ -238,6 +238,18 @@ def test_interpret_deep_nesting_exit_1(tmp_path, capsys):
     assert err == "error: program nested too deeply to interpret\n"
 
 
+def test_interpret_out_of_memory_exit_1(monkeypatch, capsys):
+    # an exploration that runs out of memory ends in one error line, as in
+    # the bounded tier; the failure is simulated rather than provoked
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(clockrace.cli, "explore", exhausted)
+    code, out, err = run(capsys, "interpret", str(corpus_path("qr")), "--param", "N=2")
+    assert code == 1 and out == ""
+    assert err == "error: out of memory\n"
+
+
 def test_interpret_param_below_bound_exit_1(capsys):
     code, out, err = run(capsys, "interpret", str(corpus_path("qr")), "--param", "N=-5")
     assert code == 1 and out == ""

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import pytest
 
 from clockrace import dynamic_phi, explore, instantiate, parse
-from clockrace.interp import DONE, _Terms, term_instances
+from clockrace.interp import _Terms, term_instances
 
 import fuzzgen
 from conftest import CORPUS_NAMES, SIDE_BY_SIDE_CLOCKS, load
@@ -193,6 +195,29 @@ def test_state_limit_sets_incomplete():
     assert not res.terminated
 
 
+def test_explore_memory_per_state():
+    # explore keeps per state only its key, its pending count and its
+    # successor span; tracemalloc counts bytes, it does not time anything
+    p = load("qr")
+    tracemalloc.start()
+    try:
+        res = explore(p, {"N": 7})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / res.state_count < 400
+
+
+def test_stuck_root_is_not_a_trace():
+    # an advance outside any clocked finish never steps: the one state has
+    # pending instances and no successor, and no state limit cut it
+    p = parse("param N >= 1;\narray A[1];\n{ advance; A[0] = f(); }\n")
+    res = explore(p, {"N": 1})
+    assert (res.state_count, res.trace_count) == (1, 0)
+    assert not res.terminated
+    assert not res.incomplete
+
+
 def test_hb_is_a_strict_partial_order_on_basics():
     # advances consumed by the same clock transition fire simultaneously,
     # so antisymmetry is only meaningful for individually stepped leaves
@@ -230,16 +255,59 @@ def test_clock_instances_in_a_loop_are_distinct():
 ORACLE_MAX_PATHS = 500
 
 
+def _oracle_seq(parts):
+    """The flat seq of the parts that are not empty."""
+    flat = [e for t in parts if t is not None for e in (t[1] if t[0] == "seq" else (t,))]
+    return None if not flat else flat[0] if len(flat) == 1 else ("seq", tuple(flat))
+
+
+def _oracle_front(elems):
+    """Which elements of a seq may step: those after asyncs only."""
+    return [all(e[0] == "async" for e in elems[:i]) for i in range(len(elems))]
+
+
+def _oracle_yield(t):
+    """Consume the front advances of a stuck term: (fired, rest)."""
+    if t[0] == "advance":
+        return (t,), None
+    if t[0] == "seq":
+        ys = [_oracle_yield(u) if front else ((), u) for u, front in zip(t[1], _oracle_front(t[1]))]
+        return sum((f for f, _ in ys), ()), _oracle_seq([r for _, r in ys])
+    fired, rest = _oracle_yield(t[-1])  # an async or an unclocked finish
+    return fired, None if rest is None else t[:-1] + (rest,)
+
+
+def _oracle_steps(t):
+    """The steps of an instantiated term as (clock, fired instances, next
+    term), stepped afresh over the nested tuples rather than by _Terms."""
+    if t is None or t[0] == "advance":
+        return []
+    if t[0] == "basic":
+        return [(None, (t,), None)]
+    if t[0] == "seq":
+        elems = t[1]
+        return [
+            (key, fired, _oracle_seq(elems[:i] + (nu,) + elems[i + 1 :]))
+            for i, (u, front) in enumerate(zip(elems, _oracle_front(elems)))
+            if front
+            for key, fired, nu in _oracle_steps(u)
+        ]
+    out = _oracle_steps(t[-1])
+    if t[0] == "finish" and t[1] and not out:  # a clocked finish around a stuck body
+        fired, rest = _oracle_yield(t[-1])
+        out = [((t[2], t[3]), fired, rest)]
+    return [(key, fired, None if nt is None else t[:-1] + (nt,)) for key, fired, nt in out]
+
+
 def _maximal_paths(t, limit):
-    """Every maximal path of the step relation from term t, as (last term
-    id, firings): firings maps each fired instance to (step number, clock
-    counters before the step).  None when there are more than `limit`
-    paths."""
-    terms, t, instances = interned(t)
+    """Every maximal path of the step relation from the instantiated term
+    t, as (last term, firings): firings maps each fired instance to (step
+    number, clock counters before the step).  None when there are more
+    than `limit` paths."""
     paths = []
 
     def walk(t, counters, fired, depth):
-        enabled = decoded_steps(terms, instances, t)
+        enabled = _oracle_steps(t)
         if not enabled:
             paths.append((t, dict(fired)))
             return len(paths) <= limit
@@ -268,8 +336,8 @@ def _check_against_paths(p, params) -> bool:
     if paths is None:
         return False
     res = explore(p, params)
-    assert res.trace_count == sum(last == DONE for last, _ in paths)
-    assert res.terminated == all(last == DONE for last, _ in paths)
+    assert res.trace_count == sum(last is None for last, _ in paths)
+    assert res.terminated == all(last is None for last, _ in paths)
     # hb(u, v): on every path, once v has fired u has fired too (advances
     # consumed by one clock step fire together)
     n = len(res.instances)
