@@ -85,11 +85,16 @@ def _cmd_analyze(args) -> int:
 
 
 def _parse_params(pairs, program) -> dict[str, int]:
+    declared = {name for name, _ in program.params}
     out = {}
     for item in pairs or ():
         name, _, value = item.partition("=")
         if not _ or not name or not re.fullmatch("-?[0-9]+", value):
             raise ValueError(f"bad --param {item!r}, expected NAME=INT")
+        if name not in declared:
+            raise ValueError(f"--param {item!r}: the program has no parameter {name}")
+        if name in out:
+            raise ValueError(f"--param {name} given more than once")
         out[name] = int(value)
     for name, lb in program.params:
         if name not in out:

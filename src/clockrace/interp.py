@@ -25,9 +25,7 @@ subterm is the id ``DONE``, which a seq drops and an ``async`` or
 ``finish`` passes up.  Equal terms get equal ids.  The clock counter vector
 of a state (a sorted tuple of (clock, steps taken) pairs) is interned too.
 A clock step finds its successor's counter id in a memo keyed by the
-counter id and the clock it advances.  Once the state limit is hit, no
-state is added any more, so the table freezes: it stops adding nodes, and a
-term it lacks is ``UNSEEN``, the term of a new state.
+counter id and the clock it advances.
 
 The root ``finish`` and the top seq of its body are a frame, not nodes: a
 state is ``(elements, counter id)``, where ``elements`` is the flat tuple
@@ -41,8 +39,7 @@ correspond one to one (``_Terms.seq`` of one element is that element, of
 ``()`` it is ``DONE``).  So elements and finish ids correspond one to one,
 with the same successors in the same order: the depth-first search adds
 the same states in the same order, and the state limit cuts the same runs
-at the same edge.  Once the table is frozen, elements holding ``UNSEEN``
-are never a state, just as the id ``UNSEEN`` never was.
+at the same edge.
 
 Scheduling follows the statement classification: the i-th element of a
 sequence may take a step only when every earlier element is asynchronous.
@@ -83,36 +80,38 @@ state limit too, since only the states they added count.
 The phases of an instance are the counter vectors of the states from which
 some step fires it, including steps to states that a cut run did not add.
 That relation only pairs a counter id with fired bits, so exploration ORs
-each explored state's fired bits into one mask per counter id, and the
-per-instance sets are read off those masks once at the end: an instance
-gets a vector exactly when some edge out of a state with that vector fires
-it.
+the bits each step fires into one mask per counter id, that of the state
+the step leaves, and the per-instance sets are read off those masks once at
+the end: an instance gets a vector exactly when some edge out of a state
+with that vector fires it.
 
-Per state, exploration keeps only what a later pass reads.  A state's
-elements are its key in the table of its counter id (one dict per counter
-vector, elements -> state id), so an edge hashes only its successor's
-elements.  Its pending mask rides on the depth-first stack with it, and
-only its pending count is kept.  Each state is expanded once, so its
-successor ids go into one flat array, and two per-state arrays hold its
-span there.  The tables, and the element tuples with them, are freed
-before traces are counted.
+Exploration is one depth-first search.  A state's elements are its key in
+the table of its counter id (one dict per counter vector, elements ->
+trace count), so an edge hashes only its successor's elements, and its
+pending mask rides on the stack with it.  The state graph is acyclic:
+every step fires at least one pending instance (a leaf step its basic
+instance, a clock step the front advances of a stuck body, of which there
+is at least one), so the pending mask shrinks strictly along every edge.
+The stack is a path of the graph, so a state seen before is not on it, or
+it would reach itself: it has left the stack, and its count, written into
+its table as it left, is final.  A state's count is the sum of its
+successors' counts, or 1 when the state ends a trace.  A state without
+steps ends a trace exactly when it has no pending instance.  That is the
+test for a done body: instances are the leaves of the term, a leaf leaves
+the term only when it fires, and a term without leaves is ``DONE``, since
+a seq of no elements is ``DONE`` and an ``async`` or ``finish`` passes
+``DONE`` up.  A complete run terminates iff no state counts 0: a state
+without steps that has a pending instance counts 0, and every path from a
+state that counts 0 ends in such a state.
 
-Traces are counted in one pass over the successor spans, taking the states
-in ascending order of their pending-instance count.  Every step fires at
-least one pending instance (a leaf step its basic instance, a clock step
-the front advances of a stuck body, of which there is at least one), so
-the count drops strictly along every edge and a state comes after all of
-its successors: the order is a reverse topological order of the acyclic
-state graph.  A state without successors ends a trace exactly when it has
-no pending instance.  That is the test for a done body: instances are the
-leaves of the term, a leaf leaves the term only when it fires, and a term
-without leaves is ``DONE``, since a seq of no elements is ``DONE`` and an
-``async`` or ``finish`` passes ``DONE`` up.
+A state's steps are computed when it is added.  Once the state limit is
+hit, the search adds no state: it only finishes the step iterators it
+holds, so it computes no step of a new term.  A cut run counts the traces
+through the states it added only.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -218,7 +217,6 @@ def term_instances(t: Term) -> list[Instance]:
 # One-step semantics, over interned terms
 
 DONE = -1  # the id of a finished subterm
-UNSEEN = -2  # a frozen table's answer for a term it lacks
 
 
 class _Terms:
@@ -226,21 +224,18 @@ class _Terms:
     elements are flat: none is a seq or DONE.  ``steps`` steps a node, and
     ``seq_steps`` and ``frame_steps`` a body given by its elements.  A leaf
     node carries its instance's bit, ``1 << index[instance]``, as a fourth
-    field.  Once frozen, the table only looks terms up, and a term
-    containing UNSEEN is UNSEEN itself."""
+    field.  Nodes are only ever added, so an id names one term for the
+    whole exploration."""
 
     def __init__(self, index: Mapping[Instance, int]) -> None:
         self.index = index
         self.nodes: list[tuple] = []
         self.ids: dict[tuple, int] = {}
         self.async_steps: dict[int, list[Step]] = {}
-        self.frozen = False
 
     def node(self, t: tuple) -> int:
         tid = self.ids.get(t)
         if tid is None:
-            if self.frozen:
-                return UNSEEN
             tid = self.ids[t] = len(self.nodes)
             self.nodes.append(t)
         return tid
@@ -415,22 +410,24 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
     ticked: dict[tuple[int, ClockKey], int] = {}  # (counter id, clock) -> successor id
     fired_at = [0]  # per counter id: instances fired in some state with it
     initial = terms.elements(terms.intern(body))
-    tables: list[dict[tuple, int]] = [{initial: 0}]  # per counter id: elements -> state id
-    pending = array("q", [n])  # per state: number of pending instances
-    succ_start = array("q", [0])  # per state: its span of succ_ids
-    succ_stop = array("q", [0])
-    succ_ids = array("q")  # successor state ids, one span per state
+    tables: list[dict[tuple, int]] = [{initial: 0}]  # per counter id: elements -> trace count
     forbidden = [0] * n  # per instance v: instances pending in some state with v done
+    state_count = 1
+    terminated = True
     incomplete = False
 
-    # a stack entry: (state id, elements, counter id, pending mask)
-    stack = [(0, initial, 0, (1 << n) - 1)]
+    # A stack entry: (table, elements, counter id, pending mask, iterator
+    # over the state's steps).  `found` holds the traces found so far from
+    # the top entry, counts[i] those from entry i below it.  A state seen
+    # before has left the stack, so its table value is final (see the
+    # module doc).
+    stack = [(tables[0], initial, 0, (1 << n) - 1, iter(frame_steps(clocked, clock, initial)))]
+    found = 0
+    counts = []
     while stack:
-        sid, elems, cid, mask = stack.pop()
-        fired_here = 0
-        succ_start[sid] = len(succ_ids)
-        for key, fired, rest in frame_steps(clocked, clock, elems):
-            fired_here |= fired
+        table, elems, cid, mask, steps = stack[-1]
+        for key, fired, rest in steps:
+            fired_at[cid] |= fired
             next_cid = cid
             if key is not None:
                 next_cid = ticked.get((cid, key))
@@ -445,46 +442,40 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
                         fired_at.append(0)
                         tables.append({})
                     ticked[cid, key] = next_cid
-            table = tables[next_cid]
-            tid = table.get(rest)
-            if tid is None:
-                if len(pending) >= max_states:
-                    incomplete = terms.frozen = True  # see the module doc
+            next_table = tables[next_cid]
+            count = next_table.get(rest)
+            if count is None:
+                if state_count >= max_states:
+                    incomplete = True
                     continue
-                tid = table[rest] = len(pending)
+                state_count += 1
+                next_table[rest] = 0  # never read before the state leaves the stack
                 next_mask = mask & ~fired
-                pending.append(next_mask.bit_count())
-                succ_start.append(0)
-                succ_stop.append(0)
-                stack.append((tid, rest, next_cid, next_mask))
                 for i in _bits(fired):  # on discovery edges only: see the module doc
                     forbidden[i] |= next_mask
-            succ_ids.append(tid)
-        fired_at[cid] |= fired_here
-        succ_stop[sid] = len(succ_ids)
-    del tables, terms, frame_steps  # the element tuples and the nodes they name
+                next_steps = iter(frame_steps(clocked, clock, rest))
+                stack.append((next_table, rest, next_cid, next_mask, next_steps))
+                counts.append(found)
+                found = 0
+                break
+            found += count
+        else:  # no steps left
+            stack.pop()
+            if not mask:  # the body is done: a trace ends here
+                found = 1
+            elif not found:  # a stuck state, or only paths to one
+                terminated = False
+            table[elems] = found
+            if counts:
+                found += counts.pop()
+    trace_count = tables[0][initial]
+    if incomplete:
+        terminated = False
 
     phases: dict[Instance, set[Counters]] = {}
     for cid, fired in enumerate(fired_at):
         for i in _bits(fired):
             phases.setdefault(instances[i], set()).add(counters[cid])
-
-    # Trace counting / termination, each state after its successors: see
-    # the module doc.
-    state_count = len(pending)
-    paths = [0] * state_count
-    terminated = True
-    for sid in sorted(range(state_count), key=pending.__getitem__):
-        start, stop = succ_start[sid], succ_stop[sid]
-        if start < stop:
-            paths[sid] = sum(map(paths.__getitem__, succ_ids[start:stop]))
-        elif not pending[sid]:
-            paths[sid] = 1
-        else:
-            terminated = False
-    trace_count = paths[0]
-    if incomplete:
-        terminated = False
 
     result = ExploreResult(
         instances=instances,

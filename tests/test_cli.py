@@ -294,6 +294,22 @@ def test_interpret_bad_param_value_exit_1(capsys):
         assert err == f"error: bad --param 'N={value}', expected NAME=INT\n"
 
 
+def test_interpret_undeclared_param_exit_1(capsys):
+    code, out, err = run(
+        capsys, "interpret", str(corpus_path("qr")), "--param", "N=2", "--param", "Q=1"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: --param 'Q=1': the program has no parameter Q\n"
+
+
+def test_interpret_repeated_param_exit_1(capsys):
+    code, out, err = run(
+        capsys, "interpret", str(corpus_path("qr")), "--param", "N=2", "--param", "N=3"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: --param N given more than once\n"
+
+
 # ---------------------------------------------------------------------------
 # generators
 

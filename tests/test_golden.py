@@ -95,10 +95,10 @@ GOLDEN_FACTS = {
     "fuzz/20-29": "e04d5d6cd82c45d377667070c60267811e4f5563819ea9edf7e006df0070c263",
     "fuzz/30-39": "61c49602b8c2b18f93f10b89d6d8ffa28f4e9bc43706719bdefd406ff9c40a57",
     "fuzz/40-49": "14bd2f3be96b171c3c9f2ec509d74b6ccaa694696c67f894d5b60868fa167f0d",
-    "fuzz/0-49,max_states=50": "3128a805cd850bd0e1606149da1c0b01a9a4cd2ccb5c934bcbbe49fc2f1bb17a",
+    "fuzz/0-49,max_states=50": "7fc181f8850e3e169428fb0050ad7ab763e48b8edfe4a5fd5e82d59cf83b494f",
     "qr/N=6": "657c121d9341ce0b60d58a4741c2eb23559ae658aa4cfeece51c37da8fa62719",
-    "moldyn/P=3,T=2,max_states=50": "d44bd61b0be8643a7a512748d33a13fdf88e341f82eab232f08c2324c578d4ac",
-    "qr/N=4,max_states=50": "096c71a586e0b2df5f2ef77740f8dee0ed68197b37783ca18b7dfe9f2dd4588d",
+    "moldyn/P=3,T=2,max_states=50": "69f5f58c1173b417a874d07d13826b20909faca7a87728b49505cec09aedf9a6",
+    "qr/N=4,max_states=50": "86902f93a4175fe4546ca307116f02299835ecfc94f1891010e68e684712813d",
     # two clocks live at once, so a step's counter vector depends on its clock
     "side_by_side_clocks/N=1,2": "4c0195426d83a1c776ced4fd10a917977a9f6e1435eedf8739508df7843cc941",
     # stuckness through an unclocked finish (7, 19 and 55 states)

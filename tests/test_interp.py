@@ -195,9 +195,43 @@ def test_state_limit_sets_incomplete():
     assert not res.terminated
 
 
+# Runs that a state limit of 5 or 50 cuts: moldyn and QR, and those of the
+# first 50 fuzz programs with more reachable states than the limit.
+CUT_RUNS = {
+    "moldyn/P=3,T=2": lambda: [(load("moldyn"), {"P": 3, "T": 2})],
+    "qr/N=4": lambda: [(load("qr"), {"N": 4})],
+    "fuzz/0-49,N=3": lambda: [(fuzzgen.generate(seed), {"N": 3}) for seed in range(50)],
+}
+
+
+@pytest.mark.parametrize("max_states", (5, 50))
+@pytest.mark.parametrize("runs", CUT_RUNS)
+def test_cut_run_lies_within_complete_run(runs, max_states):
+    # a cut run reports what the states it added show: never a race, a
+    # phase or a trace that the complete run lacks, nor an hb pair fewer
+    cut_runs = 0
+    for p, params in CUT_RUNS[runs]():
+        full = explore(p, params)
+        if full.state_count <= max_states:
+            continue
+        cut_runs += 1
+        cut = explore(p, params, max_states=max_states)
+        assert cut.incomplete and not cut.terminated
+        assert cut.state_count == max_states
+        assert cut.instances == full.instances
+        assert set(cut.races) <= set(full.races)
+        for inst, snaps in cut.phases.items():
+            assert snaps <= full.phases[inst]
+        assert cut.trace_count <= full.trace_count
+        insts = full.instances
+        assert all(cut.hb(u, v) for u in insts for v in insts if full.hb(u, v))
+    assert cut_runs
+
+
 def test_explore_memory_per_state():
-    # explore keeps per state only its key, its pending count and its
-    # successor span; tracemalloc counts bytes, it does not time anything
+    # explore keeps per state only its key in its counter vector's table and
+    # its trace count there, and per stack entry its pending mask and step
+    # iterator; tracemalloc counts bytes, it does not time anything
     p = load("qr")
     tracemalloc.start()
     try:

@@ -1,13 +1,19 @@
+import itertools
+import random
 import stat
 
-from clockrace import AffineSet, emit_smtlib, parse, run_solver
+import pytest
+
+from clockrace import AffineSet, emit_smtlib, parse, parse_poly, race_tests_all_orthants, run_solver
 from clockrace.affine import eq, ge
-from clockrace.races import race_candidates
+from clockrace.races import _smt_script, race_candidates
 from clockrace.smt import parse_model
 from clockrace.syntax import AffineExpr
 
-from conftest import load
+from conftest import CORPUS_NAMES, load
+from smt_eval import Script
 from sympy_oracle import from_sympy, sym
+from test_golden import GOLDEN_PHASES
 
 
 def test_script_shape():
@@ -128,3 +134,78 @@ def _brute(s, phi_u, phi_v, n):
                 continue
         return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# What a script means: an independent evaluator against the candidate
+
+
+def _check_script(cand, points) -> tuple[int, int]:
+    """Assert that the candidate's script holds at each of points(names),
+    values of its declared constants in order, exactly where the context,
+    the system and, when clocked, phase equality hold.  The numbers of
+    points in the system and of points where the script holds."""
+    script = Script(_smt_script(cand))
+    s, clocked = cand.system, cand.reduction is not None
+    in_system = holding = 0
+    for values in points(script.declared):
+        point = dict(zip(script.declared, values))
+        inside = all(c.satisfied(point) for c in s.context) and s.contains(point)
+        expected = inside and (
+            not clocked or cand.phi_u.evaluate(point) == cand.phi_v.evaluate(point)
+        )
+        assert script.holds(point) == expected, (cand, point)
+        in_system += inside
+        holding += expected
+    return in_system, holding
+
+
+def test_evaluator_reads_the_subset():
+    script = Script(
+        "; a comment (with a parenthesis\n(set-logic QF_NIA)\n"
+        "(declare-const x Int)\n(declare-const y Int)\n"
+        "(assert (or (and) false))\n"
+        "(assert (= (- (* 2 x y) (+ y (- 3))) (- 1)))\n(check-sat)\n(get-model)\n"
+    )
+    assert script.declared == ["x", "y"]
+    box = itertools.product(range(-5, 6), repeat=2)
+    assert [p for p in box if script.holds(dict(zip("xy", p)))] == [(0, 4), (1, -4)]
+    for bad in ("(assert (>= y 0))", "(assert (< x 0))", "(assert (= x))", "(push 1)"):
+        with pytest.raises(ValueError):
+            Script("(declare-const x Int)\n" + bad)
+
+
+# the pairs without an integer root: their phases never meet, so their
+# scripts hold nowhere
+ROOTLESS_PAIRS = {("2*x^2+1", "3*x+2"), ("x^2+x+2", "3*x")}
+
+
+@pytest.mark.parametrize("pair", GOLDEN_PHASES, ids="=".join)
+def test_race_test_scripts_mean_their_systems(pair):
+    # every point of a box holding the race tests' small roots: a wrong
+    # sign in the phase equality shows only at points where the phases meet
+    def box(names):
+        side = range(-1, 4) if len(names) <= 3 else range(-1, 3)
+        return itertools.product(side, repeat=len(names))
+
+    holding = 0
+    for test in race_tests_all_orthants(*map(parse_poly, pair)):
+        for cand in race_candidates(test.program):
+            holding += _check_script(cand, box)[1]
+    assert (holding == 0) == (pair in ROOTLESS_PAIRS)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_corpus_scripts_mean_their_systems(name):
+    # points next to the witness of each candidate's (non-empty) system,
+    # some of them in it; most coordinates are the witness's own
+    rng = random.Random(name)
+    for cand in race_candidates(load(name)):
+        if cand.reduction is not None and (cand.phi_u is None or cand.phi_v is None):
+            continue
+        witness = cand.emptiness[1]
+
+        def near(names):
+            return [[witness[v] + rng.choice((-1, 0, 0, 1)) for v in names] for _ in range(300)]
+
+        assert _check_script(cand, near)[0]
