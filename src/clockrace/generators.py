@@ -123,9 +123,20 @@ class _Fresh:
 def _emit_count(q: QuasiPoly, fresh: _Fresh) -> list[Stmt]:
     q = q.with_variables(())  # only the variables that occur
     if not q.variables:
-        n = q.evaluate({})
+        n = int(q.evaluate({}))
         assert n >= 0
-        return [Advance() for _ in range(int(n))]
+        if n < 2:
+            return [Advance() for _ in range(n)]
+        # one loop, not n advances: the constant left by the k-th
+        # difference of x^k is k!, so the nest stays linear in k
+        return [
+            For(
+                var=fresh(),
+                lo=AffineExpr.const_expr(0),
+                hi=AffineExpr.const_expr(n - 1),
+                body=Seq(body=(Advance(),)),
+            )
+        ]
     v = q.variables[0]
     out = _emit_count(q.substitute({v: AffineExpr.const_expr(0)}), fresh)
     it = fresh()

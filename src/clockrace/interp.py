@@ -4,8 +4,8 @@ For fixed parameter values, a program is instantiated into a finite runtime
 term (loops unrolled, guards resolved).  The interpreter then explores the
 full nondeterministic state space with memoization, producing ground-truth
 dynamic facts: the happens-before relation over statement instances, data
-races observed in some schedule, the number of distinct traces, termination,
-and the clock phase at which each instance executes.
+races observed in some schedule, termination, the clock phase at which each
+instance executes and, on request, the number of distinct traces.
 
 ``instantiate`` returns a runtime term as nested tuples:
 
@@ -86,28 +86,35 @@ the end: an instance gets a vector exactly when some edge out of a state
 with that vector fires it.
 
 Exploration is one depth-first search.  A state's elements are its key in
-the table of its counter id (one dict per counter vector, elements ->
-trace count), so an edge hashes only its successor's elements, and its
-pending mask rides on the stack with it.  The state graph is acyclic:
-every step fires at least one pending instance (a leaf step its basic
-instance, a clock step the front advances of a stuck body, of which there
-is at least one), so the pending mask shrinks strictly along every edge.
-The stack is a path of the graph, so a state seen before is not on it, or
-it would reach itself: it has left the stack, and its count, written into
-its table as it left, is final.  A state's count is the sum of its
-successors' counts, or 1 when the state ends a trace.  A state without
-steps ends a trace exactly when it has no pending instance.  That is the
-test for a done body: instances are the leaves of the term, a leaf leaves
-the term only when it fires, and a term without leaves is ``DONE``, since
-a seq of no elements is ``DONE`` and an ``async`` or ``finish`` passes
-``DONE`` up.  A complete run terminates iff no state counts 0: a state
-without steps that has a pending instance counts 0, and every path from a
-state that counts 0 ends in such a state.
+the table of its counter id (one per counter vector), so an edge hashes
+only its successor's elements, and its pending mask rides on the stack
+with it.  The state graph is acyclic: every step fires at least one pending
+instance (a leaf step its basic instance, a clock step the front advances
+of a stuck body, of which there is at least one), so the pending mask
+shrinks strictly along every edge.
+
+A state is stuck when it has no step and has a pending instance, and a
+complete run terminates iff no state it added is stuck.  A state without
+steps has no pending instance exactly when its body is done: instances are
+the leaves of the term, a leaf leaves the term only when it fires, and a
+term without leaves is ``DONE``, since a seq of no elements is ``DONE`` and
+an ``async`` or ``finish`` passes ``DONE`` up.  So every maximal path from
+the initial state ends in a done body, a trace, iff no stuck state is
+reachable.  The test is made where a state's steps are computed: for the
+initial state and on each discovery edge.
+
+Traces are counted only on request (``clockrace interpret`` asks; the
+bounded tier and witness replay do not).  Uncounted, a table is a set of
+elements.  Counted, it maps elements to the number of traces from that
+state: the sum of its successors' counts, or 1 when its body is done.  The
+stack is a path of the graph, so a state seen before is not on it, or it
+would reach itself: it has left the stack, and its count, written into its
+table as it left, is final.
 
 A state's steps are computed when it is added.  Once the state limit is
 hit, the search adds no state: it only finishes the step iterators it
 holds, so it computes no step of a new term.  A cut run counts the traces
-through the states it added only.
+through the states it added only, and does not terminate.
 """
 
 from __future__ import annotations
@@ -323,18 +330,23 @@ class _Terms:
         """The steps of flat elements run in sequence: element i steps only
         when every earlier element is async.  An element only ever becomes
         one of its own kind or DONE, which is dropped, so the next elements
-        stay flat without re-scanning the others."""
+        stay flat without re-scanning the others.  A successor's elements
+        are one copy of ``work``, the elements with slot i replaced."""
         nodes, async_steps = self.nodes, self.async_steps
         out = []
+        work = list(elems)
         for i, u in enumerate(elems):
-            is_async = nodes[u][0] == "async"
-            inner = async_steps.get(u) if is_async else None
+            inner = async_steps.get(u)  # only async nodes are memoized
+            is_async = inner is not None or nodes[u][0] == "async"
             if inner is None:
                 inner = self.steps(u)
-            if inner:
-                head, tail = elems[:i], elems[i + 1 :]
-                for key, fired, nu in inner:
-                    out.append((key, fired, head + tail if nu == DONE else head + (nu,) + tail))
+            for key, fired, nu in inner:
+                if nu == DONE:
+                    out.append((key, fired, elems[:i] + elems[i + 1 :]))
+                else:
+                    work[i] = nu
+                    out.append((key, fired, tuple(work)))
+            work[i] = u
             if not is_async:
                 break
         return out
@@ -364,7 +376,7 @@ class ExploreResult:
     instances: list[Instance]
     index: dict[Instance, int]
     state_count: int
-    trace_count: int
+    trace_count: Optional[int]  # None unless explore was asked to count
     terminated: bool
     incomplete: bool
     races: list[tuple[Instance, Instance]]
@@ -388,8 +400,12 @@ def _bits(mask: int):
         mask ^= low
 
 
-def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) -> ExploreResult:
-    """Exhaustively interpret the program under the given parameters."""
+def explore(
+    p: Program, params: Mapping[str, int], max_states: int = 1_000_000, count_traces: bool = True
+) -> ExploreResult:
+    """Exhaustively interpret the program under the given parameters.  The
+    traces are counted only when ``count_traces`` is set; otherwise the
+    result's ``trace_count`` is None."""
     t0 = instantiate(p, params)
     instances = term_instances(t0)
     index = {inst: i for i, inst in enumerate(instances)}
@@ -410,18 +426,23 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
     ticked: dict[tuple[int, ClockKey], int] = {}  # (counter id, clock) -> successor id
     fired_at = [0]  # per counter id: instances fired in some state with it
     initial = terms.elements(terms.intern(body))
-    tables: list[dict[tuple, int]] = [{initial: 0}]  # per counter id: elements -> trace count
+    # per counter id: the elements of the states added with it, mapped to
+    # their trace counts when counting
+    new_table = dict if count_traces else set
+    tables: list = [{initial: 0} if count_traces else {initial}]
     forbidden = [0] * n  # per instance v: instances pending in some state with v done
     state_count = 1
-    terminated = True
+    mask = (1 << n) - 1
+    steps = frame_steps(clocked, clock, initial)
+    terminated = bool(steps) or not mask  # until an added state is stuck
     incomplete = False
 
     # A stack entry: (table, elements, counter id, pending mask, iterator
-    # over the state's steps).  `found` holds the traces found so far from
-    # the top entry, counts[i] those from entry i below it.  A state seen
-    # before has left the stack, so its table value is final (see the
-    # module doc).
-    stack = [(tables[0], initial, 0, (1 << n) - 1, iter(frame_steps(clocked, clock, initial)))]
+    # over the state's steps).  When counting, `found` holds the traces
+    # found so far from the top entry, counts[i] those from entry i below
+    # it.  A state seen before has left the stack, so its table value is
+    # final (see the module doc).
+    stack = [(tables[0], initial, 0, mask, iter(steps))]
     found = 0
     counts = []
     while stack:
@@ -440,35 +461,47 @@ def explore(p: Program, params: Mapping[str, int], max_states: int = 1_000_000) 
                         next_cid = counter_ids[vector] = len(counters)
                         counters.append(vector)
                         fired_at.append(0)
-                        tables.append({})
+                        tables.append(new_table())
                     ticked[cid, key] = next_cid
             next_table = tables[next_cid]
-            count = next_table.get(rest)
-            if count is None:
-                if state_count >= max_states:
-                    incomplete = True
+            if count_traces:
+                count = next_table.get(rest)
+                if count is not None:
+                    found += count
                     continue
-                state_count += 1
-                next_table[rest] = 0  # never read before the state leaves the stack
-                next_mask = mask & ~fired
-                for i in _bits(fired):  # on discovery edges only: see the module doc
+            elif rest in next_table:
+                continue
+            if state_count >= max_states:
+                incomplete = True
+                continue
+            state_count += 1
+            next_mask = mask & ~fired
+            # on discovery edges only: see the module doc
+            if key is None:  # a leaf step fires one instance
+                forbidden[fired.bit_length() - 1] |= next_mask
+            else:
+                for i in _bits(fired):
                     forbidden[i] |= next_mask
-                next_steps = iter(frame_steps(clocked, clock, rest))
-                stack.append((next_table, rest, next_cid, next_mask, next_steps))
+            next_steps = frame_steps(clocked, clock, rest)
+            if next_mask and not next_steps:  # a stuck state
+                terminated = False
+            if count_traces:
+                next_table[rest] = 0  # never read before the state leaves the stack
                 counts.append(found)
                 found = 0
-                break
-            found += count
+            else:
+                next_table.add(rest)
+            stack.append((next_table, rest, next_cid, next_mask, iter(next_steps)))
+            break
         else:  # no steps left
             stack.pop()
-            if not mask:  # the body is done: a trace ends here
-                found = 1
-            elif not found:  # a stuck state, or only paths to one
-                terminated = False
-            table[elems] = found
-            if counts:
-                found += counts.pop()
-    trace_count = tables[0][initial]
+            if count_traces:
+                if not mask:  # the body is done: a trace ends here
+                    found = 1
+                table[elems] = found
+                if counts:
+                    found += counts.pop()
+    trace_count = tables[0][initial] if count_traces else None
     if incomplete:
         terminated = False
 

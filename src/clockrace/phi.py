@@ -323,6 +323,8 @@ class _Counter:
 
     def implied(self, ctx: tuple[Constraint, ...], claim: AffineExpr) -> bool:
         """Does ctx (integrally) imply claim >= 0?  Sound, incomplete."""
+        if not claim.terms and claim.const >= 0:  # such as a constant loop's extent
+            return True
         return self.empty(ctx + (ge((-claim).shift(-1)),))  # claim <= -1
 
     def count(

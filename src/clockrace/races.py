@@ -218,7 +218,7 @@ class _Confirmer:
         key = tuple(sorted(params.items()))
         if key not in self.cache:
             try:
-                res = explore(self.p, params, max_states=self.max_states)
+                res = explore(self.p, params, max_states=self.max_states, count_traces=False)
                 if res.incomplete:
                     res = "state limit hit"
             except MemoryError:

@@ -79,6 +79,18 @@ def test_counting_nest_runs_to_completion():
     assert res.terminated and res.trace_count == 1  # a straight line
 
 
+def test_counting_nest_is_linear_in_the_degree():
+    # the 8th difference of x^8 is the constant 8! = 40 320, emitted as one
+    # loop of advances rather than as 40 320 statements
+    assert len(print_program(counting_nest(parse_poly("x^8")))) == 1_622
+    spec = parse_poly("x^4+3")
+    p = counting_nest(spec)
+    for x in range(4):
+        res = explore(p, {"x": x})
+        fired = sum(inst[0] == "advance" for inst in res.phases)
+        assert res.terminated and fired == spec.evaluate({"x": x})
+
+
 # ---------------------------------------------------------------------------
 # Race reductions
 

@@ -1,8 +1,9 @@
+import dataclasses
 import tracemalloc
 
 import pytest
 
-from clockrace import dynamic_phi, explore, instantiate, parse
+from clockrace import dynamic_phi, explore, instantiate, parse, races
 from clockrace.interp import _Terms, term_instances
 
 import fuzzgen
@@ -242,14 +243,76 @@ def test_explore_memory_per_state():
     assert peak / res.state_count < 400
 
 
+def test_explore_memory_per_state_uncounted():
+    # the bounded tier's runs: a table holds only the states' keys
+    p = load("qr")
+    tracemalloc.start()
+    try:
+        res = explore(p, {"N": 7}, count_traces=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / res.state_count < 260
+
+
 def test_stuck_root_is_not_a_trace():
     # an advance outside any clocked finish never steps: the one state has
-    # pending instances and no successor, and no state limit cut it
+    # pending instances and no successor, and no state limit cut it; the
+    # initial state is tested for stuckness whether or not traces are counted
     p = parse("param N >= 1;\narray A[1];\n{ advance; A[0] = f(); }\n")
-    res = explore(p, {"N": 1})
-    assert (res.state_count, res.trace_count) == (1, 0)
-    assert not res.terminated
-    assert not res.incomplete
+    for count_traces, traces in ((True, 0), (False, None)):
+        res = explore(p, {"N": 1}, count_traces=count_traces)
+        assert (res.state_count, res.trace_count) == (1, traces)
+        assert not res.terminated
+        assert not res.incomplete
+
+
+def _facts(res):
+    """Every field of an explore result but its trace count."""
+    return {f.name: getattr(res, f.name) for f in dataclasses.fields(res) if f.name != "trace_count"}
+
+
+# Runs on which counting traces must change nothing else: the corpus at
+# N = 1..3, the cut runs above, and the first 50 fuzz programs at N = 1..3.
+UNCOUNTED_RUNS = {
+    "corpus": lambda: [
+        (p, {k: max(lb, n) for k, lb in p.params}, 1_000_000)
+        for p in map(load, CORPUS_NAMES)
+        for n in (1, 2, 3)
+    ],
+    "cut": lambda: [
+        (p, params, max_states)
+        for runs in CUT_RUNS.values()
+        for p, params in runs()
+        for max_states in (5, 50)
+    ],
+    "fuzz": lambda: [
+        (fuzzgen.generate(seed), {"N": n}, 1_000_000) for seed in range(50) for n in (1, 2, 3)
+    ],
+}
+
+
+@pytest.mark.parametrize("runs", UNCOUNTED_RUNS)
+def test_uncounted_run_has_the_same_facts(runs):
+    for p, params, max_states in UNCOUNTED_RUNS[runs]():
+        counted = explore(p, params, max_states=max_states)
+        uncounted = explore(p, params, max_states=max_states, count_traces=False)
+        assert uncounted.trace_count is None
+        assert _facts(uncounted) == _facts(counted), params
+
+
+def test_confirmer_runs_uncounted(monkeypatch):
+    # the bounded tier and witness replay never read a trace count
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return explore(*args, **kwargs)
+
+    monkeypatch.setattr(races, "explore", spy)
+    res = races._Confirmer(load("fig1b")).run({"N": 2})
+    assert [kw.get("count_traces") for kw in calls] == [False]
+    assert res.trace_count is None
 
 
 def test_hb_is_a_strict_partial_order_on_basics():
