@@ -111,13 +111,26 @@ def parse_poly(text: str) -> QuasiPoly:
 
 
 class _Fresh:
-    def __init__(self):
+    """Picks names that no name taken so far uses: the polynomial's
+    variables and every name picked before."""
+
+    def __init__(self, taken: Sequence[str] = ()):
+        self.taken = set(taken)
         self.n = 0
 
-    def __call__(self) -> str:
-        name = f"c{self.n}"
-        self.n += 1
+    def name(self, base: str) -> str:
+        """``base``, or ``base0``, ``base1``, ... when it is taken."""
+        name, k = base, 0
+        while name in self.taken:
+            name, k = f"{base}{k}", k + 1
+        self.taken.add(name)
         return name
+
+    def __call__(self) -> str:
+        """The next free loop iterator of ``c0``, ``c1``, ..."""
+        while f"c{self.n}" in self.taken:
+            self.n += 1
+        return self.name(f"c{self.n}")
 
 
 def _emit_count(q: QuasiPoly, fresh: _Fresh) -> list[Stmt]:
@@ -161,7 +174,7 @@ def counting_nest(spec: QuasiPoly) -> Program:
     for v in spec.variables:
         if v.startswith(RESERVED_PREFIXES):
             raise ValueError(f"variable {v!r} uses a reserved prefix u_, v_ or a_")
-    stmts = _emit_count(spec, _Fresh())
+    stmts = _emit_count(spec, _Fresh(spec.variables))
     root = Finish(clocked=True, body=Seq(body=tuple(stmts)))
     params = tuple((v, 0) for v in spec.variables)
     return Program(root=root, params=params, arrays=())
@@ -194,22 +207,26 @@ def race_test(
     """Build one race-test program for nonnegative-coefficient P1, P2.
 
     The program has a box parameter ``m_<v>`` per variable, loops each
-    variable from 0 to its bound, and races a scalar write (after P1(x)
-    advances) against a scalar read (after P2(x) advances)."""
+    variable from 0 to its bound, and races a write of the scalar ``u``
+    (after P1(x) advances) against a read of it (after P2(x) advances).
+    A box parameter, the scalar or a loop iterator gets a numeric suffix
+    when a variable or an earlier pick already has its name."""
     if not _nonneg(p1) or not _nonneg(p2):
         raise ValueError("race tests need nonnegative coefficients on each side")
     variables = tuple(sorted(set(p1.variables) | set(p2.variables)))
-    fresh = _Fresh()
+    fresh = _Fresh(variables)
+    bounds = {v: fresh.name(f"m_{v}") for v in variables}
+    scalar = fresh.name("u")
     writer = Seq(
         body=tuple(
             _emit_count(p1, fresh)
-            + [Basic(name="f", write=AccessRef("u", (), "write"), reads=())]
+            + [Basic(name="f", write=AccessRef(scalar, (), "write"), reads=())]
         )
     )
     reader = Seq(
         body=tuple(
             _emit_count(p2, fresh)
-            + [Basic(name="g", write=None, reads=(AccessRef("u", (), "read"),))]
+            + [Basic(name="g", write=None, reads=(AccessRef(scalar, (), "read"),))]
         )
     )
     body: Stmt = Finish(
@@ -225,11 +242,11 @@ def race_test(
         body = For(
             var=v,
             lo=AffineExpr.const_expr(0),
-            hi=AffineExpr.var(f"m_{v}"),
+            hi=AffineExpr.var(bounds[v]),
             body=body,
         )
-    params = tuple((f"m_{v}", 0) for v in variables)
-    program = Program(root=body, params=params, arrays=(("u", 0),))
+    params = tuple((bounds[v], 0) for v in variables)
+    program = Program(root=body, params=params, arrays=((scalar, 0),))
     sign_map = tuple(sorted((signs or {v: 1 for v in variables}).items()))
     return RaceTest(program, sign_map)
 

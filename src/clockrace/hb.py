@@ -38,6 +38,7 @@ from .syntax import (
     Program,
     Seq,
     Stmt,
+    governing_clocked_finish,
 )
 
 
@@ -196,8 +197,6 @@ def reduce_clock(p: Program, u_id: int, v_id: int) -> Optional[ClockReduction]:
 
 def governed_advances(p: Program, finish_id: int) -> list[int]:
     """Advance statements whose governing clock is the given finish."""
-    from .syntax import governing_clocked_finish
-
     return [
         a.node_id
         for a in p.advance_statements()

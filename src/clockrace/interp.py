@@ -18,28 +18,23 @@ term is ``None``.  A leaf is also a statement instance, ``(kind, node_id,
 env)``; instance i is bit ``1 << i`` of an instance bitmask, i being its
 position in ``term_instances`` of the whole program.
 
-``explore`` interns every subterm once into a hash-cons table, ``_Terms``,
-whose nodes have the same shapes but name their children by integer id; a
-leaf node also carries its instance bit as a fourth field.  A finished
-subterm is the id ``DONE``, which a seq drops and an ``async`` or
-``finish`` passes up.  Equal terms get equal ids.  The clock counter vector
-of a state (a sorted tuple of (clock, steps taken) pairs) is interned too.
-A clock step finds its successor's counter id in a memo keyed by the
-counter id and the clock it advances.
+``explore`` interns the elements of the term once into a hash-cons table,
+``_Terms``.  A body is the flat tuple of its element ids: a seq's elements,
+``(e,)`` for a body that is one element ``e``, and ``()`` once it is done.
+This is the one format of a body: an ``async`` or ``finish`` node has the
+shape of its term but holds its body's tuple as its last field, and a leaf
+node also carries its instance bit as a fourth field.  A finished element
+is the id ``DONE``, which a body drops; an ``async`` or ``finish`` whose
+body is done is itself ``DONE``.  Equal terms get equal ids, so equal
+bodies are equal tuples.  The clock counter vector of a state (a sorted
+tuple of (clock, steps taken) pairs) is interned too.  A clock step finds
+its successor's counter id in a memo keyed by the counter id and the clock
+it advances.
 
-The root ``finish`` and the top seq of its body are a frame, not nodes: a
-state is ``(elements, counter id)``, where ``elements`` is the flat tuple
-of the root body's element ids, ``(b,)`` for a body ``b`` that is not a seq
-and ``()`` once the body is done.  ``_Terms.frame_steps`` gives the
-finish's steps with the body's next elements; a root that is not a finish
-is the body of an unclocked frame.  This is exact.  Wrapping a body id in
-a fixed finish head is injective and maps ``DONE`` to ``DONE``, and
-hash-consing makes a flat element tuple and its interned body id
-correspond one to one (``_Terms.seq`` of one element is that element, of
-``()`` it is ``DONE``).  So elements and finish ids correspond one to one,
-with the same successors in the same order: the depth-first search adds
-the same states in the same order, and the state limit cuts the same runs
-at the same edge.
+The root ``finish`` is a frame around the state's elements, not a node: a
+state is ``(elements, counter id)``, where ``elements`` is the root body.
+``_Terms.frame_steps`` gives the finish's steps with the body's next
+elements; a root that is not a finish is the body of an unclocked frame.
 
 Scheduling follows the statement classification: the i-th element of a
 sequence may take a step only when every earlier element is asynchronous.
@@ -49,27 +44,28 @@ increments.  Unclocked ``finish`` and ``async`` are transparent to both
 stuckness and the clock step, so an advance keeps synchronizing with its
 governing clock across them.
 
-There is one step relation, ``_Terms.steps``: each step names the clock it
-advances (``None`` for a leaf step, which executes one basic statement),
-the bitmask of the instances it fires, and the next term's id.  The seq
-rule lives in ``_Terms.seq_steps`` alone, over flat elements: a seq node,
-a ``finish`` node's body and the root frame all step through it.  The
-steps of an ``async`` node are memoized, because an activity's remaining
-body recurs across interleavings; a seq is new in nearly every state, so
-no other node's steps are kept.
+There is one step relation, ``_Terms.seq_steps``, over bodies: each step
+names the clock it advances (``None`` for a leaf step, which executes one
+basic statement), the bitmask of the instances it fires, and the next body.
+It dispatches on the kind of each element that may step: an ``async``
+steps as its body does, and a ``finish`` as the frame around its body, so
+the root frame and every nested body step through it.  The steps of an
+``async`` element are memoized, because an activity's remaining body recurs
+across interleavings; any other body is new in nearly every state, so no
+other steps are kept.
 
-A term other than ``DONE`` is stuck exactly when it has no step, so
+A body other than ``()`` is stuck exactly when it has no step, so
 ``_Terms.frame_steps`` offers a clocked finish's clock step exactly when
-its body is not done and has no step.  By induction on the term: a
-``basic`` steps and is not stuck, an ``advance`` has no step and is stuck;
-an ``async`` or unclocked ``finish`` inherits both from its child; a
-clocked ``finish`` is never stuck and always steps, since a body without
-steps is stuck and so gives it the clock step; a seq is stuck iff every
+its body is not done and has no step.  By induction on the body: a
+``basic`` element steps and is not stuck, an ``advance`` has no step and
+is stuck; an ``async`` or unclocked ``finish`` inherits both from its body;
+a clocked ``finish`` is never stuck and always steps, since a body without
+steps is stuck and so gives it the clock step; a body is stuck iff every
 element up to and including the first non-``async`` one is stuck, which
-holds iff none of them has a step, that is iff the seq has none.
+holds iff none of them has a step, that is iff the body has none.
 
 A state's bitmask of pending instances is its parent's with the fired bits
-cleared.  The mask depends only on the term, so it is the same along every
+cleared.  The mask depends only on the body, so it is the same along every
 path that reaches a state.  hb(u, v) fails iff some reached state has v
 done and u pending.  Those masks are collected on discovery edges only:
 masks shrink along edges, and each state's discovery edge either fires v
@@ -96,9 +92,10 @@ shrinks strictly along every edge.
 A state is stuck when it has no step and has a pending instance, and a
 complete run terminates iff no state it added is stuck.  A state without
 steps has no pending instance exactly when its body is done: instances are
-the leaves of the term, a leaf leaves the term only when it fires, and a
-term without leaves is ``DONE``, since a seq of no elements is ``DONE`` and
-an ``async`` or ``finish`` passes ``DONE`` up.  So every maximal path from
+the leaves of the body, a leaf leaves the body only when it fires, and a
+body without leaves is ``()``, since an element without leaves is ``DONE``,
+which a body drops: an ``async`` or ``finish`` whose body is done is
+``DONE``.  So every maximal path from
 the initial state ends in a done body, a trace, iff no stuck state is
 reachable.  The test is made where a state's steps are computed: for the
 initial state and on each discovery edge.
@@ -113,7 +110,7 @@ table as it left, is final.
 
 A state's steps are computed when it is added.  Once the state limit is
 hit, the search adds no state: it only finishes the step iterators it
-holds, so it computes no step of a new term.  A cut run counts the traces
+holds, so it computes no step of a new body.  A cut run counts the traces
 through the states it added only, and does not terminate.
 """
 
@@ -138,7 +135,7 @@ Env = tuple[tuple[str, int], ...]
 Term = Optional[tuple]
 Instance = tuple[str, int, Env]  # (kind, node_id, env)
 ClockKey = tuple[int, Env]
-Step = tuple[Optional[ClockKey], int, int]  # (clock, fired instance bits, next term id)
+Step = tuple[Optional[ClockKey], int, int]  # (clock, fired instance bits, next element id)
 BodyStep = tuple[Optional[ClockKey], int, tuple]  # the same, with the next body's elements
 
 
@@ -221,18 +218,18 @@ def term_instances(t: Term) -> list[Instance]:
 
 
 # ---------------------------------------------------------------------------
-# One-step semantics, over interned terms
+# One-step semantics, over interned bodies
 
-DONE = -1  # the id of a finished subterm
+DONE = -1  # the id of a finished element
 
 
 class _Terms:
-    """Hash-cons table of the runtime terms of one exploration.  Seq
-    elements are flat: none is a seq or DONE.  ``steps`` steps a node, and
-    ``seq_steps`` and ``frame_steps`` a body given by its elements.  A leaf
-    node carries its instance's bit, ``1 << index[instance]``, as a fourth
-    field.  Nodes are only ever added, so an id names one term for the
-    whole exploration."""
+    """Hash-cons table of the runtime terms of one exploration.  A body is
+    its flat tuple of element ids, none of them DONE: an ``async`` or
+    ``finish`` node holds its body as its last field, and a leaf node
+    carries its instance's bit, ``1 << index[instance]``, as a fourth
+    field.  ``seq_steps`` and ``frame_steps`` step a body.  Nodes are only
+    ever added, so an id names one term for the whole exploration."""
 
     def __init__(self, index: Mapping[Instance, int]) -> None:
         self.index = index
@@ -247,99 +244,77 @@ class _Terms:
             self.nodes.append(t)
         return tid
 
-    def intern(self, t: Term) -> int:
+    def body(self, t: Term) -> tuple:
+        """The elements of instantiated term ``t``: a seq's own, ``()`` for
+        the empty term."""
         if t is None:
-            return DONE
-        if t[0] == "seq":
-            return self.node(("seq", tuple(map(self.intern, t[1]))))
-        if t[0] in ("async", "finish"):
-            return self.wrap(t[:-1], self.intern(t[-1]))
-        return self.node(t + (1 << self.index[t],))
-
-    def wrap(self, head: tuple, c: int) -> int:
-        """The async or finish node ``head + (c,)``; done when c is."""
-        return DONE if c == DONE else self.node(head + (c,))
-
-    def seq(self, elems: tuple) -> int:
-        if not elems:
-            return DONE
-        if len(elems) == 1:
-            return elems[0]
-        return self.node(("seq", elems))
-
-    def elements(self, t: int) -> tuple:
-        """The flat elements of body ``t``: a seq's own, ``()`` for DONE."""
-        if t == DONE:
             return ()
-        node = self.nodes[t]
-        return node[1] if node[0] == "seq" else (t,)
+        elems = []
+        for u in t[1] if t[0] == "seq" else (t,):
+            if u[0] in ("async", "finish"):
+                elems.append(self.node(u[:-1] + (self.body(u[-1]),)))
+            else:
+                elems.append(self.node(u + (1 << self.index[u],)))
+        return tuple(elems)
 
-    def yield_term(self, t: int) -> tuple[int, int]:
-        """Consume the front advances of a stuck term, one without steps (a
-        clock step): the consumed advances' bits, and the id of the rest."""
-        node = self.nodes[t]
-        kind = node[0]
-        if kind == "advance":
-            return node[3], DONE
-        if kind in ("async", "finish"):
-            assert kind == "async" or not node[1], "clock step reached a nested clocked finish"
-            fired, c = self.yield_term(node[-1])
-            return fired, self.wrap(node[:-1], c)
-        if kind == "seq":
-            fired, rest = self.yield_seq(node[1])
-            return fired, self.seq(rest)
-        raise AssertionError(f"yield reached a term with steps: {node!r}")
+    def wrap(self, head: tuple, body: tuple) -> int:
+        """The async or finish node ``head + (body,)``; done when the body is."""
+        return self.node(head + (body,)) if body else DONE
 
     def yield_seq(self, elems: tuple) -> tuple[int, tuple]:
-        """``yield_term`` of a stuck body given by its elements."""
+        """Consume the front advances of a stuck body, one without steps (a
+        clock step): the consumed advances' bits, and the rest of the body."""
+        nodes = self.nodes
         fired = 0
-        parts: tuple = ()
+        rest: tuple = ()
         for i, u in enumerate(elems):
-            f, nu = self.yield_term(u)
-            fired |= f
-            parts += () if nu == DONE else (nu,)
-            if self.nodes[u][0] != "async":  # the elements after it wait
-                return fired, parts + elems[i + 1 :]
-        return fired, parts
-
-    def steps(self, t: int) -> list[Step]:
-        """All enabled steps: (clock, fired instance bits, next term id).  A
-        leaf step has clock None and fires one basic instance; a clock step
-        names the clock instance it advances and fires the advances it
-        consumes."""
-        if t == DONE:
-            return []
-        node = self.nodes[t]
-        kind = node[0]
-        if kind == "basic":
-            return [(None, node[3], DONE)]
-        if kind == "advance":
-            return []
-        if kind == "async":
-            out = self.async_steps.get(t)
-            if out is None:
-                inner = self.steps(node[1])
-                out = self.async_steps[t] = [(k, f, self.wrap(node[:1], nt)) for k, f, nt in inner]
-            return out
-        if kind == "finish":
-            frame = self.frame_steps(node[1], (node[2], node[3]), self.elements(node[4]))
-            return [(k, f, self.wrap(node[:4], self.seq(rest))) for k, f, rest in frame]
-        return [(k, f, self.seq(rest)) for k, f, rest in self.seq_steps(node[1])]
+            node = nodes[u]
+            kind = node[0]
+            if kind == "advance":
+                fired |= node[3]
+            elif kind == "basic":
+                raise AssertionError(f"yield reached an element with steps: {node!r}")
+            else:
+                assert kind == "async" or not node[1], "clock step reached a nested clocked finish"
+                f, inner = self.yield_seq(node[-1])
+                fired |= f
+                if inner:
+                    rest += (self.node(node[:-1] + (inner,)),)
+            if kind != "async":  # the elements after it wait
+                return fired, rest + elems[i + 1 :]
+        return fired, rest
 
     def seq_steps(self, elems: tuple) -> list[BodyStep]:
-        """The steps of flat elements run in sequence: element i steps only
-        when every earlier element is async.  An element only ever becomes
-        one of its own kind or DONE, which is dropped, so the next elements
-        stay flat without re-scanning the others.  A successor's elements
-        are one copy of ``work``, the elements with slot i replaced."""
+        """All enabled steps of a body: (clock, fired instance bits, next
+        body).  A leaf step has clock None and fires one basic instance; a
+        clock step names the clock instance it advances and fires the
+        advances it consumes.  Element i steps only when every earlier
+        element is async.  An element only ever becomes one of its own kind
+        or DONE, which is dropped, so the next body stays flat without
+        re-scanning the others.  A successor's body is one copy of
+        ``work``, the elements with slot i replaced."""
         nodes, async_steps = self.nodes, self.async_steps
         out = []
         work = list(elems)
         for i, u in enumerate(elems):
-            inner = async_steps.get(u)  # only async nodes are memoized
-            is_async = inner is not None or nodes[u][0] == "async"
-            if inner is None:
-                inner = self.steps(u)
+            inner = async_steps.get(u)  # only async elements are memoized
+            is_async = inner is not None
+            if not is_async:
+                node = nodes[u]
+                kind = node[0]
+                if kind == "basic":  # the elements after it wait
+                    out.append((None, node[3], elems[:i] + elems[i + 1 :]))
+                    break
+                if kind == "advance":
+                    break
+                if kind == "async":
+                    is_async = True
+                    inner = async_steps[u] = [
+                        (k, f, self.wrap(node[:1], rest)) for k, f, rest in self.seq_steps(node[1])
+                    ]
+                else:
+                    frame = self.frame_steps(node[1], (node[2], node[3]), node[4])
+                    inner = [(k, f, self.wrap(node[:4], rest)) for k, f, rest in frame]
             for key, fired, nu in inner:
                 if nu == DONE:
                     out.append((key, fired, elems[:i] + elems[i + 1 :]))
@@ -412,8 +387,8 @@ def explore(
     n = len(instances)
 
     # The root finish is a frame: a state holds the elements of its body,
-    # never an id of the body or the finish (see the module doc).  Any other
-    # root is the body of an unclocked frame.
+    # not a finish node (see the module doc).  Any other root is the body of
+    # an unclocked frame.
     if t0 is not None and t0[0] == "finish":
         _, clocked, node_id, env, body = t0
         clock: Optional[ClockKey] = (node_id, env)
@@ -425,7 +400,7 @@ def explore(
     counter_ids: dict[Counters, int] = {(): 0}
     ticked: dict[tuple[int, ClockKey], int] = {}  # (counter id, clock) -> successor id
     fired_at = [0]  # per counter id: instances fired in some state with it
-    initial = terms.elements(terms.intern(body))
+    initial = terms.body(body)
     # per counter id: the elements of the states added with it, mapped to
     # their trace counts when counting
     new_table = dict if count_traces else set

@@ -51,7 +51,7 @@ def test_counting_nest_is_valid_and_reparses():
     assert print_program(parse(print_program(p))) == print_program(p)
 
 
-@pytest.mark.parametrize("poly", ["x^2+x*y+y^2", "x^3", "2*x+5", "0"])
+@pytest.mark.parametrize("poly", ["x^2+x*y+y^2", "x^3", "2*x+5", "0", "c0^2"])
 def test_counting_nest_counts_exactly(poly):
     spec = parse_poly(poly)
     p = counting_nest(spec)
@@ -120,6 +120,30 @@ def test_race_test_dynamic_cross_check():
     t2 = race_test(parse_poly("2*x"), parse_poly("4"))  # x = 2
     res2 = explore(t2.program, {"m_x": 3})
     assert res2.races
+
+
+# Polynomials whose variables take a name that a generator picks for
+# something else when it is free: a counting nest's first iterator c0, a
+# race test's scalar u, and the box parameter m_x of x.
+NAME_CLASHES = {
+    "c0^2": lambda: counting_nest(parse_poly("c0^2")),
+    "u^2 = 4": lambda: race_test(parse_poly("u^2"), parse_poly("4")).program,
+    "x + m_x = 3": lambda: race_test(parse_poly("x+m_x"), parse_poly("3")).program,
+}
+
+
+@pytest.mark.parametrize("build", NAME_CLASHES.values(), ids=list(NAME_CLASHES))
+def test_generated_names_skip_the_variables(build):
+    text = print_program(build())
+    p = parse(text)
+    assert print_program(p) == text
+    assert validate_clock_rules(p) == []
+
+
+def test_race_test_box_parameter_skips_the_variables():
+    # x + m_x = 3 with m_x = 0: x's own box bound m_x0 decides whether x = 3 is reached
+    p = NAME_CLASHES["x + m_x = 3"]()
+    assert [bool(explore(p, {"m_m_x": 0, "m_x0": m}).races) for m in (2, 3)] == [False, True]
 
 
 def test_all_orthants_find_negative_roots():

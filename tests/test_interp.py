@@ -19,17 +19,19 @@ def env(inst):
 
 
 def interned(t):
-    """A fresh term table for t, the id of t in it, and t's instances."""
+    """A fresh term table for t, the elements of t as a body in it, and t's
+    instances."""
     instances = term_instances(t)
     terms = _Terms({inst: i for i, inst in enumerate(instances)})
-    return terms, terms.intern(t), instances
+    return terms, terms.body(t), instances
 
 
 def decoded_steps(terms, instances, t):
-    """The steps of t, with each fired bitmask decoded into its instances."""
+    """The steps of body t, with each fired bitmask decoded into its
+    instances."""
     return [
-        (key, tuple(inst for i, inst in enumerate(instances) if fired >> i & 1), nt)
-        for key, fired, nt in terms.steps(t)
+        (key, tuple(inst for i, inst in enumerate(instances) if fired >> i & 1), rest)
+        for key, fired, rest in terms.seq_steps(t)
     ]
 
 
@@ -73,7 +75,7 @@ def test_instantiate_empty_loop():
 def test_stuck_and_clock_step():
     p = parse("param N >= 1;\narray A[1];\nclocked finish { advance; A[0] = f(); }\n")
     terms, t, insts = interned(instantiate(p, {"N": 1}))
-    assert terms.steps(t) != []  # clocked finish absorbs the stuck body
+    assert terms.seq_steps(t) != []  # clocked finish absorbs the stuck body
     assert leaf_steps(terms, insts, t) == []  # nothing can move except the clock
     clocks = clock_steps(terms, insts, t)
     assert len(clocks) == 1
@@ -105,6 +107,15 @@ def test_advance_through_unclocked_finish():
     )
     res = explore(p, {"N": 1})
     assert res.terminated and not res.incomplete
+
+
+@pytest.mark.parametrize("construct, depth", [("async", 800), ("finish", 300)])
+def test_deep_nesting_interprets(construct, depth):
+    # seq_steps recurses once per async level and, through frame_steps,
+    # twice per finish level; interning a body recurses once per level
+    p = parse("param N >= 1;\narray A[1];\n" + f"{construct} " * depth + "A[0] = f();\n")
+    res = explore(p, {"N": 1})
+    assert res.state_count == 2 and res.terminated
 
 
 # ---------------------------------------------------------------------------
