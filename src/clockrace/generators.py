@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .parser import RESERVED_PREFIXES
+from .parser import KEYWORDS, RESERVED_PREFIXES
 from .phi import QuasiPoly
 from .syntax import (
     AccessRef,
@@ -39,7 +39,7 @@ from .syntax import (
 
 
 def _nonneg(q: QuasiPoly) -> bool:
-    return all(c >= 0 for _, c in q.coeffs)
+    return all(c >= 0 for _, c in q.terms)
 
 
 _POLY_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+|\^|\*|\+|-)")
@@ -133,8 +133,15 @@ class _Fresh:
         return self.name(f"c{self.n}")
 
 
+def _check_keywords(variables: Sequence[str]) -> None:
+    """Each variable becomes a parameter or loop iterator, so none may be a
+    keyword of the language."""
+    for v in variables:
+        if v in KEYWORDS:
+            raise ValueError(f"variable {v!r} is a keyword")
+
+
 def _emit_count(q: QuasiPoly, fresh: _Fresh) -> list[Stmt]:
-    q = q.with_variables(())  # only the variables that occur
     if not q.variables:
         n = int(q.evaluate({}))
         assert n >= 0
@@ -174,6 +181,7 @@ def counting_nest(spec: QuasiPoly) -> Program:
     for v in spec.variables:
         if v.startswith(RESERVED_PREFIXES):
             raise ValueError(f"variable {v!r} uses a reserved prefix u_, v_ or a_")
+    _check_keywords(spec.variables)
     stmts = _emit_count(spec, _Fresh(spec.variables))
     root = Finish(clocked=True, body=Seq(body=tuple(stmts)))
     params = tuple((v, 0) for v in spec.variables)
@@ -192,13 +200,10 @@ class RaceTest:
     signs: tuple[tuple[str, int], ...]  # original var -> +1 / -1
 
 
-def _split_by_sign(
-    q: QuasiPoly, variables: Sequence[str]
-) -> tuple[QuasiPoly, QuasiPoly]:
-    terms = q.terms()
-    pos = {m: c for m, c in terms.items() if c > 0}
-    neg = {m: -c for m, c in terms.items() if c < 0}
-    return QuasiPoly.from_terms(pos, variables), QuasiPoly.from_terms(neg, variables)
+def _split_by_sign(q: QuasiPoly) -> tuple[QuasiPoly, QuasiPoly]:
+    pos = {m: c for m, c in q.terms if c > 0}
+    neg = {m: -c for m, c in q.terms if c < 0}
+    return QuasiPoly.from_terms(pos), QuasiPoly.from_terms(neg)
 
 
 def race_test(
@@ -209,11 +214,14 @@ def race_test(
     The program has a box parameter ``m_<v>`` per variable, loops each
     variable from 0 to its bound, and races a write of the scalar ``u``
     (after P1(x) advances) against a read of it (after P2(x) advances).
-    A box parameter, the scalar or a loop iterator gets a numeric suffix
-    when a variable or an earlier pick already has its name."""
+    The variables are those of ``signs`` when it is given, which may name
+    more than occur in P1 and P2, else those that occur.  A box parameter,
+    the scalar or a loop iterator gets a numeric suffix when a variable or
+    an earlier pick already has its name."""
     if not _nonneg(p1) or not _nonneg(p2):
         raise ValueError("race tests need nonnegative coefficients on each side")
-    variables = tuple(sorted(set(p1.variables) | set(p2.variables)))
+    variables = tuple(sorted(signs or set(p1.variables) | set(p2.variables)))
+    _check_keywords(variables)
     fresh = _Fresh(variables)
     bounds = {v: fresh.name(f"m_{v}") for v in variables}
     scalar = fresh.name("u")
@@ -264,6 +272,6 @@ def race_tests_all_orthants(p1: QuasiPoly, p2: QuasiPoly) -> list[RaceTest]:
             v: (1 if not (bits >> i) & 1 else -1) for i, v in enumerate(variables)
         }
         subbed = diff.substitute({v: AffineExpr.var(v, s) for v, s in signs.items()})
-        q1, q2 = _split_by_sign(subbed, variables)
+        q1, q2 = _split_by_sign(subbed)
         out.append(race_test(q1, q2, signs))
     return out

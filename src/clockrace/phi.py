@@ -8,6 +8,12 @@ points of the advance's iteration domain that satisfy the ordering
 constraints -- a symbolic summation producing a polynomial with rational
 coefficients in the statement's iterators and the program parameters.
 
+A polynomial has one format: its ``(monomial, coefficient)`` pairs, where a
+monomial is a sorted tuple of ``(variable, exponent)`` pairs.  Arithmetic,
+summation and substitution work on ``{monomial: coefficient}`` dicts of
+those pairs, and ``QuasiPoly.from_terms`` makes each result canonical once.
+A polynomial's variables are the names that occur in it.
+
 Each summation over a loop variable uses Faulhaber's formula,
 ``sum_{v=lo}^{hi} v^e = F_e(hi) - F_e(lo - 1)`` with
 ``F_e(n) = sum_{v=1}^{n} v^e`` a polynomial of degree ``e + 1`` whose
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .affine import AffineSet, Constraint, ge, is_empty
 from .hb import (
@@ -72,64 +78,55 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
 class QuasiPoly:
     """Polynomial over named integer variables with Fraction coefficients.
 
-    Monomials are keyed by exponent tuples aligned with ``variables``;
-    representation is canonical (sorted variables, no zero coefficients,
-    monomials sorted by exponent tuple), so over the same variables
-    equality is polynomial identity.  Arithmetic results list exactly the
-    variables that occur; ``with_variables`` lists more.
+    ``terms`` holds its ``(monomial, coefficient)`` pairs in canonical form:
+    no zero coefficients, and the monomials sorted by their exponent
+    vectors over the sorted variables that occur.  Equality is therefore
+    polynomial identity.  Arithmetic works on monomial dicts and makes each
+    result canonical once, with ``from_terms``.
     """
 
-    variables: tuple[str, ...]
-    coeffs: tuple[tuple[tuple[int, ...], Fraction], ...]
+    terms: tuple[tuple[Monomial, Fraction], ...]
 
     @staticmethod
-    def from_terms(
-        terms: Mapping[Monomial, Fraction], variables: Iterable[str] = ()
-    ) -> "QuasiPoly":
-        """Canonical polynomial over the given variables plus those that
-        occur with a nonzero coefficient."""
-        terms = {m: c for m, c in terms.items() if c}
-        names = tuple(sorted(set(variables).union(v for m in terms for v, _ in m)))
-        pos = {v: i for i, v in enumerate(names)}
-        coeffs = []
-        for m, c in terms.items():
-            exps = [0] * len(names)
-            for v, e in m:
+    def from_terms(terms: Mapping[Monomial, Fraction]) -> "QuasiPoly":
+        """The canonical polynomial of a monomial dict."""
+        terms = {m: Fraction(c) for m, c in terms.items() if c}
+        pos = {v: i for i, v in enumerate(sorted({v for m in terms for v, _ in m}))}
+
+        def exponents(item):
+            exps = [0] * len(pos)
+            for v, e in item[0]:
                 exps[pos[v]] = e
-            coeffs.append((tuple(exps), Fraction(c)))
-        return QuasiPoly(names, tuple(sorted(coeffs)))
+            return exps
+
+        return QuasiPoly(tuple(sorted(terms.items(), key=exponents)))
 
     @staticmethod
     def zero() -> "QuasiPoly":
-        return QuasiPoly((), ())
+        return QuasiPoly(())
 
     @staticmethod
     def constant(k: Union[int, Fraction]) -> "QuasiPoly":
-        return QuasiPoly.from_terms({(): Fraction(k)})
+        return QuasiPoly.from_terms({(): k})
 
     @staticmethod
     def var(name: str) -> "QuasiPoly":
-        return QuasiPoly.from_terms({((name, 1),): Fraction(1)})
+        return QuasiPoly.from_terms({((name, 1),): 1})
 
     @staticmethod
     def from_affine(e: AffineExpr) -> "QuasiPoly":
-        terms = {((v, 1),): Fraction(c) for v, c in e.terms}
-        terms[()] = Fraction(e.const)
+        terms = {((v, 1),): c for v, c in e.terms}
+        terms[()] = e.const
         return QuasiPoly.from_terms(terms)
 
-    def terms(self) -> dict[Monomial, Fraction]:
-        return {
-            tuple((v, e) for v, e in zip(self.variables, exps) if e): c
-            for exps, c in self.coeffs
-        }
-
-    def with_variables(self, variables: Iterable[str]) -> "QuasiPoly":
-        """The same polynomial listing the given variables too."""
-        return QuasiPoly.from_terms(self.terms(), variables)
+    @property
+    def variables(self) -> tuple[str, ...]:
+        """The sorted names that occur."""
+        return tuple(sorted({v for m, _ in self.terms for v, _ in m}))
 
     def __add__(self, other: "QuasiPoly") -> "QuasiPoly":
-        terms = self.terms()
-        for m, c in other.terms().items():
+        terms = dict(self.terms)
+        for m, c in other.terms:
             terms[m] = terms.get(m, 0) + c
         return QuasiPoly.from_terms(terms)
 
@@ -141,14 +138,8 @@ class QuasiPoly:
 
     def __mul__(self, other: Union["QuasiPoly", int, Fraction]) -> "QuasiPoly":
         if not isinstance(other, QuasiPoly):
-            return QuasiPoly.from_terms({m: c * other for m, c in self.terms().items()})
-        terms: dict[Monomial, Fraction] = {}
-        right = other.terms()
-        for m1, c1 in self.terms().items():
-            for m2, c2 in right.items():
-                m = _mono_mul(m1, m2)
-                terms[m] = terms.get(m, 0) + c1 * c2
-        return QuasiPoly.from_terms(terms)
+            return QuasiPoly.from_terms({m: c * other for m, c in self.terms})
+        return QuasiPoly.from_terms(_product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -160,42 +151,40 @@ class QuasiPoly:
 
     def evaluate(self, env: Mapping[str, int]) -> Fraction:
         total = Fraction(0)
-        for exps, c in self.coeffs:
-            term = c
-            for v, e in zip(self.variables, exps):
-                term *= Fraction(env[v]) ** e
-            total += term
+        for m, c in self.terms:
+            for v, e in m:
+                c *= Fraction(env[v]) ** e
+            total += c
         return total
 
     def is_affine(self) -> bool:
-        return all(sum(exps) <= 1 for exps, _ in self.coeffs)
+        return all(sum(e for _, e in m) <= 1 for m, _ in self.terms)
 
     def as_affine(self) -> Optional[AffineExpr]:
         """Integer affine form, or None (non-affine or fractional)."""
-        if not self.is_affine():
+        if not self.is_affine() or any(c.denominator != 1 for _, c in self.terms):
             return None
-        const, terms = 0, {}
-        for exps, c in self.coeffs:
-            if c.denominator != 1:
-                return None
-            if sum(exps) == 0:
-                const = int(c)
-            else:
-                v = self.variables[exps.index(1)]
-                terms[v] = int(c)
-        return AffineExpr.make(const, terms)
+        terms = dict(self.terms)
+        const = int(terms.pop((), 0))
+        return AffineExpr.make(const, {m[0][0]: int(c) for m, c in terms.items()})
 
     def substitute(self, env: Mapping[str, AffineExpr]) -> "QuasiPoly":
-        """Substitute affine expressions for variables, all at once."""
-        repl = {v: QuasiPoly.from_affine(e) for v, e in env.items()}
-        total = QuasiPoly.zero()
-        for m, c in self.terms().items():
-            term = QuasiPoly.from_terms({tuple(x for x in m if x[0] not in repl): c})
+        """Substitute affine expressions for variables, all at once.  Each
+        power of each replacement is computed once, as a monomial dict, and
+        the sum is made canonical once."""
+        powers = {v: [{(): Fraction(1)}] for v in env}  # v -> [repl^0, repl^1, ...]
+        total: dict[Monomial, Fraction] = {}
+        for m, c in self.terms:
+            part = {tuple(x for x in m if x[0] not in env): c}
             for v, e in m:
-                if v in repl:
-                    term = term * repl[v] ** e
-            total += term
-        return total
+                if v in env:
+                    pv = powers[v]
+                    while len(pv) <= e:
+                        pv.append(_times_affine(pv[-1], env[v]))
+                    part = _product(part.items(), pv[e].items())
+            for mp, cp in part.items():
+                total[mp] = total.get(mp, 0) + cp
+        return QuasiPoly.from_terms(total)
 
     def sum_over(self, var: str, lo: AffineExpr, hi: AffineExpr) -> "QuasiPoly":
         """``sum_{var=lo}^{hi}`` of the polynomial, for bounds free of var.
@@ -207,7 +196,7 @@ class QuasiPoly:
         coefficients as one monomial dict, both values are taken by Horner's
         rule on monomial dicts, and only the difference is made canonical."""
         g: dict[int, dict[Monomial, Fraction]] = {}  # x^k -> its coefficient
-        for m, c in self.terms().items():
+        for m, c in self.terms:
             rest = tuple(x for x in m if x[0] != var)
             for k, f in _power_sum_coeffs(dict(m).get(var, 0)):
                 coeff = g.setdefault(k, {})
@@ -224,15 +213,12 @@ class QuasiPoly:
         return QuasiPoly.from_terms(total)
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for exps, c in sorted(self.coeffs, key=lambda it: (-sum(it[0]), it[0])):
-            mono = "*".join(
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self.variables, exps)
-                if e
-            )
+        # highest total degree first; the canonical order within a degree
+        for m, c in sorted(self.terms, key=lambda t: -sum(e for _, e in t[0])):
+            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in m)
             if c == 1 and mono:
                 s = mono
             elif c == -1 and mono:
@@ -258,6 +244,18 @@ def _power_sum_coeffs(e: int) -> tuple[tuple[int, Fraction], ...]:
     v^e = sum_j C(e+1, j) B_j n^(e+1-j) / (e+1)``; ``F_e(0) = 0``."""
     out = ((e + 1 - j, comb(e + 1, j) * _bernoulli(j) / (e + 1)) for j in range(e + 1))
     return tuple((k, f) for k, f in out if f)
+
+
+def _product(
+    left: Iterable[tuple[Monomial, Fraction]], right: Collection[tuple[Monomial, Fraction]]
+) -> dict[Monomial, Fraction]:
+    """The product of two polynomials given by their monomial pairs."""
+    out: dict[Monomial, Fraction] = {}
+    for m1, c1 in left:
+        for m2, c2 in right:
+            m = _mono_mul(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
 
 
 def _times_affine(
@@ -427,11 +425,9 @@ def phi(
                 part = counter.count(sum_vars, tuple(adv_dom + d), stmt_dom)
             except _CountFailure:
                 return None
-            for m, c in part.terms().items():
+            for m, c in part.terms:
                 total[m] = total.get(m, 0) + c
-    variables = [prefix + v for v in p.enclosing_iterators(stmt_id)]
-    variables += p.param_names()
-    return QuasiPoly.from_terms(total, variables)
+    return QuasiPoly.from_terms(total)
 
 
 def count_concrete(

@@ -192,16 +192,16 @@ def _substituted_phase_diff(
     for i, e in enumerate(eqs):
         if diff.is_affine():
             break
+        occurring = diff.variables
         for v, c in e.terms:
-            if c in (1, -1) and v in diff.variables:
+            if c in (1, -1) and v in occurring:
                 repl = (e - AffineExpr.var(v, c)).scale(-c)
                 diff = diff.substitute({v: repl})
                 eqs[i + 1 :] = [x.subst({v: repl}) for x in eqs[i + 1 :]]
                 break
     if not diff.is_affine():
         return None
-    denoms = [c.denominator for _, c in diff.coeffs] or [1]
-    scale = lcm(*denoms)
+    scale = lcm(*(c.denominator for _, c in diff.terms))
     return (diff * scale).as_affine()
 
 

@@ -36,12 +36,10 @@ def _sexpr_affine(e: AffineExpr) -> str:
 def _sexpr_poly(q: QuasiPoly, scale: int) -> str:
     """Integer-scaled polynomial as an SMT term."""
     parts = []
-    for exps, c in q.coeffs:
+    for m, c in q.terms:
         k = c * scale
         assert k.denominator == 1
-        factors = []
-        for v, e in zip(q.variables, exps):
-            factors.extend([v] * e)
+        factors = [v for v, e in m for _ in range(e)]
         if not factors:
             parts.append(_sexpr_int(int(k)))
         elif int(k) == 1:
@@ -71,12 +69,8 @@ def emit_smtlib(
         variables.update(c.expr.variables)
     phase_eq = None
     if phi_u is not None and phi_v is not None:
-        diff_vars = tuple(sorted(set(phi_u.variables) | set(phi_v.variables)))
-        variables.update(diff_vars)
-        denoms = [c.denominator for _, c in phi_u.coeffs] + [
-            c.denominator for _, c in phi_v.coeffs
-        ]
-        scale = lcm(*denoms) if denoms else 1
+        variables.update(phi_u.variables, phi_v.variables)
+        scale = lcm(*(c.denominator for _, c in phi_u.terms + phi_v.terms))
         phase_eq = f"(= (- {_sexpr_poly(phi_u, scale)} {_sexpr_poly(phi_v, scale)}) 0)"
 
     lines = []

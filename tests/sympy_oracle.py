@@ -16,17 +16,16 @@ def sym(name):
 
 def to_sympy(q: QuasiPoly) -> sympy.Expr:
     expr = sympy.Integer(0)
-    for exps, c in q.coeffs:
+    for m, c in q.terms:
         term = sympy.Rational(c.numerator, c.denominator)
-        for v, e in zip(q.variables, exps):
+        for v, e in m:
             term *= sym(v) ** e
         expr += term
     return expr
 
 
-def from_sympy(expr, variables=()) -> QuasiPoly:
-    """Canonical QuasiPoly of a polynomial expression, listing the given
-    variables plus those that occur."""
+def from_sympy(expr) -> QuasiPoly:
+    """Canonical QuasiPoly of a polynomial expression."""
     expr = sympy.expand(expr)
     names = sorted({str(s) for s in expr.free_symbols})
     terms = {}
@@ -37,7 +36,7 @@ def from_sympy(expr, variables=()) -> QuasiPoly:
     else:
         c = sympy.Rational(expr)
         terms[()] = Fraction(int(c.p), int(c.q))
-    return QuasiPoly.from_terms(terms, variables)
+    return QuasiPoly.from_terms(terms)
 
 
 def same_poly(q: QuasiPoly, expected) -> bool:

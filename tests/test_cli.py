@@ -328,9 +328,20 @@ def test_gen_count_bad_poly_exit_1(capsys):
 
 def test_gen_count_reserved_variable_exit_1(capsys):
     # the variable would become a parameter that analyze refuses
-    code, out, err = run(capsys, "gen-count", "--poly", "u_x^2+1")
+    for poly, message in (
+        ("u_x^2+1", "variable 'u_x' uses a reserved prefix u_, v_ or a_"),
+        ("advance", "variable 'advance' is a keyword"),
+    ):
+        code, out, err = run(capsys, "gen-count", "--poly", poly)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+
+def test_gen_race_keyword_variable_exit_1(capsys):
+    # the variable would become a loop iterator that analyze refuses
+    code, out, err = run(capsys, "gen-race", "--p1", "for", "--p2", "2")
     assert code == 1 and out == ""
-    assert err == "error: variable 'u_x' uses a reserved prefix u_, v_ or a_\n"
+    assert err == "error: variable 'for' is a keyword\n"
 
 
 def test_gen_race_output_reparses(capsys):

@@ -25,13 +25,13 @@ def test_parse_poly_basic():
     spec = parse_poly("x^2 + x*y + y^2")
     assert spec.variables == ("x", "y")
     assert spec.evaluate({"x": 2, "y": 3}) == 4 + 6 + 9
-    assert all(c > 0 for _, c in spec.coeffs)
+    assert all(c > 0 for _, c in spec.terms)
 
 
 def test_parse_poly_signs_and_constants():
     spec = parse_poly("3*x - 2")
     assert spec.evaluate({"x": 5}) == 13
-    assert sorted(c for _, c in spec.coeffs) == [-2, 3]
+    assert sorted(c for _, c in spec.terms) == [-2, 3]
     assert parse_poly("7").evaluate({}) == 7
 
 
@@ -66,10 +66,20 @@ def test_counting_nest_rejects_negative_coefficients():
         counting_nest(parse_poly("x - 1"))
 
 
-@pytest.mark.parametrize("poly", ["u_x^2+1", "x*v_y", "a_0+2"])
+# Its variables become parameters, which may not use the analysis' prefixes
+# nor be keywords.
+RESERVED_VARIABLES = {
+    "u_x^2+1": "variable 'u_x' uses a reserved prefix",
+    "x*v_y": "variable 'v_y' uses a reserved prefix",
+    "a_0+2": "variable 'a_0' uses a reserved prefix",
+    "advance": "variable 'advance' is a keyword",
+    "x*finish+1": "variable 'finish' is a keyword",
+}
+
+
+@pytest.mark.parametrize("poly", list(RESERVED_VARIABLES))
 def test_counting_nest_rejects_reserved_variables(poly):
-    # its variables become parameters, which may not use the analysis' prefixes
-    with pytest.raises(ValueError, match="reserved prefix"):
+    with pytest.raises(ValueError, match=RESERVED_VARIABLES[poly]):
         counting_nest(parse_poly(poly))
 
 
@@ -111,6 +121,14 @@ def test_race_test_race_free_when_no_zeros():
     t = race_test(parse_poly("x + 1"), parse_poly("0"))
     a = analyze(t.program, bound=2)
     assert a.verdict == "RaceFree"
+
+
+@pytest.mark.parametrize("p1, p2, keyword", [("for", "2", "for"), ("x", "async^2", "async")])
+def test_race_test_rejects_keyword_variables(p1, p2, keyword):
+    # a variable becomes a loop iterator, which may not be a keyword
+    for build in (race_test, race_tests_all_orthants):
+        with pytest.raises(ValueError, match=f"variable '{keyword}' is a keyword"):
+            build(parse_poly(p1), parse_poly(p2))
 
 
 def test_race_test_dynamic_cross_check():
@@ -159,6 +177,15 @@ def test_all_orthants_find_negative_roots():
             sign = dict(t.signs)["x"]
             roots.add(sign * v.witness["u_x"])
     assert roots == {2, -2}
+
+
+def test_all_orthants_keep_a_variable_that_cancels():
+    # x+1 - x has no x, yet each orthant's program still loops over x
+    tests = race_tests_all_orthants(parse_poly("x+1"), parse_poly("x"))
+    assert [t.signs for t in tests] == [(("x", 1),), (("x", -1),)]
+    for t in tests:
+        assert [n for n, _ in t.program.params] == ["m_x"]
+        assert analyze(t.program, bound=2).verdict == "RaceFree"
 
 
 def test_all_orthants_no_roots():

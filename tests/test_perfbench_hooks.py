@@ -1,0 +1,39 @@
+"""What the benchmark harness in ``perfbench/`` reads of the program.
+
+Its tracer wraps names in the analyzer's module namespaces, and its frozen
+fuzz generator walks the instantiated term format.  A rename or a format
+change there would otherwise only show when the benchmark runs.  The
+modules are loaded by path, under names of their own, since
+``tests/fuzzgen.py`` shares the generator's module name."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from clockrace import parse
+from clockrace.interp import instantiate
+
+from conftest import load
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_every_boundary():
+    races = importlib.import_module("clockrace.races")
+    tracer = perfbench_module("tracing").Tracer()
+    with tracer.installed():
+        races.analyze(load("jacobi"))
+    for counter in ("phi.calls", "affine.calls", "hb.calls"):
+        assert tracer.counters[counter] > 0, counter
+
+
+def test_frozen_fuzz_generator_reads_the_term_format():
+    p = parse("param N >= 1;\narray A[1];\nfinish for (i=0:N-1) async A[i] = f();\n")
+    assert perfbench_module("fuzzgen")._count_asyncs(instantiate(p, {"N": 3})) == 3

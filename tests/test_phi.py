@@ -19,8 +19,10 @@ from clockrace import (
     race_test,
     reduce_clock,
 )
+from clockrace.affine import AffineSet
 from clockrace.interp import instantiate, term_instances
 from clockrace.phi import _bernoulli
+from clockrace.smt import emit_smtlib
 from clockrace.syntax import AffineExpr
 
 from conftest import load
@@ -33,36 +35,39 @@ from sympy_oracle import from_sympy, same_poly, sym, to_sympy
 
 def test_quasipoly_round_trip_and_str():
     e = sympy.expand(sym("N") * sym("u_k") - sympy.Rational(1, 2) * sym("u_k") ** 2)
-    q = from_sympy(e, ["u_k", "N"])
+    q = from_sympy(e)
     assert sympy.expand(to_sympy(q) - e) == 0
     assert q.evaluate({"u_k": 3, "N": 5}) == Fraction(21, 2)
     assert not q.is_affine()
 
 
 def test_quasipoly_affine_conversion():
-    q = from_sympy(2 * sym("t") + 1, ["t"])
+    q = from_sympy(2 * sym("t") + 1)
     assert q.is_affine()
     a = q.as_affine()
     assert a == AffineExpr.make(1, {"t": 2})
     # half-integer coefficients have no affine form
-    h = from_sympy(sym("t") / 2, ["t"])
+    h = from_sympy(sym("t") / 2)
     assert h.as_affine() is None
 
 
 def test_quasipoly_substitute():
-    q = from_sympy(sym("x") ** 2 + sym("y"), ["x", "y"])
+    q = from_sympy(sym("x") ** 2 + sym("y"))
     r = q.substitute({"x": AffineExpr.make(1, {"z": 1})})  # x := z + 1
     expected = sympy.expand((sym("z") + 1) ** 2 + sym("y"))
     assert sympy.expand(to_sympy(r) - expected) == 0
 
 
 def is_canonical(q):
-    occurring = {v for exps, _ in q.coeffs for v, e in zip(q.variables, exps) if e}
-    exps = [exps for exps, _ in q.coeffs]
+    """Distinct well-formed monomials with nonzero Fraction coefficients, in
+    the order ``from_terms`` gives whatever order its input has (the order
+    itself is pinned in test_canonical_order_is_pinned)."""
+    monomials = [m for m, _ in q.terms]
     return (
-        list(q.variables) == sorted(occurring)
-        and exps == sorted(set(exps))
-        and all(c != 0 for _, c in q.coeffs)
+        len(set(monomials)) == len(monomials)
+        and all(list(m) == sorted(dict(m).items()) and all(e >= 1 for _, e in m) for m in monomials)
+        and all(isinstance(c, Fraction) and c != 0 for _, c in q.terms)
+        and QuasiPoly.from_terms(dict(reversed(q.terms))).terms == q.terms
     )
 
 
@@ -72,10 +77,8 @@ def test_quasipoly_constructors():
     a = QuasiPoly.from_affine(AffineExpr.make(-2, {"N": 1, "i": 3}))
     assert a.as_affine() == AffineExpr.make(-2, {"N": 1, "i": 3})
     assert (a - a) == QuasiPoly.zero()
-    # listing more variables keeps the value and the canonical order
-    w = a.with_variables(["u_k", "N"])
-    assert w.variables == ("N", "i", "u_k")
-    assert w.evaluate({"N": 4, "i": 1, "u_k": 9}) == 5
+    assert a.variables == ("N", "i")
+    assert a.evaluate({"N": 4, "i": 1}) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -103,15 +106,14 @@ def test_sum_over_matches_sympy_and_point_sums(degree):
 NAMES = ("x", "y", "z")
 
 
-@st.composite
-def polys(draw):
-    terms = {}
-    for _ in range(draw(st.integers(0, 4))):
-        exps = [draw(st.integers(0, 3)) for _ in NAMES]
-        mono = tuple((v, e) for v, e in zip(NAMES, exps) if e)
-        num, den = draw(st.integers(-6, 6)), draw(st.integers(1, 4))
-        terms[mono] = Fraction(num, den)
-    return QuasiPoly.from_terms(terms)
+monomials = st.dictionaries(st.sampled_from(NAMES), st.integers(1, 3)).map(
+    lambda exps: tuple(sorted(exps.items()))
+)
+
+
+def polys():
+    fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    return st.dictionaries(monomials, fractions, max_size=4).map(QuasiPoly.from_terms)
 
 
 @st.composite
@@ -150,6 +152,32 @@ def test_substitute_matches_sympy(p, v1, e1, v2, e2):
     assert sympy.expand(to_sympy(got) - expected) == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.lists(monomials, max_size=3), st.randoms(use_true_random=False))
+def test_from_terms_is_canonical(p, zero_monomials, rng):
+    """The pairs, their order, hash and text do not depend on the order of
+    the input or on zero terms, which may name variables that do not occur."""
+    items = list(p.terms) + [(m, 0) for m in zero_monomials if m not in dict(p.terms)]
+    rng.shuffle(items)
+    q = QuasiPoly.from_terms(dict(items))
+    assert q == p and hash(q) == hash(p) and str(q) == str(p)
+    assert p - p == QuasiPoly.zero()
+    assert p.variables == tuple(sorted({v for m, _ in p.terms for v, _ in m}))
+
+
+def test_canonical_order_is_pinned():
+    """Monomials sort by their exponent vectors over the sorted variables
+    (here (x, y)); the text puts higher total degree first and the SMT term
+    keeps the canonical order."""
+    q = parse_poly("3*x^2+3*x*y+y^2+y+2")
+    assert [m for m, _ in q.terms] == [
+        (), (("y", 1),), (("y", 2),), (("x", 1), ("y", 1)), (("x", 2),)
+    ]
+    assert str(q) == "y^2+3*x*y+3*x^2+y+2"
+    script = emit_smtlib(AffineSet.conjunction(["x", "y"], []), q, QuasiPoly.zero())
+    assert "(assert (= (- (+ 2 y (* y y) (* 3 x y) (* 3 x x)) 0) 0))\n" in script
+
+
 # ---------------------------------------------------------------------------
 # sum_over against the per-power reference it replaced
 
@@ -166,7 +194,7 @@ def reference_faulhaber(e, n):
 def reference_sum_over(q, var, lo, hi):
     """One Faulhaber difference per power of var, times its coefficient."""
     by_power = {}
-    for m, c in q.terms().items():
+    for m, c in q.terms:
         rest = tuple(x for x in m if x[0] != var)
         by_power.setdefault(dict(m).get(var, 0), {})[rest] = c
     upper = QuasiPoly.from_affine(hi)
@@ -369,13 +397,13 @@ def test_phi_zero_when_no_advances():
     ("clocked finish { for (j = 0 : N) { advance; } for (i = 0 : M) { S0(); } }", "N+1"),
 ])
 def test_phi_lists_every_iterator_and_parameter(source, expected):
-    """The variables are the statement's prefixed iterators plus the
-    parameters, also those the polynomial does not mention."""
+    """The variables are the statement's prefixed iterators and the
+    parameters that occur in the polynomial: here M and u_i never do."""
     p = parse("param N >= 1;\nparam M >= 0;\n" + source + "\n")
     stmt = p.basic_statements()[0]
     q = phi(p, 0, stmt.node_id, "u_")
     assert str(q) == expected
-    assert q.variables == ("M", "N", "u_i")
+    assert q.variables == {"0": (), "N+1": ("N",)}[expected]
 
 
 def test_sum_over_of_zero_is_zero():

@@ -22,8 +22,8 @@ def test_script_shape():
         [ge(AffineExpr.make(0, {"u_i": 1}))],
         [ge(AffineExpr.make(-2, {"N": 1}))],
     )
-    phi_u = from_sympy(sym("N") * sym("u_i"), ["u_i", "N"])
-    phi_v = from_sympy(2 * sym("v_i"), ["v_i"])
+    phi_u = from_sympy(sym("N") * sym("u_i"))
+    phi_v = from_sympy(2 * sym("v_i"))
     script = emit_smtlib(s, phi_u, phi_v, comment="unit test")
     assert "; unit test" in script
     assert "(set-logic QF_NIA)" in script
@@ -44,8 +44,8 @@ def test_script_for_empty_set_is_unsat():
 
 def test_fractional_phases_are_scaled_to_integers():
     k = sym("u_k")
-    phi_u = from_sympy(k**2 / 2 + k / 2, ["u_k"])
-    phi_v = from_sympy(sym("v_k"), ["v_k"])
+    phi_u = from_sympy(k**2 / 2 + k / 2)
+    phi_v = from_sympy(sym("v_k"))
     s = AffineSet.conjunction(["u_k", "v_k"], [])
     script = emit_smtlib(s, phi_u, phi_v)
     assert "/" not in script  # SMT integers only; the equality was scaled
