@@ -2,7 +2,9 @@
 
 An :class:`AffineSet` is a union of conjunctions of affine constraints
 (``expr >= 0`` or ``expr == 0``) over named integer variables, under a
-context of parameter constraints.  Emptiness testing is three-valued:
+context of parameter constraints.  A set's variables are the names that
+occur in its constraints; nothing declares them apart.  Emptiness testing
+is three-valued:
 ``True`` (no integer point for any parameter valuation), ``False`` (a
 concrete witness exists), or ``None`` (undetermined).
 
@@ -54,19 +56,23 @@ def eq(expr: AffineExpr) -> Constraint:
 
 @dataclass(frozen=True)
 class AffineSet:
-    """Union of constraint conjunctions over ordered integer variables."""
+    """Union of constraint conjunctions under a context.  Its variables are
+    the names that occur in the disjuncts and the context."""
 
-    variables: tuple[str, ...]
     disjuncts: tuple[tuple[Constraint, ...], ...]
     context: tuple[Constraint, ...] = ()
 
     @staticmethod
     def conjunction(
-        variables: Sequence[str],
-        constraints: Sequence[Constraint],
-        context: Sequence[Constraint] = (),
+        constraints: Sequence[Constraint], context: Sequence[Constraint] = ()
     ) -> "AffineSet":
-        return AffineSet(tuple(variables), (tuple(constraints),), tuple(context))
+        return AffineSet((tuple(constraints),), tuple(context))
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        """The sorted names that occur in the disjuncts and the context."""
+        constraints = itertools.chain(self.context, *self.disjuncts)
+        return tuple(sorted({v for c in constraints for v, _ in c.expr.terms}))
 
     def contains(self, env: Mapping[str, int]) -> bool:
         """Point membership; the context is not re-checked."""

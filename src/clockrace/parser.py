@@ -175,53 +175,47 @@ class _Parser:
 
     # -- affine expressions
     #
-    # Returns (expr, is_constant).  Products are legal only when at least one
-    # side is constant; anything else is rejected as non-affine.
+    # A product is legal only when one side is constant (has no terms);
+    # anything else is rejected as non-affine.
 
     def parse_affine(self, scope: list[str]) -> AffineExpr:
-        expr, _ = self._parse_sum(scope)
-        return expr
-
-    def _parse_sum(self, scope: list[str]) -> tuple[AffineExpr, bool]:
-        expr, const = self._parse_product(scope)
+        expr = self._parse_product(scope)
         while self.peek().text in ("+", "-"):
             op = self.next().text
-            rhs, rconst = self._parse_product(scope)
+            rhs = self._parse_product(scope)
             expr = expr + rhs if op == "+" else expr - rhs
-            const = const and rconst
-        return expr, const
+        return expr
 
-    def _parse_product(self, scope: list[str]) -> tuple[AffineExpr, bool]:
-        expr, const = self._parse_atom(scope)
+    def _parse_product(self, scope: list[str]) -> AffineExpr:
+        expr = self._parse_atom(scope)
         while self.peek().text == "*":
             tok = self.next()
-            rhs, rconst = self._parse_atom(scope)
-            if const:
-                expr, const = rhs.scale(expr.const), rconst
-            elif rconst:
+            rhs = self._parse_atom(scope)
+            if not expr.terms:
+                expr = rhs.scale(expr.const)
+            elif not rhs.terms:
                 expr = expr.scale(rhs.const)
             else:
                 raise self.error("non-affine expression: product of two variables", tok)
-        return expr, const
+        return expr
 
-    def _parse_atom(self, scope: list[str]) -> tuple[AffineExpr, bool]:
+    def _parse_atom(self, scope: list[str]) -> AffineExpr:
         tok = self.peek()
         if tok.text == "-":
             self.next()
-            expr, const = self._parse_atom(scope)
-            return -expr, const
+            return -self._parse_atom(scope)
         if tok.text == "(":
             self.next()
-            expr, const = self._parse_sum(scope)
+            expr = self.parse_affine(scope)
             self.expect(")")
-            return expr, const
+            return expr
         tok = self.next()
         if tok.kind == "int":
-            return AffineExpr.const_expr(int(tok.text)), True
+            return AffineExpr.const_expr(int(tok.text))
         if tok.kind == "ident" and tok.text not in KEYWORDS:
             if tok.text not in scope and tok.text not in dict(self.params):
                 raise self.error(f"unknown identifier {tok.text!r}", tok)
-            return AffineExpr.var(tok.text), False
+            return AffineExpr.var(tok.text)
         raise self.error(f"expected expression, found {tok.text!r}", tok)
 
     def _parse_comparison(self, scope: list[str]) -> list[AffineExpr]:

@@ -285,12 +285,10 @@ def _bounds_of(c: Constraint, var: str) -> Optional[tuple[str, AffineExpr]]:
     k = c.expr.coeff(var)
     if k == 0:
         return None
-    rest = c.expr - AffineExpr.var(var, k)
-    if k == 1:
-        return ("lo", -rest)  # var >= -rest
-    if k == -1:
-        return ("hi", rest)  # var <= rest
-    raise _CountFailure(f"non-unit coefficient on {var}")
+    bound = c.expr.solve(var)
+    if bound is None:
+        raise _CountFailure(f"non-unit coefficient on {var}")
+    return ("lo" if k == 1 else "hi", bound)
 
 
 class _Counter:
@@ -316,8 +314,7 @@ class _Counter:
         return self._once(("empty", constraints), self._empty)
 
     def _empty(self, constraints: tuple[Constraint, ...]) -> bool:
-        variables = sorted({v for c in constraints for v in c.expr.variables})
-        return is_empty(AffineSet.conjunction(variables, constraints, self.context)) is True
+        return is_empty(AffineSet.conjunction(constraints, self.context)) is True
 
     def implied(self, ctx: tuple[Constraint, ...], claim: AffineExpr) -> bool:
         """Does ctx (integrally) imply claim >= 0?  Sound, incomplete."""
@@ -347,10 +344,8 @@ class _Counter:
             if c.kind != "eq":
                 continue
             for var in sum_vars:
-                k = c.expr.coeff(var)
-                if k in (1, -1):
-                    rest = c.expr - AffineExpr.var(var, k)
-                    repl = rest.scale(-k)  # var = -rest/k
+                repl = c.expr.solve(var)
+                if repl is not None:
                     new = tuple(
                         Constraint(d.expr.subst({var: repl}), d.kind)
                         for d in constraints

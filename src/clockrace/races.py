@@ -125,30 +125,21 @@ def race_candidates(p: Program) -> list[RaceCandidate]:
 
     @functools.cache
     def pair_facts(u_id: int, v_id: int):
-        """The unordered disjuncts, both domains, the variables and the clock
-        reduction; None when happens-before orders every instance pair."""
+        """The unordered disjuncts, both domains and the clock reduction;
+        None when happens-before orders every instance pair."""
         unordered = unordered_disjuncts(p, u_id, v_id)
         if not unordered:
             return None
         dom = statement_domain(p, u_id, "u_") + statement_domain(p, v_id, "v_")
-        variables = sorted(
-            {"u_" + v for v in p.enclosing_iterators(u_id)}
-            | {"v_" + v for v in p.enclosing_iterators(v_id)}
-            | set(p.param_names())
-        )
-        return unordered, dom, tuple(variables), reduce_clock(p, u_id, v_id)
+        return unordered, dom, reduce_clock(p, u_id, v_id)
 
     def consider(su: Basic, u_ref: AccessRef, sv: Basic, v_ref: AccessRef, kind: str):
         facts = pair_facts(su.node_id, sv.node_id)
         if facts is None:
             return
-        unordered, dom, variables, reduction = facts
+        unordered, dom, reduction = facts
         subs = _subscript_equalities(p, su.node_id, u_ref, sv.node_id, v_ref)
-        system = AffineSet(
-            variables,
-            tuple(tuple(dom + subs + d) for d in unordered),
-            tuple(context),
-        )
+        system = AffineSet(tuple(tuple(dom + subs + d) for d in unordered), tuple(context))
         emptiness = is_empty_with_witness(system)
         if emptiness[0] is True:
             return
@@ -192,10 +183,9 @@ def _substituted_phase_diff(
     for i, e in enumerate(eqs):
         if diff.is_affine():
             break
-        occurring = diff.variables
-        for v, c in e.terms:
-            if c in (1, -1) and v in occurring:
-                repl = (e - AffineExpr.var(v, c)).scale(-c)
+        for v in diff.variables:
+            repl = e.solve(v)
+            if repl is not None:
                 diff = diff.substitute({v: repl})
                 eqs[i + 1 :] = [x.subst({v: repl}) for x in eqs[i + 1 :]]
                 break
@@ -307,7 +297,7 @@ def _affine_tier(p, cand, confirmer, solver_cmd, bound) -> Optional[Verdict]:
             if diff is None:
                 return None
             augmented.append(tuple(d) + (eq(diff),))
-        empty, point = is_empty_with_witness(AffineSet(s.variables, tuple(augmented), s.context))
+        empty, point = is_empty_with_witness(AffineSet(tuple(augmented), s.context))
     if empty is True:
         return Verdict("race-free", "affine")
     if empty is None:

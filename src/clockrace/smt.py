@@ -65,8 +65,6 @@ def emit_smtlib(
     """SMT-LIB script that is satisfiable exactly when the race system has
     an integer solution (with equal phases when phase functions are given)."""
     variables = set(system.variables)
-    for c in system.context:
-        variables.update(c.expr.variables)
     phase_eq = None
     if phi_u is not None and phi_v is not None:
         variables.update(phi_u.variables, phi_v.variables)

@@ -64,6 +64,14 @@ class AffineExpr:
     def scale(self, k: int) -> "AffineExpr":
         return AffineExpr.make(self.const * k, {v: c * k for v, c in self.terms})
 
+    def solve(self, var: str) -> Optional["AffineExpr"]:
+        """The value of var that makes the expression zero, when var's
+        coefficient is 1 or -1; None otherwise."""
+        k = self.coeff(var)
+        if k not in (1, -1):
+            return None
+        return AffineExpr(-k * self.const, tuple((v, -k * c) for v, c in self.terms if v != var))
+
     def shift(self, k: int) -> "AffineExpr":
         return AffineExpr(self.const + k, self.terms)
 

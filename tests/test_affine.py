@@ -13,17 +13,16 @@ def expr(const=0, **coeffs):
     return AffineExpr.make(const, coeffs)
 
 
-def conj(variables, *constraints):
-    return AffineSet.conjunction(variables, constraints)
+def conj(*constraints):
+    return AffineSet.conjunction(constraints)
 
 
 def union(a, b):
-    assert a.variables == b.variables
-    return AffineSet(a.variables, a.disjuncts + b.disjuncts, a.context)
+    return AffineSet(a.disjuncts + b.disjuncts, a.context)
 
 
 def with_context(s, context):
-    return AffineSet(s.variables, s.disjuncts, tuple(context))
+    return AffineSet(s.disjuncts, tuple(context))
 
 
 def enumerate_points(s, box):
@@ -41,40 +40,40 @@ def enumerate_points(s, box):
 
 
 def test_interval():
-    s = conj(["x"], ge(expr(0, x=1)), ge(expr(5, x=-1)))  # 0 <= x <= 5
+    s = conj(ge(expr(0, x=1)), ge(expr(5, x=-1)))  # 0 <= x <= 5
     empty, witness = is_empty_with_witness(s)
     assert empty is False
     assert s.contains(witness)
 
 
 def test_contradictory_interval():
-    s = conj(["x"], ge(expr(-1, x=1)), ge(expr(0, x=-1)))  # x >= 1 and x <= 0
+    s = conj(ge(expr(-1, x=1)), ge(expr(0, x=-1)))  # x >= 1 and x <= 0
     assert is_empty(s) is True
 
 
 def test_parity_gap():
     # 2x = 2y + 1 has no integer solution
-    s = conj(["x", "y"], eq(expr(-1, x=2, y=-2)))
+    s = conj(eq(expr(-1, x=2, y=-2)))
     assert is_empty(s) is True
 
 
 def test_gcd_tightening():
     # 1 <= 3x <= 2 has no integer solution but is rationally feasible
-    s = conj(["x"], ge(expr(-1, x=3)), ge(expr(2, x=-3)))
+    s = conj(ge(expr(-1, x=3)), ge(expr(2, x=-3)))
     assert is_empty(s) is True
 
 
 def test_bezout_equality():
-    assert is_empty(conj(["x", "y"], eq(expr(-1, x=6, y=10)))) is True
-    s = conj(["x", "y"], eq(expr(-2, x=6, y=10)))
+    assert is_empty(conj(eq(expr(-1, x=6, y=10)))) is True
+    s = conj(eq(expr(-2, x=6, y=10)))
     empty, witness = is_empty_with_witness(s)
     assert empty is False
     assert 6 * witness["x"] + 10 * witness["y"] == 2
 
 
 def test_union_and_context():
-    a = conj(["x"], eq(expr(-1, x=2)))  # 2x = 1, empty
-    b = conj(["x"], eq(expr(-4, x=2)))  # x = 2
+    a = conj(eq(expr(-1, x=2)))  # 2x = 1, empty
+    b = conj(eq(expr(-4, x=2)))  # x = 2
     u = with_context(union(a, b), [ge(expr(0, x=1))])
     empty, witness = is_empty_with_witness(u)
     assert empty is False
@@ -84,10 +83,27 @@ def test_union_and_context():
 
 
 def test_witness_respects_context():
-    s = with_context(conj(["x", "N"], eq(expr(0, x=1, N=-1))), [ge(expr(-3, N=1))])
+    s = with_context(conj(eq(expr(0, x=1, N=-1))), [ge(expr(-3, N=1))])
     empty, witness = is_empty_with_witness(s)
     assert empty is False
     assert witness["N"] >= 3 and witness["x"] == witness["N"]
+
+
+def test_variables_are_the_names_that_occur():
+    s = with_context(
+        union(conj(ge(expr(0, y=1, x=-1))), conj(eq(expr(0, z=2)), ge(expr(1)))),
+        [ge(expr(-1, N=1))],
+    )
+    assert s.variables == ("N", "x", "y", "z")
+    assert AffineSet(()).variables == ()
+
+
+def test_solve_for_a_unit_coefficient():
+    e = expr(3, x=1, y=-2)  # x - 2y + 3
+    assert e.solve("x") == expr(-3, y=2)
+    assert (-e).solve("x") == expr(-3, y=2)
+    assert e.solve("y") is None  # coefficient -2
+    assert e.solve("z") is None  # absent
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +112,7 @@ def test_witness_respects_context():
 
 def test_enumerate_triangle():
     # 0 <= x <= y <= 3
-    s = conj(["x", "y"], ge(expr(0, x=1)), ge(expr(0, y=1, x=-1)), ge(expr(3, y=-1)))
+    s = conj(ge(expr(0, x=1)), ge(expr(0, y=1, x=-1)), ge(expr(3, y=-1)))
     pts = enumerate_points(s, {"x": (0, 3), "y": (0, 3)})
     assert len(pts) == 10
     assert pts == sorted(pts)
@@ -117,7 +133,7 @@ def _random_system(rng, n_vars, n_cons, box=3):
         coeffs = {v: rng.randint(-3, 3) for v in rng.sample(names, rng.randint(1, n_vars))}
         c = expr(rng.randint(-4, 4), **{k: v for k, v in coeffs.items() if v})
         cons.append(eq(c) if rng.random() < 0.3 else ge(c))
-    return conj(names, *cons), names, box
+    return conj(*cons), names, box
 
 
 def _brute_force(s, names, box):
@@ -157,7 +173,7 @@ def test_emptiness_matches_brute_force_hypothesis(data):
         coeffs = {k: c for k, c in coeffs.items() if c}
         e = expr(data.draw(st.integers(-3, 3), label="const"), **coeffs)
         cons.append(eq(e) if data.draw(st.booleans(), label="is_eq") else ge(e))
-    s = conj(names, *cons)
+    s = conj(*cons)
     empty, witness = is_empty_with_witness(s)
     assert empty is not None
     assert empty == (not _brute_force(s, names, 2))

@@ -57,6 +57,21 @@ def test_analyze_negative_bound_exit_1(capsys):
     assert err == "error: --bound must be at least 0, got -3\n"
 
 
+@pytest.mark.parametrize(
+    "solver_cmd, message",
+    [(" ", "--solver-cmd is empty"), ('"x', "--solver-cmd '\"x': No closing quotation")],
+)
+def test_analyze_bad_solver_cmd_exit_1(capsys, solver_cmd, message):
+    """A command that does not split into a program and its arguments is
+    refused before the analysis, not met as a traceback in the SMT tier."""
+    code, out, err = run(
+        capsys, "analyze", str(corpus_path("qr")), "--bound", "2", "--solver-cmd", solver_cmd
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_analyze_parse_error_exit_1(tmp_path, capsys):
     f = tmp_path / "bad.cx10"
     f.write_text("param N >= ;\n")

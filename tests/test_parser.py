@@ -6,6 +6,7 @@ from clockrace import (
     print_program,
     validate_clock_rules,
 )
+from clockrace.syntax import AffineExpr
 from conftest import CORPUS_NAMES, load
 
 
@@ -57,6 +58,13 @@ def test_parse_errors_have_positions(source, line):
         parse(source)
     assert exc.value.line == line
     assert exc.value.col >= 1
+
+
+@pytest.mark.parametrize("subscript", ["0*N*M", "(N-N)*M", "N*0*M"])
+def test_products_with_a_constant_zero_side_are_affine(subscript):
+    """A side is constant when it has no terms, however it is written."""
+    p = parse(f"param N >= 1;\nparam M >= 1;\narray A[1];\nA[{subscript}] = f();\n")
+    assert p.root.write.subscripts == (AffineExpr(),)
 
 
 @pytest.mark.parametrize(

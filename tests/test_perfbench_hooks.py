@@ -8,6 +8,9 @@ modules are loaded by path, under names of their own, since
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from clockrace import parse
@@ -37,3 +40,17 @@ def test_tracer_wraps_every_boundary():
 def test_frozen_fuzz_generator_reads_the_term_format():
     p = parse("param N >= 1;\narray A[1];\nfinish for (i=0:N-1) async A[i] = f();\n")
     assert perfbench_module("fuzzgen")._count_asyncs(instantiate(p, {"N": 3})) == 3
+
+
+def test_harness_runs_a_short_traced_pass():
+    """A one-second traced run of the smallest workload: what the harness
+    reads of the program (the traced names, ``build_report`` and a
+    candidate's system) must still be there for it to pass."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "corpus-static",
+         "--seed", "0", "--seconds", "1", "--trace", "1"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

@@ -174,7 +174,7 @@ def test_canonical_order_is_pinned():
         (), (("y", 1),), (("y", 2),), (("x", 1), ("y", 1)), (("x", 2),)
     ]
     assert str(q) == "y^2+3*x*y+3*x^2+y+2"
-    script = emit_smtlib(AffineSet.conjunction(["x", "y"], []), q, QuasiPoly.zero())
+    script = emit_smtlib(AffineSet.conjunction([]), q, QuasiPoly.zero())
     assert "(assert (= (- (+ 2 y (* y y) (* 3 x y) (* 3 x x)) 0) 0))\n" in script
 
 

@@ -1,10 +1,22 @@
 import itertools
 import random
+import shlex
 import stat
+import sys
+from pathlib import Path
 
 import pytest
 
-from clockrace import AffineSet, emit_smtlib, parse, parse_poly, race_tests_all_orthants, run_solver
+from clockrace import (
+    AffineSet,
+    analyze,
+    emit_smtlib,
+    parse,
+    parse_poly,
+    race_test,
+    race_tests_all_orthants,
+    run_solver,
+)
 from clockrace.affine import eq, ge
 from clockrace.races import _smt_script, race_candidates
 from clockrace.smt import parse_model
@@ -18,7 +30,6 @@ from test_golden import GOLDEN_PHASES
 
 def test_script_shape():
     s = AffineSet.conjunction(
-        ["u_i", "v_i"],
         [ge(AffineExpr.make(0, {"u_i": 1}))],
         [ge(AffineExpr.make(-2, {"N": 1}))],
     )
@@ -37,7 +48,7 @@ def test_script_shape():
 
 
 def test_script_for_empty_set_is_unsat():
-    s = AffineSet(("x",), ())  # no disjunct: the empty set
+    s = AffineSet(())  # no disjunct: the empty set
     script = emit_smtlib(s)
     assert "(assert false)" in script
 
@@ -46,15 +57,13 @@ def test_fractional_phases_are_scaled_to_integers():
     k = sym("u_k")
     phi_u = from_sympy(k**2 / 2 + k / 2)
     phi_v = from_sympy(sym("v_k"))
-    s = AffineSet.conjunction(["u_k", "v_k"], [])
+    s = AffineSet.conjunction([])
     script = emit_smtlib(s, phi_u, phi_v)
     assert "/" not in script  # SMT integers only; the equality was scaled
 
 
 def test_corpus_scripts_parse_roundtrip_names():
     p = load("qr")
-    from clockrace import analyze
-
     a = analyze(p, solver_cmd="echo unsat")
     assert len(a.smt_scripts) == 8
     for k, script in enumerate(a.smt_scripts):
@@ -209,3 +218,79 @@ def test_corpus_scripts_mean_their_systems(name):
             return [[witness[v] + rng.choice((-1, 0, 0, 1)) for v in names] for _ in range(300)]
 
         assert _check_script(cand, near)[0]
+
+
+# ---------------------------------------------------------------------------
+# The SMT tier with an enumerating stub solver
+
+ENUM_SOLVER = Path(__file__).resolve().parent / "enum_solver.py"
+
+
+def enum_solver_cmd():
+    return shlex.join([sys.executable, str(ENUM_SOLVER), "--box", "6"])
+
+
+def test_enum_solver_finds_models_and_never_proves_unsat():
+    script = (
+        "(declare-const x Int)\n(declare-const y Int)\n"
+        "(assert (and (>= x 0) (= (* x x) (+ y 4))))\n(assert (>= y 1))\n"
+    )
+    status, model = run_solver(enum_solver_cmd(), script)
+    assert status == "sat" and model["x"] ** 2 == model["y"] + 4 and model["y"] >= 1
+    assert run_solver(enum_solver_cmd(), "(declare-const x Int)\n(assert false)\n") == ("unknown", {})
+    # a constant the script uses but does not declare is an error, not a model
+    assert run_solver(enum_solver_cmd(), "(declare-const x Int)\n(assert (= x y))\n") == ("unknown", {})
+
+
+# The race tests of the race-hunt benchmark workload (its seed-7 orientation),
+# as writer and reader polynomials, with the tier that decides each today
+# and the verdict it gives.
+RACE_HUNT_PAIRS = {
+    "2*x+1=x+3": "witness/affine",
+    "3*x^2+2*x+1=3*x+1": "witness/bounded",
+    "3*x^2+3*x+2=2*x^2+x+2": "witness/bounded",
+    "3*x^2+2*x=2*x^2+3": "witness/bounded",
+    "x^2+2=3*x^2+3*x+2": "witness/bounded",
+    "2*x^2+x=3*x^2+2": "unknown/bounded",
+    "0=3*x+3": "race-free/affine",
+    "1=3*x^2+3": "unknown/bounded",
+    "2*x^2+3*x+1=x+3": "unknown/bounded",
+    "3*x+1=x^2+x+3": "unknown/bounded",
+    "3*x^2+3*x*y+x+y^2+2*y+1=3*x^2+3*x*y+y^2+y+2": "witness/affine",
+    "x^2+3*x*y+2*x+y^2+3*y=x^2+x+y^2+3*y+1": "witness/bounded",
+}
+
+
+def race_hunt_test(pair):
+    return race_test(*map(parse_poly, pair.split("="))).program
+
+
+def verdict_of(analysis):
+    (_, v), = analysis.candidates
+    return v
+
+
+@pytest.mark.parametrize("pair", RACE_HUNT_PAIRS)
+def test_smt_tier_confirms_what_only_the_bounded_tier_found(pair):
+    """With a solver, a witness only the bounded tier finds becomes a
+    confirmed SMT witness through the gate; an undecided test stays with
+    the bounded tier, as the stub never says unsat."""
+    p = race_hunt_test(pair)
+    before = verdict_of(analyze(p, bound=4))
+    assert f"{before.status}/{before.method}" == RACE_HUNT_PAIRS[pair]
+    (cand, after), = analyze(p, solver_cmd=enum_solver_cmd(), bound=4).candidates
+    if before.method == "bounded" and before.status == "witness":
+        assert (after.status, after.method, after.confirmed) == ("witness", "smt", True)
+        assert cand.phi_u.evaluate(after.witness) == cand.phi_v.evaluate(after.witness)
+    else:
+        assert (after.status, after.method) == (before.status, before.method)
+
+
+def test_a_refuted_model_falls_through_to_the_bounded_tier():
+    # the all-zero point is no race of 3x^2+2x = 2x^2+3 (phases 0 and 3);
+    # the gate refutes it and the bounded tier still finds x = 1
+    p = race_hunt_test("3*x^2+2*x=2*x^2+3")
+    model = " ".join(f"(define-fun {v} () Int 0)" for v in ("m_x", "u_x", "v_x"))
+    v = verdict_of(analyze(p, solver_cmd=shlex.join(["echo", f"sat ({model})"]), bound=4))
+    assert (v.status, v.method, v.confirmed) == ("witness", "bounded", True)
+    assert v.witness["u_x"] == 1
