@@ -9,9 +9,9 @@ compile polynomials into synchronization patterns.
 from .affine import AffineSet, eq, ge, is_empty
 from .generators import counting_nest, parse_poly, race_test, race_tests_all_orthants
 from .hb import hb_disjuncts, reduce_clock, unordered_disjuncts
-from .interp import dynamic_phi, explore, instantiate
+from .interp import explore, instantiate
 from .parser import ParseError, parse, parse_file, validate_clock_rules
-from .phi import QuasiPoly, count_concrete, phi
+from .phi import QuasiPoly, phi
 from .races import Analysis, RaceCandidate, Verdict, analyze, race_candidates
 from .smt import emit_smtlib, run_solver
 from .syntax import print_program
@@ -24,9 +24,7 @@ __all__ = [
     "RaceCandidate",
     "Verdict",
     "analyze",
-    "count_concrete",
     "counting_nest",
-    "dynamic_phi",
     "emit_smtlib",
     "eq",
     "explore",

@@ -541,14 +541,3 @@ def _dynamic_races(
             if forbidden[iv] >> iu & 1:
                 races.append((u, res.instances[iv]))
     return races
-
-
-def dynamic_phi(res: ExploreResult, inst: Instance, clock: ClockKey) -> int:
-    """Observed clock phase of an executed instance: the number of clock
-    steps the given clock instance had taken when the statement ran.  The
-    phase is schedule-independent for well-clocked programs; a multi-valued
-    observation is reported as an error."""
-    vals = {dict(snap).get(clock, 0) for snap in res.phases.get(inst, ())}
-    if len(vals) != 1:
-        raise ValueError(f"phase of {inst} w.r.t. {clock} is not unique: {sorted(vals)}")
-    return next(iter(vals))

@@ -33,6 +33,10 @@ One phase-function computation therefore counts each distinct subproblem
 once: a counter made per ``phi`` call memoizes every count, summation and
 emptiness query by its exact (frozen, hashable) arguments.  The memo never
 outlives the ``phi`` call, so nothing is shared between programs or calls.
+A phase's iterator prefix changes only the names in it, so the caller
+computes each once: ``races.race_candidates`` calls ``phi`` once per clock
+and statement with the ``u_`` prefix, and renames that polynomial's
+iterators for the ``v_`` side.
 
 The summation is deliberately conservative: whenever a bound cannot be
 reduced to a single affine lower and upper bound with provably non-negative
@@ -54,7 +58,6 @@ from .hb import (
     param_context,
     statement_domain,
 )
-from .interp import instantiate, term_instances
 from .syntax import AffineExpr, Program
 
 _ADV_PREFIX = "a_"
@@ -423,28 +426,3 @@ def phi(
             for m, c in part.terms:
                 total[m] = total.get(m, 0) + c
     return QuasiPoly.from_terms(total)
-
-
-def count_concrete(
-    p: Program,
-    finish_id: int,
-    stmt_id: int,
-    point: Mapping[str, int],
-    params: Mapping[str, int],
-) -> int:
-    """Reference count of governed advances ordered before one concrete
-    instance, by exhaustive enumeration of the instantiated advances."""
-    env_v = {"v_" + k: x for k, x in point.items()}
-    env_v.update(params)
-    instances = term_instances(instantiate(p, params))
-    count = 0
-    for adv_id in governed_advances(p, finish_id):
-        disjuncts = hb_disjuncts(p, adv_id, stmt_id, "a_", "v_")
-        for _, node_id, adv_env in instances:
-            if node_id != adv_id:
-                continue
-            env = {("a_" + k): x for k, x in adv_env}
-            env.update(env_v)
-            if any(all(c.satisfied(env) for c in d) for d in disjuncts):
-                count += 1
-    return count

@@ -110,6 +110,16 @@ def _subscript_equalities(
     return out
 
 
+def _v_phase(p: Program, stmt_id: int, phase_u: Optional[QuasiPoly]) -> Optional[QuasiPoly]:
+    """A statement's phase in its ``v_`` iterators, from its phase in its
+    ``u_`` iterators (``phi(p, f, stmt_id, "u_")``), made canonical again.
+    The renaming is exact because no parameter carries a reserved prefix."""
+    if phase_u is None:
+        return None
+    iters = p.enclosing_iterators(stmt_id)
+    return phase_u.substitute({"u_" + it: AffineExpr.var("v_" + it) for it in iters})
+
+
 def race_candidates(p: Program) -> list[RaceCandidate]:
     """All access pairs that the clock-free happens-before fails to order
     on a common array element."""
@@ -117,11 +127,15 @@ def race_candidates(p: Program) -> list[RaceCandidate]:
     context = param_context(p)
     out: list[RaceCandidate] = []
 
-    # Phases and the facts of a statement pair do not depend on the access
-    # pair, so each is computed once.
+    # Computed once per program: each statement's domain per prefix, and each
+    # (clock, representative) phase, by one phi call in the u_ iterators that
+    # the v_ side renames (_v_phase).  Computed once per statement pair: its
+    # happens-before facts, which do not depend on the access pair.
+    domain = functools.cache(functools.partial(statement_domain, p))
+
     @functools.cache
-    def phase_of(finish_id: int, rep: int, prefix: str) -> Optional[QuasiPoly]:
-        return phi(p, finish_id, rep, prefix)
+    def phase_of(finish_id: int, rep: int) -> Optional[QuasiPoly]:
+        return phi(p, finish_id, rep, "u_")
 
     @functools.cache
     def pair_facts(u_id: int, v_id: int):
@@ -130,8 +144,7 @@ def race_candidates(p: Program) -> list[RaceCandidate]:
         unordered = unordered_disjuncts(p, u_id, v_id)
         if not unordered:
             return None
-        dom = statement_domain(p, u_id, "u_") + statement_domain(p, v_id, "v_")
-        return unordered, dom, reduce_clock(p, u_id, v_id)
+        return unordered, domain(u_id, "u_") + domain(v_id, "v_"), reduce_clock(p, u_id, v_id)
 
     def consider(su: Basic, u_ref: AccessRef, sv: Basic, v_ref: AccessRef, kind: str):
         facts = pair_facts(su.node_id, sv.node_id)
@@ -145,8 +158,8 @@ def race_candidates(p: Program) -> list[RaceCandidate]:
             return
         pu = pv = None
         if reduction is not None:
-            pu = phase_of(reduction.finish_id, reduction.rep_u, "u_")
-            pv = phase_of(reduction.finish_id, reduction.rep_v, "v_")
+            pu = phase_of(reduction.finish_id, reduction.rep_u)
+            pv = _v_phase(p, reduction.rep_v, phase_of(reduction.finish_id, reduction.rep_v))
         out.append(
             RaceCandidate(
                 len(out), su.node_id, sv.node_id, u_ref, v_ref, kind,

@@ -9,12 +9,13 @@ import time
 import pytest
 import sympy
 
-from clockrace import analyze, count_concrete, dynamic_phi, explore, parse, phi
+from clockrace import analyze, explore, parse, phi
 from clockrace.generators import counting_nest, parse_poly
 from clockrace.interp import instantiate, term_instances
 
 import fuzzgen
 from conftest import advance_count, load
+from oracles import count_concrete, dynamic_phi
 from sympy_oracle import same_poly, sym
 
 

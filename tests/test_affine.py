@@ -1,10 +1,12 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clockrace import AffineSet, eq, ge, is_empty
+from clockrace import affine
 from clockrace.affine import is_empty_with_witness
 from clockrace.syntax import AffineExpr
 
@@ -179,3 +181,61 @@ def test_emptiness_matches_brute_force_hypothesis(data):
     assert empty == (not _brute_force(s, names, 2))
     if not empty:
         assert s.contains(witness)
+
+
+# ---------------------------------------------------------------------------
+# Each cap of the decision procedure ends in None, never in a wrong True.
+# Every system below is integer-empty; each is built once just inside the
+# cap, where the procedure proves it empty, and once just past it.
+
+
+def odd_gap(*names):
+    """2 * (names[0] - sum of the others) = 1, as two inequalities: integer
+    empty, rationally feasible, and invisible to equality elimination."""
+    e = expr(-1, **{v: 2 if i == 0 else -2 for i, v in enumerate(names)})
+    return ge(e), ge(-e)
+
+
+def box(name, lo, hi):
+    return ge(expr(-lo, **{name: 1})), ge(expr(hi, **{name: -1}))
+
+
+@pytest.mark.parametrize("n, expected", [(8, True), (64, None)])
+def test_fm_constraint_cap(n, expected):
+    # x >= y + i and x <= z - j for i, j in 1..n leave n * n constraints on
+    # (y, z) after x; with y >= z they are rationally infeasible.  No
+    # variable has two bounds, so the search cannot finish either.
+    assert (n * n + 1 > affine._FM_MAX_CONSTRAINTS) == (expected is None)
+    s = conj(
+        *(ge(expr(-i, x=1, y=-1)) for i in range(1, n + 1)),
+        *(ge(expr(-j, x=-1, z=1)) for j in range(1, n + 1)),
+        ge(expr(0, y=1, z=-1)),
+    )
+    assert is_empty(s) is expected
+
+
+@pytest.mark.parametrize("cap, expected", [(None, True), (1000, None)])
+def test_search_node_cap(monkeypatch, cap, expected):
+    # (x, y) in a 40 x 40 box, 2z = 2x + 2y + 1: each choice of (x, y) is one
+    # search node, 1641 in all.  Reaching the real cap takes 200 000 nodes
+    # and seconds, so the past-the-cap case lowers it.
+    if cap is not None:
+        monkeypatch.setattr(affine, "_SEARCH_MAX_NODES", cap)
+    assert affine._SEARCH_MAX_NODES > 1641 if expected else affine._SEARCH_MAX_NODES < 1641
+    s = conj(*box("x", 0, 39), *box("y", 0, 39), *odd_gap("z", "x", "y"))
+    assert is_empty(s) is expected
+
+
+@pytest.mark.parametrize("extra, expected", [(0, True), (1, None)])
+def test_search_range_cap(extra, expected):
+    width = affine._SEARCH_MAX_RANGE + extra
+    s = conj(*box("x", 0, width - 1), *odd_gap("y", "x"))
+    assert is_empty(s) is expected
+
+
+@pytest.mark.parametrize("bounded, expected", [(True, True), (False, None)])
+def test_search_fallback_width(bounded, expected):
+    # x without an upper bound is searched over a fallback window only
+    upper = (ge(expr(affine._FALLBACK_WIDTH, x=-1)),) if bounded else ()
+    s = conj(ge(expr(0, x=1)), *upper, *odd_gap("y", "x"))
+    assert is_empty(s) is expected

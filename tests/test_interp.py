@@ -3,11 +3,12 @@ import tracemalloc
 
 import pytest
 
-from clockrace import dynamic_phi, explore, instantiate, parse, races
+from clockrace import explore, instantiate, parse, races
 from clockrace.interp import _Terms, term_instances
 
 import fuzzgen
 from conftest import CORPUS_NAMES, SIDE_BY_SIDE_CLOCKS, load
+from oracles import dynamic_phi
 
 
 def basics(res):

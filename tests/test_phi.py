@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from clockrace import (
     QuasiPoly,
-    count_concrete,
-    dynamic_phi,
     explore,
     parse,
     parse_poly,
@@ -26,6 +24,7 @@ from clockrace.smt import emit_smtlib
 from clockrace.syntax import AffineExpr
 
 from conftest import load
+from oracles import count_concrete, dynamic_phi
 from sympy_oracle import from_sympy, same_poly, sym, to_sympy
 
 

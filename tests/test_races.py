@@ -1,10 +1,23 @@
 import dataclasses
+import itertools
+import re
 
 import pytest
 
-from clockrace import analyze, explore, parse, race_candidates
+from clockrace import (
+    analyze,
+    explore,
+    parse,
+    parse_poly,
+    phi,
+    race_candidates,
+    race_test,
+    reduce_clock,
+    races,
+)
 
-from conftest import load
+import fuzzgen
+from conftest import CORPUS_NAMES, corpus_path, load
 
 
 def verdicts(analysis):
@@ -52,6 +65,62 @@ def test_same_element_same_activity_not_a_candidate():
     p = load("jacobi")
     for c in race_candidates(p):
         assert str(c.u_ref) != str(c.v_ref)
+
+
+# ---------------------------------------------------------------------------
+# Phases: one phi call per (clock, representative), the v_ side renamed
+
+
+def clocked_reps(p):
+    """The (clock, representative) pairs whose phases race_candidates may
+    need: those of every ordered pair of basic statements."""
+    ids = [s.node_id for s in p.basic_statements()]
+    reps = set()
+    for u, v in itertools.product(ids, repeat=2):
+        r = reduce_clock(p, u, v)
+        if r is not None:
+            reps |= {(r.finish_id, r.rep_u), (r.finish_id, r.rep_v)}
+    return sorted(reps)
+
+
+# QR with its parameter renamed so that it sorts between the u_ and v_
+# iterators: renaming then reorders the variables of monomials like N*k.
+QR_UZ = parse(re.sub(r"\bN\b", "uz", corpus_path("qr").read_text()))
+
+RACE_TESTS = [
+    race_test(parse_poly(a), parse_poly(b)).program
+    for a, b in [("x^2+y^2", "4*x*y+3"), ("x^2", "2*y^2+1"), ("x^2+2", "3*x"), ("x*y", "x+y+2")]
+]
+
+
+def test_v_phase_is_the_renamed_u_phase():
+    programs = [load(n) for n in CORPUS_NAMES] + [QR_UZ] + RACE_TESTS
+    programs += [fuzzgen.generate(seed) for seed in range(200)]
+    checked = 0
+    for p in programs:
+        for f, rep in clocked_reps(p):
+            phase_u = phi(p, f, rep, "u_")
+            assert races._v_phase(p, rep, phase_u) == phi(p, f, rep, "v_"), (f, rep)
+            checked += phase_u is not None
+    assert checked >= 200
+    assert all("uz" in phi(QR_UZ, f, rep).variables for f, rep in clocked_reps(QR_UZ))
+
+
+@pytest.mark.parametrize(
+    "name, calls",
+    [("jacobi", 2), ("sor", 2), ("gauss_seidel", 1), ("lufact", 1), ("moldyn", 2),
+     ("qr", 2), ("fig1a", 0), ("fig1b", 0)],
+)
+def test_phi_calls_per_analysis(monkeypatch, name, calls):
+    prefixes = []
+
+    def counted(p, finish_id, stmt_id, prefix):
+        prefixes.append(prefix)
+        return phi(p, finish_id, stmt_id, prefix)
+
+    monkeypatch.setattr(races, "phi", counted)
+    analyze(load(name), bound=2)
+    assert prefixes == ["u_"] * calls
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +376,6 @@ def test_unreplayed_witness_says_why(source, max_states, detail):
 
 
 def test_bounded_search_says_why_it_was_partial():
-    from conftest import corpus_path
-
     lines = corpus_path("qr").read_text().splitlines()
     decls = [ln for ln in lines if ln.startswith(("param", "array"))]
     body = [ln for ln in lines if ln and not ln.startswith(("param", "array", "//"))]
