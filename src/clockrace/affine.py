@@ -209,6 +209,8 @@ class _System:
                     coeffs = {v: c // g for v, c in coeffs.items()}
                     const = const // g  # floor: valid tightening for integers
                 new.append((coeffs, const))
+                if len(new) > _FM_MAX_CONSTRAINTS:
+                    return None
             cons = new
             if len(cons) > _FM_MAX_CONSTRAINTS:
                 return None

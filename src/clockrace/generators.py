@@ -18,11 +18,10 @@ when the phases coincide.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .parser import KEYWORDS, RESERVED_PREFIXES
+from .parser import KEYWORDS, RESERVED_PREFIXES, _Parser
 from .phi import QuasiPoly
 from .syntax import (
     AccessRef,
@@ -42,67 +41,43 @@ def _nonneg(q: QuasiPoly) -> bool:
     return all(c >= 0 for _, c in q.terms)
 
 
-_POLY_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+|\^|\*|\+|-)")
-
-
 def parse_poly(text: str) -> QuasiPoly:
-    """Parse polynomial syntax like ``x^2+x*y+y^2`` or ``3*x - 2``; the
-    result lists exactly the variables that occur.
+    """Parse polynomial syntax like ``x^2+x*y+y^2`` or ``3*x - 2`` with the
+    program tokenizer, so whitespace and ``//`` comments are ignored.
 
-    Raises ValueError on malformed input."""
-    pos, tokens = 0, []
-    while pos < len(text):
-        m = _POLY_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"bad polynomial syntax at {text[pos:]!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    poly = QuasiPoly.zero()
-    i = 0
+    Raises ParseError, a ValueError, on malformed input."""
+    p = _Parser(text)
 
-    def factor():
-        nonlocal i
-        if i >= len(tokens):
-            raise ValueError("unexpected end of polynomial")
-        tok = tokens[i]
-        i += 1
-        if tok.isdigit():
-            base = QuasiPoly.constant(int(tok))
-        elif tok[0].isalpha() or tok[0] == "_":
-            base = QuasiPoly.var(tok)
+    def factor() -> QuasiPoly:
+        tok = p.next()
+        if tok.kind == "int":
+            base = QuasiPoly.constant(int(tok.text))
+        elif tok.kind == "ident":
+            base = QuasiPoly.var(tok.text)
         else:
-            raise ValueError(f"unexpected token {tok!r}")
-        if i < len(tokens) and tokens[i] == "^":
-            i += 1
-            if i >= len(tokens) or not tokens[i].isdigit():
-                raise ValueError("exponent must be a literal integer")
-            base = base ** int(tokens[i])
-            i += 1
+            found = tok.text or "end of input"
+            raise p.error(f"expected number or variable, found {found!r}", tok)
+        if p.accept("^"):
+            tok = p.next()
+            if tok.kind != "int":
+                raise p.error("exponent must be a literal integer", tok)
+            base = base ** int(tok.text)
         return base
 
-    def term():
-        nonlocal i
+    def term() -> QuasiPoly:
         t = factor()
-        while i < len(tokens) and tokens[i] == "*":
-            i += 1
+        while p.accept("*"):
             t *= factor()
         return t
 
-    first = True
-    while i < len(tokens):
-        sign = 1
-        if tokens[i] in ("+", "-"):
-            if tokens[i] == "-":
-                sign = -1
-            i += 1
-        elif not first:
-            raise ValueError(f"expected '+' or '-' before {tokens[i]!r}")
-        poly += sign * term()
-        first = False
-    if first and tokens:
-        raise ValueError("empty polynomial")
+    poly = QuasiPoly.zero()
+    while p.peek().kind != "eof":
+        if p.accept("-"):
+            poly -= term()
+        elif p.accept("+") or p.pos == 0:  # the first term needs no sign
+            poly += term()
+        else:
+            raise p.error(f"expected '+' or '-' before {p.peek().text!r}")
     return poly
 
 

@@ -18,13 +18,17 @@ Statements::
     [clocked] finish s
 
 Comments are ``// ...`` to end of line.
+
+One tokenizer serves programs and the polynomials of
+``generators.parse_poly``.  A token carries its offset into the source;
+a ``ParseError`` works out its line and column from that offset.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .syntax import (
     AccessRef,
@@ -49,61 +53,54 @@ _TOKEN_RE = re.compile(
     (?P<ws>\s+|//[^\n]*)
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>>=|<=|==|&&|[-+*=:;,(){}\[\]<>])
+  | (?P<op>>=|<=|==|&&|[-+*^=:;,(){}\[\]<>])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-class ParseError(Exception):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
+class ParseError(ValueError):
+    """A syntax error at ``offset`` of ``source``, reported by line and column."""
+
+    def __init__(self, message: str, source: str, offset: int):
         self.message = message
-        self.line = line
-        self.col = col
+        self.line = source.count("\n", 0, offset) + 1
+        self.col = offset - source.rfind("\n", 0, offset)
+        super().__init__(f"{self.line}:{self.col}: {message}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int" | "ident" | "op" | "eof"
     text: str
-    line: int
-    col: int
+    offset: int
 
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    pos, line, col = 0, 1, 1
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        text = m.group()
-        if kind != "ws":
-            tokens.append(Token(kind, text, line, col))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", source, m.start())
+        tokens.append(Token(kind, m.group(), m.start()))
+    tokens.append(Token("eof", "", len(source)))
     return tokens
 
 
 class _Parser:
     def __init__(self, source: str):
+        self.source = source
         self.tokens = tokenize(source)
         self.pos = 0
-        self.params: list[tuple[str, int]] = []
+        self.params: dict[str, int] = {}
         self.arrays: dict[str, int] = {}
 
     # -- token helpers
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -113,7 +110,7 @@ class _Parser:
 
     def error(self, message: str, tok: Optional[Token] = None) -> ParseError:
         tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.col)
+        return ParseError(message, self.source, tok.offset)
 
     def expect(self, text: str) -> Token:
         tok = self.next()
@@ -140,7 +137,7 @@ class _Parser:
             if self.accept("param"):
                 tok = self.expect_ident()
                 name = tok.text
-                if name in dict(self.params) or name in self.arrays:
+                if name in self.params or name in self.arrays:
                     raise self.error(f"duplicate declaration of {name!r}")
                 if name.startswith(RESERVED_PREFIXES):
                     raise self.error(f"parameter {name!r} uses a reserved prefix u_, v_ or a_", tok)
@@ -150,11 +147,11 @@ class _Parser:
                 if tok.kind != "int":
                     raise self.error("expected integer bound", tok)
                 self.expect(";")
-                self.params.append((name, -int(tok.text) if neg else int(tok.text)))
+                self.params[name] = -int(tok.text) if neg else int(tok.text)
             else:
                 self.expect("array")
                 name = self.expect_ident().text
-                if name in self.arrays or name in dict(self.params):
+                if name in self.arrays or name in self.params:
                     raise self.error(f"duplicate declaration of {name!r}")
                 self.expect("[")
                 tok = self.next()
@@ -169,7 +166,7 @@ class _Parser:
             raise self.error(f"trailing input {tok.text!r}", tok)
         return Program(
             root=root,
-            params=tuple(self.params),
+            params=tuple(self.params.items()),
             arrays=tuple(sorted(self.arrays.items())),
         )
 
@@ -213,7 +210,7 @@ class _Parser:
         if tok.kind == "int":
             return AffineExpr.const_expr(int(tok.text))
         if tok.kind == "ident" and tok.text not in KEYWORDS:
-            if tok.text not in scope and tok.text not in dict(self.params):
+            if tok.text not in scope and tok.text not in self.params:
                 raise self.error(f"unknown identifier {tok.text!r}", tok)
             return AffineExpr.var(tok.text)
         raise self.error(f"expected expression, found {tok.text!r}", tok)
@@ -277,7 +274,7 @@ class _Parser:
             self.expect("(")
             var_tok = self.expect_ident()
             var = var_tok.text
-            if var in scope or var in dict(self.params) or var in self.arrays:
+            if var in scope or var in self.params or var in self.arrays:
                 raise self.error(f"iterator {var!r} shadows an existing name", var_tok)
             self.expect("=")
             lo = self.parse_affine(scope)

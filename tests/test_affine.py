@@ -200,11 +200,12 @@ def box(name, lo, hi):
     return ge(expr(-lo, **{name: 1})), ge(expr(hi, **{name: -1}))
 
 
-@pytest.mark.parametrize("n, expected", [(8, True), (64, None)])
+@pytest.mark.parametrize("n, expected", [(8, True), (64, None), (300, None)])
 def test_fm_constraint_cap(n, expected):
     # x >= y + i and x <= z - j for i, j in 1..n leave n * n constraints on
     # (y, z) after x; with y >= z they are rationally infeasible.  No
-    # variable has two bounds, so the search cannot finish either.
+    # variable has two bounds, so the search cannot finish either.  At
+    # n = 300 the step stops at the cap rather than building 90 000.
     assert (n * n + 1 > affine._FM_MAX_CONSTRAINTS) == (expected is None)
     s = conj(
         *(ge(expr(-i, x=1, y=-1)) for i in range(1, n + 1)),

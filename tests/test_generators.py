@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from clockrace import (
+    QuasiPoly,
     analyze,
     counting_nest,
     explore,
@@ -35,7 +36,15 @@ def test_parse_poly_signs_and_constants():
     assert parse_poly("7").evaluate({}) == 7
 
 
-@pytest.mark.parametrize("bad", ["x^", "x^y", "^2", "* x", "x +"])
+def test_parse_poly_blank_and_spaced():
+    assert parse_poly("") == QuasiPoly.zero()
+    assert parse_poly(" x ^ 2 ") == QuasiPoly.var("x") ** 2
+    assert parse_poly("x // comment\n+ 1") == parse_poly("x+1")
+
+
+@pytest.mark.parametrize(
+    "bad", ["x^", "x^y", "^2", "* x", "x +", "x y", "x $", "(x)", "x*-y"]
+)
 def test_parse_poly_errors(bad):
     with pytest.raises(ValueError):
         parse_poly(bad)

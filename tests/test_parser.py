@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from clockrace import (
     ParseError,
@@ -35,29 +37,50 @@ def test_comments_and_whitespace_ignored():
 # Errors carry positions
 
 
+def _at(source, line, col):
+    """One error case, named by its source and line."""
+    return pytest.param(source, line, col, id=f"{source}-{line}")
+
+
 @pytest.mark.parametrize(
-    "source, line",
+    "source, line, col",
     [
-        ("param N >= ;\n", 1),
-        ("param N >= 1;\nparam N >= 2;\n", 2),
-        ("param N >= 1;\narray A[1];\nA[i] = f();\n", 3),  # i not in scope
-        ("param N >= 1;\narray A[1];\nA[1, 2] = f();\n", 3),  # arity
-        ("param N >= 1;\nB[0] = f();\n", 2),  # undeclared array
-        ("param N >= 1;\nfor (i=0:N*N) advance;\n", 2),  # non-affine bound
-        ("param N >= 1;\nfor (i=0:N) for (i=0:N) advance;\n", 2),  # shadowing
-        ("param N >= 1;\narray A[1];\nS(B[0]);\n", 3),  # read of undeclared array
-        ("param N >= 1;\n{ advance;\n", 3),  # unterminated block
-        ("param N >= 1;\nadvance;\nadvance;\n", 3),  # trailing input
-        ("param N >= 1;\nclocked for (i=0:N) advance;\n", 2),  # clocked neither async nor finish
-        ("array A[1];\narray A[2];\n", 2),  # duplicate array
-        ("param N >= 1;\nparam v_x >= 0;\n", 2),  # reserved parameter prefix
+        _at("param N >= ;\n", 1, 12),
+        _at("param N >= 1;\nparam N >= 2;\n", 2, 9),
+        _at("param N >= 1;\narray A[1];\nA[i] = f();\n", 3, 3),  # i not in scope
+        _at("param N >= 1;\narray A[1];\nA[1, 2] = f();\n", 3, 1),  # arity
+        _at("param N >= 1;\nB[0] = f();\n", 2, 2),  # undeclared array
+        _at("param N >= 1;\nfor (i=0:N*N) advance;\n", 2, 11),  # non-affine bound
+        _at("param N >= 1;\nfor (i=0:N) for (i=0:N) advance;\n", 2, 18),  # shadowing
+        _at("param N >= 1;\narray A[1];\nS(B[0]);\n", 3, 3),  # read of undeclared array
+        _at("param N >= 1;\n{ advance;\n", 3, 1),  # unterminated block
+        _at("param N >= 1;\nadvance;\nadvance;\n", 3, 1),  # trailing input
+        _at("param N >= 1;\nclocked for (i=0:N) advance;\n", 2, 9),  # clocked neither async nor finish
+        _at("array A[1];\narray A[2];\n", 2, 8),  # duplicate array
+        _at("param N >= 1;\nparam v_x >= 0;\n", 2, 7),  # reserved parameter prefix
+        _at("param N >= 1; // c\n\tadvance $;\n", 2, 10),  # bad character after a tab
+        _at("param N >= 1;\n{ advance;", 2, 11),  # unterminated block, no final newline
+        _at("param N >= 1;\nfor (i=0:N^2) advance;\n", 2, 11),  # no powers in programs
     ],
 )
-def test_parse_errors_have_positions(source, line):
+def test_parse_errors_have_positions(source, line, col):
     with pytest.raises(ParseError) as exc:
         parse(source)
-    assert exc.value.line == line
-    assert exc.value.col >= 1
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value) == f"{line}:{col}: {exc.value.message}"
+
+
+@given(st.text(alphabet="ab\n\t\r \u2028", max_size=40), st.data())
+def test_error_position_matches_a_character_walk(source, data):
+    offset = data.draw(st.integers(0, len(source)))
+    line, col = 1, 1
+    for ch in source[:offset]:
+        if ch == "\n":
+            line, col = line + 1, 1
+        else:
+            col += 1
+    err = ParseError("m", source, offset)
+    assert (err.line, err.col) == (line, col)
 
 
 @pytest.mark.parametrize("subscript", ["0*N*M", "(N-N)*M", "N*0*M"])
