@@ -17,9 +17,8 @@ exhaustive bounded search for witnesses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .syntax import AffineExpr
 
@@ -30,8 +29,7 @@ _SEARCH_MAX_RANGE = 4000
 _FALLBACK_WIDTH = 8
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """``expr >= 0`` when kind is "ge", ``expr == 0`` when kind is "eq"."""
 
     expr: AffineExpr
@@ -54,8 +52,7 @@ def eq(expr: AffineExpr) -> Constraint:
     return Constraint(expr, "eq")
 
 
-@dataclass(frozen=True)
-class AffineSet:
+class AffineSet(NamedTuple):
     """Union of constraint conjunctions under a context.  Its variables are
     the names that occur in the disjuncts and the context."""
 
@@ -236,28 +233,49 @@ class _System:
             return {}, True
         budget = [_SEARCH_MAX_NODES]
         complete = [True]
+        # Each row indexed once per call under each of its variables, in row
+        # order, as (coefficient of the variable, the other terms, constant).
+        rows: dict[str, list[tuple[int, tuple[tuple[str, int], ...], int]]] = {
+            v: [] for v in variables
+        }
+        for coeffs, const in self.ineqs:
+            for var, a in coeffs.items():
+                rows[var].append((a, tuple((v, c) for v, c in coeffs.items() if v != var), const))
+        constant_violated = any(k < 0 for c, k in self.ineqs if not c)
 
         def bounds_for(var: str, env: dict[str, int]):
             lo, hi = None, None
-            for coeffs, const in self.ineqs:
-                a = coeffs.get(var, 0)
+            for a, others, const in rows[var]:
                 if a == 0:
                     continue
-                if any(v not in env and v != var for v in coeffs):
-                    continue
-                rest = const + sum(c * env[v] for v, c in coeffs.items() if v != var)
-                if a > 0:  # a*var + rest >= 0 -> var >= ceil(-rest/a)
-                    b = -(rest // a)
-                    lo = b if lo is None else max(lo, b)
-                else:  # a<0: var <= rest/(-a), integer: floor
-                    b = rest // (-a)
-                    hi = b if hi is None else min(hi, b)
+                rest = const
+                for v, c in others:
+                    if v not in env:
+                        break
+                    rest += c * env[v]
+                else:
+                    if a > 0:  # a*var + rest >= 0 -> var >= ceil(-rest/a)
+                        b = -(rest // a)
+                        lo = b if lo is None else max(lo, b)
+                    else:  # a<0: var <= rest/(-a), integer: floor
+                        b = rest // (-a)
+                        hi = b if hi is None else min(hi, b)
             return lo, hi
 
-        def violates(env: dict[str, int]) -> bool:
-            for coeffs, const in self.ineqs:
-                if all(v in env for v in coeffs):
-                    if const + sum(c * env[v] for v, c in coeffs.items()) < 0:
+        def violates(var: str, env: dict[str, int]) -> bool:
+            """Whether env, just extended by var, fails a row: one without
+            variables, or one that var's value completes.  Every other row
+            complete in env held before var was set."""
+            if constant_violated:
+                return True
+            for a, others, const in rows[var]:
+                total = const + a * env[var]
+                for v, c in others:
+                    if v not in env:
+                        break
+                    total += c * env[v]
+                else:
+                    if total < 0:
                         return True
             return False
 
@@ -266,8 +284,8 @@ class _System:
                 complete[0] = False
                 return None
             budget[0] -= 1
-            if not remaining:
-                return dict(env) if not violates(env) else None
+            if not remaining:  # each row was checked as its last variable was set
+                return dict(env)
             # choose the variable with the tightest known range
             best, best_range = None, None
             for var in remaining:
@@ -294,7 +312,7 @@ class _System:
             rest = [v for v in remaining if v != var]
             for val in range(lo, hi + 1):
                 env[var] = val
-                if not violates(env):
+                if not violates(var, env):
                     found = rec(rest, env)
                     if found is not None:
                         return found

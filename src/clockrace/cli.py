@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import re
-import shlex
 import sys
 import time
 from pathlib import Path
@@ -60,11 +59,14 @@ def _load(path: str):
 def _cmd_analyze(args) -> int:
     if args.bound < 0:
         return _fail(f"--bound must be at least 0, got {args.bound}")
-    try:
-        if args.solver_cmd is not None and not shlex.split(args.solver_cmd):
-            return _fail("--solver-cmd is empty")
-    except ValueError as e:
-        return _fail(f"--solver-cmd {args.solver_cmd!r}: {e}")
+    if args.solver_cmd is not None:
+        import shlex
+
+        try:
+            if not shlex.split(args.solver_cmd):
+                return _fail("--solver-cmd is empty")
+        except ValueError as e:
+            return _fail(f"--solver-cmd {args.solver_cmd!r}: {e}")
     program = _load(args.file)
     if program is None:
         return EXIT_INPUT_ERROR

@@ -18,8 +18,7 @@ when the phases coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .parser import KEYWORDS, RESERVED_PREFIXES, _Parser
 from .phi import QuasiPoly
@@ -167,8 +166,7 @@ def counting_nest(spec: QuasiPoly) -> Program:
 # Race reductions
 
 
-@dataclass(frozen=True)
-class RaceTest:
+class RaceTest(NamedTuple):
     """One generated program plus the variable orientation it encodes."""
 
     program: Program

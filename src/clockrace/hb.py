@@ -25,8 +25,7 @@ the leaf itself).  Phase reasoning is then performed on representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .affine import Constraint, eq, ge
 from .syntax import (
@@ -164,8 +163,7 @@ def unordered_disjuncts(
 # Clock reduction
 
 
-@dataclass(frozen=True)
-class ClockReduction:
+class ClockReduction(NamedTuple):
     """Innermost clocked finish spanning both leaves, plus per-side
     representatives on which phase counting is performed."""
 

@@ -116,8 +116,7 @@ through the states it added only, and does not terminate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .syntax import (
     Advance,
@@ -344,8 +343,7 @@ class _Terms:
 Counters = tuple[tuple[ClockKey, int], ...]
 
 
-@dataclass
-class ExploreResult:
+class ExploreResult(NamedTuple):
     """Ground-truth dynamic facts for one parameter valuation."""
 
     instances: list[Instance]
@@ -357,14 +355,16 @@ class ExploreResult:
     races: list[tuple[Instance, Instance]]
     # instance -> set of clock counter snapshots observed when it executed
     phases: dict[Instance, set[Counters]]
-    _hb_forbidden: list[int] = field(default_factory=list, repr=False)
+    # per instance v: the bitmask of the instances pending in some state
+    # with v done
+    hb_forbidden: list[int]
 
     def hb(self, u: Instance, v: Instance) -> bool:
         """True when u executes strictly before v in every trace."""
         iu, iv = self.index[u], self.index[v]
         if iu == iv:
             return False
-        return not (self._hb_forbidden[iv] >> iu) & 1
+        return not (self.hb_forbidden[iv] >> iu) & 1
 
 
 def _bits(mask: int):
@@ -485,19 +485,17 @@ def explore(
         for i in _bits(fired):
             phases.setdefault(instances[i], set()).add(counters[cid])
 
-    result = ExploreResult(
+    return ExploreResult(
         instances=instances,
         index=index,
         state_count=state_count,
         trace_count=trace_count,
         terminated=terminated,
         incomplete=incomplete,
-        races=[],
+        races=_dynamic_races(p, params, instances, index, forbidden),
         phases=phases,
-        _hb_forbidden=forbidden,
+        hb_forbidden=forbidden,
     )
-    result.races = _dynamic_races(p, params, result)
-    return result
 
 
 def _accesses(p: Program, params: Mapping[str, int], inst: Instance):
@@ -514,22 +512,26 @@ def _accesses(p: Program, params: Mapping[str, int], inst: Instance):
 
 
 def _dynamic_races(
-    p: Program, params: Mapping[str, int], res: ExploreResult
+    p: Program,
+    params: Mapping[str, int],
+    instances: list[Instance],
+    index: Mapping[Instance, int],
+    forbidden: list[int],
 ) -> list[tuple[Instance, Instance]]:
     """Unordered pairs of basic instances that touch one element, at least
-    one of them writing, in ``itertools.combinations`` order."""
-    basics = [i for i in res.instances if i[0] == "basic"]
+    one of them writing, in ``itertools.combinations`` order; ``forbidden``
+    is ``ExploreResult.hb_forbidden``."""
+    basics = [i for i in instances if i[0] == "basic"]
     accesses = {u: _accesses(p, params, u) for u in basics}
     readers: dict[tuple, int] = {}  # element -> bitmask of instances
     writers: dict[tuple, int] = {}
     for u in basics:
         for array, point, mode in accesses[u]:
             cells = writers if mode == "write" else readers
-            cells[array, point] = cells.get((array, point), 0) | 1 << res.index[u]
-    forbidden = res._hb_forbidden
+            cells[array, point] = cells.get((array, point), 0) | 1 << index[u]
     races = []
     for u in basics:
-        iu = res.index[u]
+        iu = index[u]
         clash = 0
         for array, point, mode in accesses[u]:
             clash |= writers.get((array, point), 0)
@@ -539,5 +541,5 @@ def _dynamic_races(
         # false; the loop keeps those with hb(u, v) false too
         for iv in _bits(clash & forbidden[iu] & -(2 << iu)):
             if forbidden[iv] >> iu & 1:
-                races.append((u, res.instances[iv]))
+                races.append((u, instances[iv]))
     return races

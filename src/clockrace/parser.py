@@ -27,7 +27,6 @@ a ``ParseError`` works out its line and column from that offset.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .syntax import (
@@ -345,8 +344,7 @@ def parse_file(path: str) -> Program:
 # Clock-rule validation
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     rule: str
     node_id: int
     message: str

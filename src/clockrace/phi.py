@@ -45,11 +45,10 @@ extent, the phase function is reported as unavailable rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
+from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .affine import AffineSet, Constraint, ge, is_empty
 from .hb import (
@@ -77,8 +76,7 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-@dataclass(frozen=True)
-class QuasiPoly:
+class QuasiPoly(NamedTuple):
     """Polynomial over named integer variables with Fraction coefficients.
 
     ``terms`` holds its ``(monomial, coefficient)`` pairs in canonical form:
@@ -307,7 +305,9 @@ class _Counter:
 
     def _once(self, key: tuple, compute):
         """``compute(*key[1:])``, computed the first time the key is seen;
-        ``key[0]`` names the kind of subproblem."""
+        ``key[0]`` names the kind of subproblem.  Records are tuples, equal
+        to any tuple with the same items, so each position of a kind's key
+        holds one record type."""
         if key not in self.memo:
             self.memo[key] = compute(*key[1:])
         return self.memo[key]

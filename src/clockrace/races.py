@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from math import lcm
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 # is_empty is not called here but stays bound: perfbench/tracing.py wraps
 # ``races.is_empty`` by name with getattr and fails if it is missing.
@@ -50,8 +49,7 @@ _CONFIRM_MAX_STATES = 60_000
 _REPLAY_MAX_PARAM = 6  # a witness with a larger parameter is not replayed
 
 
-@dataclass
-class RaceCandidate:
+class RaceCandidate(NamedTuple):
     index: int
     u_id: int  # statement owning the write
     v_id: int
@@ -72,8 +70,7 @@ class RaceCandidate:
         )
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     status: str  # "race-free" | "witness" | "unknown"
     method: str = ""  # "affine" | "smt" | "bounded" | ""
     witness: Optional[dict[str, int]] = None
@@ -82,8 +79,7 @@ class Verdict:
     detail: str = ""
 
 
-@dataclass
-class Analysis:
+class Analysis(NamedTuple):
     program: Program
     verdict: str  # "RaceFree" | "PotentialRaces" | "Unknown"
     candidates: list[tuple[RaceCandidate, Verdict]]

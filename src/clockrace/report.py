@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .phi import QuasiPoly
 from .races import Analysis
 from .syntax import Program
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     source: str
     params: list[dict]
     arrays: list[dict]
@@ -23,9 +20,11 @@ class Report:
     phi_table: dict[str, str]
     status: str  # "RaceFree" | "PotentialRaces(n)" | "Unknown(n)"
     verdict: str
-    timings: dict[str, float] = field(default_factory=dict)
+    timings: dict[str, float]
 
     def to_json(self) -> str:
+        import json
+
         payload = {
             "source": self.source,
             "params": self.params,

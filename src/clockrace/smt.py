@@ -8,8 +8,6 @@ followed, for sat, by a ``get-model`` response."""
 from __future__ import annotations
 
 import re
-import shlex
-import subprocess
 from math import lcm
 from typing import Optional
 
@@ -116,6 +114,9 @@ def run_solver(solver_cmd: str, script: str) -> tuple[str, dict[str, int]]:
 
     Status is "sat", "unsat", or "unknown" (also used for solver errors and
     for a solver still running after SOLVER_TIMEOUT_S seconds)."""
+    import shlex
+    import subprocess
+
     try:
         proc = subprocess.run(
             shlex.split(solver_cmd),

@@ -4,20 +4,23 @@ A program is a header (parameter and array declarations) followed by one
 top-level statement.  Statements form a small tree grammar: basic array
 statements, ``advance``, blocks (sequences), affine ``for`` loops, affine
 ``if`` guards, and the (optionally clocked) ``async``/``finish`` constructs.
+
+Every record here is an immutable ``NamedTuple``, statements included.  A
+statement's last field is its ``node_id``, -1 until a :class:`Program`
+numbers it: the program rebuilds its tree with each node's id set, in
+pre-order, and keeps an id a node already has.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
 
 # ---------------------------------------------------------------------------
 # Affine expressions
 
 
-@dataclass(frozen=True)
-class AffineExpr:
+class AffineExpr(NamedTuple):
     """Integer affine expression ``const + sum(coeff * var)``.
 
     Terms are normalized: sorted by variable name, zero coefficients dropped.
@@ -120,8 +123,7 @@ class AffineExpr:
 # Accesses and statements
 
 
-@dataclass(frozen=True)
-class AccessRef:
+class AccessRef(NamedTuple):
     """One array access: name, affine subscripts, and read/write mode."""
 
     array: str
@@ -134,56 +136,53 @@ class AccessRef:
         return f"{self.array}[{','.join(str(s) for s in self.subscripts)}]"
 
 
-@dataclass
-class Stmt:
-    node_id: int = field(default=-1, compare=False)
-
-
-@dataclass
-class Basic(Stmt):
+class Basic(NamedTuple):
     """Leaf statement ``W = name(R1, ..., Rk);`` -- at most one write."""
 
     name: str = ""
     write: Optional[AccessRef] = None
     reads: tuple[AccessRef, ...] = ()
+    node_id: int = -1
 
 
-@dataclass
-class Advance(Stmt):
-    pass
+class Advance(NamedTuple):
+    node_id: int = -1
 
 
-@dataclass
-class Seq(Stmt):
+class Seq(NamedTuple):
     body: tuple[Stmt, ...] = ()
+    node_id: int = -1
 
 
-@dataclass
-class For(Stmt):
+class For(NamedTuple):
     var: str = ""
     lo: AffineExpr = AffineExpr()
     hi: AffineExpr = AffineExpr()
     body: Stmt = None  # type: ignore[assignment]
+    node_id: int = -1
 
 
-@dataclass
-class If(Stmt):
+class If(NamedTuple):
     """Affine guard; each condition expression means ``expr >= 0``."""
 
     conds: tuple[AffineExpr, ...] = ()
     body: Stmt = None  # type: ignore[assignment]
+    node_id: int = -1
 
 
-@dataclass
-class Async(Stmt):
+class Async(NamedTuple):
     clocked: bool = False
     body: Stmt = None  # type: ignore[assignment]
+    node_id: int = -1
 
 
-@dataclass
-class Finish(Stmt):
+class Finish(NamedTuple):
     clocked: bool = False
     body: Stmt = None  # type: ignore[assignment]
+    node_id: int = -1
+
+
+Stmt = Union[Basic, Advance, Seq, For, If, Async, Finish]
 
 
 def children(s: Stmt) -> tuple[Stmt, ...]:
@@ -198,32 +197,43 @@ def children(s: Stmt) -> tuple[Stmt, ...]:
 # Program
 
 
-@dataclass
 class Program:
-    root: Stmt
-    params: tuple[tuple[str, int], ...]  # (name, declared lower bound)
-    arrays: tuple[tuple[str, int], ...]  # (name, dimensionality)
-    nodes: dict[int, Stmt] = field(default_factory=dict)
-    parent: dict[int, Optional[int]] = field(default_factory=dict)
+    """The header and the statement tree, numbered: ``root`` is the given
+    tree rebuilt with every node's id set, in pre-order, a node keeping an
+    id it already has.  ``nodes`` maps ids to nodes of that tree and
+    ``parent`` ids to their parent's id."""
 
-    def __post_init__(self) -> None:
-        if not self.nodes:
-            self._index()
-
-    def _index(self) -> None:
+    def __init__(
+        self,
+        root: Stmt,
+        params: tuple[tuple[str, int], ...],  # (name, declared lower bound)
+        arrays: tuple[tuple[str, int], ...],  # (name, dimensionality)
+    ) -> None:
+        self.params = params
+        self.arrays = arrays
+        self.nodes: dict[int, Stmt] = {}
+        self.parent: dict[int, Optional[int]] = {}
         counter = 0
 
-        def walk(s: Stmt, par: Optional[int]) -> None:
+        def number(s: Stmt, par: Optional[int]) -> Stmt:
             nonlocal counter
-            if s.node_id < 0:
-                s.node_id = counter
-            counter = max(counter, s.node_id) + 1
-            self.nodes[s.node_id] = s
-            self.parent[s.node_id] = par
-            for c in children(s):
-                walk(c, s.node_id)
+            nid = counter if s.node_id < 0 else s.node_id
+            counter = max(counter, nid) + 1
+            self.nodes[nid] = s  # holds the id's place in pre-order
+            self.parent[nid] = par
+            if isinstance(s, Seq):
+                body = []  # a loop, not a generator: one frame per level
+                for c in s.body:
+                    body.append(number(c, nid))
+                s = s._replace(body=tuple(body), node_id=nid)
+            elif isinstance(s, (For, If, Async, Finish)):
+                s = s._replace(body=number(s.body, nid), node_id=nid)
+            else:
+                s = s._replace(node_id=nid)
+            self.nodes[nid] = s
+            return s
 
-        walk(self.root, None)
+        self.root = number(root, None)
 
     def node(self, node_id: int) -> Stmt:
         try:

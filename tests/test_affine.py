@@ -215,16 +215,26 @@ def test_fm_constraint_cap(n, expected):
     assert is_empty(s) is expected
 
 
-@pytest.mark.parametrize("cap, expected", [(None, True), (1000, None)])
+@pytest.mark.parametrize(
+    "cap, expected", [(None, True), (1641, True), (1640, None), (1000, None)]
+)
 def test_search_node_cap(monkeypatch, cap, expected):
-    # (x, y) in a 40 x 40 box, 2z = 2x + 2y + 1: each choice of (x, y) is one
-    # search node, 1641 in all.  Reaching the real cap takes 200 000 nodes
-    # and seconds, so the past-the-cap case lowers it.
+    # (x, y) in a 40 x 40 box, 2z = 2x + 2y + 1: the root, each x and each
+    # choice of (x, y) is one search node, 1641 in all, so a cap of exactly
+    # 1641 still proves the set empty.  Reaching the real cap takes 200 000
+    # nodes, so the past-the-cap cases lower it.
     if cap is not None:
         monkeypatch.setattr(affine, "_SEARCH_MAX_NODES", cap)
-    assert affine._SEARCH_MAX_NODES > 1641 if expected else affine._SEARCH_MAX_NODES < 1641
+    assert (affine._SEARCH_MAX_NODES >= 1641) == (expected is True)
     s = conj(*box("x", 0, 39), *box("y", 0, 39), *odd_gap("z", "x", "y"))
     assert is_empty(s) is expected
+
+
+def test_search_checks_rows_without_variables():
+    # a violated row without variables (one Fourier-Motzkin leaves when it
+    # stops at its cap) empties the search, though every other row holds
+    s = affine._System([*box("x", 0, 3), ge(expr(-1))])
+    assert s.search_witness() == (None, True)
 
 
 @pytest.mark.parametrize("extra, expected", [(0, True), (1, None)])

@@ -393,3 +393,19 @@ def test_import_does_not_load_sympy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_startup_imports_only_the_stdlib_it_runs():
+    # records are NamedTuples, so dataclasses (and the inspect it loads) is
+    # never imported; subprocess and json are imported by run_solver and
+    # Report.to_json when they run.  -S keeps site's own imports out.
+    src = str(Path(clockrace.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "import clockrace, clockrace.cli, clockrace.report; "
+        "print([m for m in ('dataclasses', 'inspect', 'subprocess', 'json') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"

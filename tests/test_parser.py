@@ -8,7 +8,7 @@ from clockrace import (
     print_program,
     validate_clock_rules,
 )
-from clockrace.syntax import AffineExpr
+from clockrace.syntax import Advance, AffineExpr, Basic, Finish, For, Program, Seq, children
 from conftest import CORPUS_NAMES, load
 
 
@@ -22,6 +22,35 @@ def test_print_parse_round_trip(name):
     printed = print_program(p)
     reparsed = parse(printed)
     assert print_program(reparsed) == printed
+
+
+def _preorder(s):
+    yield s
+    for c in children(s):
+        yield from _preorder(c)
+
+
+def test_program_numbers_a_hand_built_tree_in_pre_order():
+    loop = For(var="i", lo=AffineExpr(), hi=AffineExpr.var("N"),
+               body=Seq(body=(Advance(), Basic(name="f"))))
+    tree = Finish(clocked=True, body=Seq(body=(loop, Basic(name="g"))))
+    p = Program(root=tree, params=(("N", 1),), arrays=())
+    nodes = list(_preorder(p.root))
+    assert [type(n).__name__ for n in nodes] == [
+        "Finish", "Seq", "For", "Seq", "Advance", "Basic", "Basic"
+    ]
+    assert [n.node_id for n in nodes] == list(range(7))
+    assert list(p.nodes) == list(range(7))
+    assert all(p.nodes[n.node_id] is n for n in nodes)
+    assert p.parent == {0: None, 1: 0, 2: 1, 3: 2, 4: 3, 5: 3, 6: 1}
+    assert tree.node_id == -1 and tree.body.body[1].node_id == -1  # the input is unchanged
+    # an already-numbered tree keeps its ids
+    again = Program(root=p.root, params=p.params, arrays=p.arrays)
+    assert [n.node_id for n in _preorder(again.root)] == list(range(7))
+    assert again.parent == p.parent
+    # a node keeps an id it has, and the nodes after it are numbered past it
+    q = Program(root=Seq(body=(Basic(name="f", node_id=5), Advance())), params=(), arrays=())
+    assert [n.node_id for n in _preorder(q.root)] == [0, 5, 6]
 
 
 def test_comments_and_whitespace_ignored():

@@ -57,6 +57,14 @@ def test_quasipoly_substitute():
     assert sympy.expand(to_sympy(r) - expected) == 0
 
 
+def test_scalar_product_commutes():
+    # a QuasiPoly is a tuple, so without its own __rmul__ a scalar on the
+    # left would repeat the tuple instead of scaling the polynomial
+    q = from_sympy(sym("x") ** 2 + 3 * sym("y"))
+    assert 2 * q == q * 2 == from_sympy(2 * sym("x") ** 2 + 6 * sym("y"))
+    assert Fraction(1, 2) * q == q * Fraction(1, 2)
+
+
 def is_canonical(q):
     """Distinct well-formed monomials with nonzero Fraction coefficients, in
     the order ``from_terms`` gives whatever order its input has (the order

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import re
 
@@ -272,7 +271,7 @@ def test_refuted_affine_point_is_unknown():
         def run(self, params):
             # every instance pair ordered both ways, so none can race
             res = super().run(params)
-            return dataclasses.replace(res, _hb_forbidden=[0] * len(res.instances))
+            return res._replace(hb_forbidden=[0] * len(res.instances))
 
     p = parse(
         "param N >= 1;\narray A[1];\n"
@@ -285,8 +284,7 @@ def test_refuted_affine_point_is_unknown():
         (NoRaces(p), cand.emptiness),  # the replay refutes the point
         (_Confirmer(p), (False, outside)),  # substitution refutes it
     ):
-        cand.emptiness = emptiness
-        v = disprove(p, cand, confirmer)
+        v = disprove(p, cand._replace(emptiness=emptiness), confirmer)
         assert (v.status, v.method, v.detail) == ("unknown", "affine", "unconfirmed witness")
 
 
@@ -328,7 +326,7 @@ def test_replay_refutes_a_point_whose_own_pair_does_not_race():
     # ... but this point's own pair runs at phases 1 and 0; without the
     # phase check it passes substitution, and only the replay refutes it
     point = {"m_x": 1, "m_y": 1, "u_x": 1, "u_y": 0, "v_x": 1, "v_y": 0}
-    unphased = dataclasses.replace(cand, reduction=None)
+    unphased = cand._replace(reduction=None)
     assert unphased.system.contains(point)
     assert _gate(p, unphased, point, "smt", confirmer) is None
 
