@@ -144,19 +144,12 @@ def hb_disjuncts(
     )
 
 
-def unordered_disjuncts(
-    p: Program,
-    u_id: int,
-    v_id: int,
-    u_prefix: str = "u_",
-    v_prefix: str = "v_",
-) -> list[list[Constraint]]:
-    """Constraint systems covering exactly the instance pairs ordered in
-    neither direction (clocks ignored).  Distinctness of the instances is
-    implied; the systems are pairwise disjoint."""
-    return _components(
-        p, u_id, v_id, u_prefix, v_prefix, lambda u_first, seals: not seals
-    )
+def unordered_disjuncts(p: Program, u_id: int, v_id: int) -> list[list[Constraint]]:
+    """Constraint systems over ``u_``/``v_`` iterators covering exactly the
+    instance pairs ordered in neither direction (clocks ignored).
+    Distinctness of the instances is implied; the systems are pairwise
+    disjoint."""
+    return _components(p, u_id, v_id, "u_", "v_", lambda u_first, seals: not seals)
 
 
 # ---------------------------------------------------------------------------

@@ -133,11 +133,12 @@ class _Parser:
 
     def parse_program(self) -> Program:
         while self.peek().text in ("param", "array"):
-            if self.accept("param"):
-                tok = self.expect_ident()
-                name = tok.text
-                if name in self.params or name in self.arrays:
-                    raise self.error(f"duplicate declaration of {name!r}")
+            kw = self.next().text
+            tok = self.expect_ident()
+            name = tok.text
+            if name in self.params or name in self.arrays:
+                raise self.error(f"duplicate declaration of {name!r}")
+            if kw == "param":
                 if name.startswith(RESERVED_PREFIXES):
                     raise self.error(f"parameter {name!r} uses a reserved prefix u_, v_ or a_", tok)
                 self.expect(">=")
@@ -148,10 +149,6 @@ class _Parser:
                 self.expect(";")
                 self.params[name] = -int(tok.text) if neg else int(tok.text)
             else:
-                self.expect("array")
-                name = self.expect_ident().text
-                if name in self.arrays or name in self.params:
-                    raise self.error(f"duplicate declaration of {name!r}")
                 self.expect("[")
                 tok = self.next()
                 if tok.kind != "int":
@@ -290,20 +287,12 @@ class _Parser:
                 conds.extend(self._parse_comparison(scope))
             self.expect(")")
             return If(conds=tuple(conds), body=self.parse_stmt(scope))
-        if tok.text == "clocked":
-            self.next()
-            kw = self.next()
-            if kw.text == "async":
-                return Async(clocked=True, body=self.parse_stmt(scope))
-            if kw.text == "finish":
-                return Finish(clocked=True, body=self.parse_stmt(scope))
-            raise self.error("expected 'async' or 'finish' after 'clocked'", kw)
-        if tok.text == "async":
-            self.next()
-            return Async(clocked=False, body=self.parse_stmt(scope))
-        if tok.text == "finish":
-            self.next()
-            return Finish(clocked=False, body=self.parse_stmt(scope))
+        clocked = self.accept("clocked")
+        if self.peek().text in ("async", "finish"):
+            node = Async if self.next().text == "async" else Finish
+            return node(clocked=clocked, body=self.parse_stmt(scope))
+        if clocked:
+            raise self.error("expected 'async' or 'finish' after 'clocked'")
         if tok.kind == "ident":
             return self._parse_basic(scope)
         raise self.error(f"expected statement, found {tok.text or 'end of input'!r}", tok)

@@ -60,6 +60,7 @@ class RaceCandidate(NamedTuple):
     # is_empty_with_witness of the system, decided once when pruning
     emptiness: tuple[Optional[bool], Optional[dict[str, int]]]
     reduction: Optional[ClockReduction]
+    # the phases, both None when unclocked; one is None when unavailable
     phi_u: Optional[QuasiPoly]
     phi_v: Optional[QuasiPoly]
 
@@ -88,7 +89,8 @@ class Analysis(NamedTuple):
     def smt_scripts(self) -> list[str]:
         """One SMT-LIB script per candidate, built on request."""
         return [
-            _smt_script(c, f"race candidate {c.index}: {c.describe(self.program)}")
+            emit_smtlib(c.system, c.phi_u, c.phi_v,
+                        comment=f"race candidate {c.index}: {c.describe(self.program)}")
             for c, _ in self.candidates
         ]
 
@@ -281,12 +283,6 @@ def _gate(
     return Verdict("witness", method, point, confirmed=True)
 
 
-def _smt_script(cand: RaceCandidate, comment: str = "") -> str:
-    """The candidate's SMT-LIB script, with phase equality only when clocked."""
-    phases = (cand.phi_u, cand.phi_v) if cand.reduction is not None else (None, None)
-    return emit_smtlib(cand.system, *phases, comment=comment)
-
-
 # Each tier takes (p, cand, confirmer, solver_cmd, bound) and returns a
 # verdict, or None to pass the candidate on to the next tier.
 
@@ -322,7 +318,7 @@ def _smt_tier(p, cand, confirmer, solver_cmd, bound) -> Optional[Verdict]:
     clocked = cand.reduction is not None
     if not solver_cmd or (clocked and (cand.phi_u is None or cand.phi_v is None)):
         return None
-    status, model = run_solver(solver_cmd, _smt_script(cand))
+    status, model = run_solver(solver_cmd, emit_smtlib(cand.system, cand.phi_u, cand.phi_v))
     if status == "unsat":
         return Verdict("race-free", "smt")
     return _gate(p, cand, model, "smt", confirmer) if status == "sat" else None

@@ -17,7 +17,7 @@ class Report(NamedTuple):
     statements: list[str]
     diagnostics: list[str]
     candidates: list[dict]
-    phi_table: dict[str, str]
+    phi: dict[str, str]
     status: str  # "RaceFree" | "PotentialRaces(n)" | "Unknown(n)"
     verdict: str
     timings: dict[str, float]
@@ -25,18 +25,8 @@ class Report(NamedTuple):
     def to_json(self) -> str:
         import json
 
-        payload = {
-            "source": self.source,
-            "params": self.params,
-            "arrays": self.arrays,
-            "statements": self.statements,
-            "diagnostics": self.diagnostics,
-            "candidates": self.candidates,
-            "phi": self.phi_table,
-            "status": self.status,
-            "verdict": self.verdict,
-            "timings": {k: round(v, 3) for k, v in sorted(self.timings.items())},
-        }
+        payload = self._asdict()
+        payload["timings"] = {k: round(v, 3) for k, v in self.timings.items()}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:
@@ -48,9 +38,9 @@ class Report(NamedTuple):
         if self.diagnostics:
             lines.append("diagnostics:")
             lines.extend(f"  {d}" for d in self.diagnostics)
-        if self.phi_table:
+        if self.phi:
             lines.append("phase functions:")
-            for k, v in sorted(self.phi_table.items()):
+            for k, v in sorted(self.phi.items()):
                 lines.append(f"  phi[{k}] = {v}")
         lines.append(f"race candidates: {len(self.candidates)}")
         for c in self.candidates:
@@ -82,7 +72,7 @@ def build_report(
 ) -> Report:
     candidates = []
     n_witness = n_unknown = 0
-    phi_table: dict[str, str] = {}
+    phases: dict[str, str] = {}
     for cand, verdict in analysis.candidates:
         if verdict.status == "witness":
             n_witness += 1
@@ -94,7 +84,7 @@ def build_report(
                 (cand.reduction.rep_v, cand.phi_v, "v_"),
             ):
                 key = f"{p.stmt_label(stmt_id)}@clock{cand.reduction.finish_id}"
-                phi_table[key] = "unavailable" if poly is None else _phase_label(p, stmt_id, poly, prefix)
+                phases[key] = "unavailable" if poly is None else _phase_label(p, stmt_id, poly, prefix)
         candidates.append(
             {
                 "index": cand.index,
@@ -125,7 +115,7 @@ def build_report(
         statements=[p.stmt_label(s.node_id) for s in p.basic_statements()],
         diagnostics=diagnostics,
         candidates=candidates,
-        phi_table=phi_table,
+        phi=phases,
         status=status,
         verdict=analysis.verdict,
         timings=timings or {},

@@ -8,7 +8,7 @@ statements, ``advance``, blocks (sequences), affine ``for`` loops, affine
 Every record here is an immutable ``NamedTuple``, statements included.  A
 statement's last field is its ``node_id``, -1 until a :class:`Program`
 numbers it: the program rebuilds its tree with each node's id set, in
-pre-order, and keeps an id a node already has.
+pre-order from 0.
 """
 
 from __future__ import annotations
@@ -185,23 +185,15 @@ class Finish(NamedTuple):
 Stmt = Union[Basic, Advance, Seq, For, If, Async, Finish]
 
 
-def children(s: Stmt) -> tuple[Stmt, ...]:
-    if isinstance(s, Seq):
-        return s.body
-    if isinstance(s, (For, If, Async, Finish)):
-        return (s.body,)
-    return ()
-
-
 # ---------------------------------------------------------------------------
 # Program
 
 
 class Program:
     """The header and the statement tree, numbered: ``root`` is the given
-    tree rebuilt with every node's id set, in pre-order, a node keeping an
-    id it already has.  ``nodes`` maps ids to nodes of that tree and
-    ``parent`` ids to their parent's id."""
+    tree rebuilt with every node's id set, in pre-order from 0, whatever id
+    a node had.  ``nodes`` maps ids to nodes of that tree, in pre-order,
+    and ``parent`` ids to their parent's id."""
 
     def __init__(
         self,
@@ -213,12 +205,9 @@ class Program:
         self.arrays = arrays
         self.nodes: dict[int, Stmt] = {}
         self.parent: dict[int, Optional[int]] = {}
-        counter = 0
 
         def number(s: Stmt, par: Optional[int]) -> Stmt:
-            nonlocal counter
-            nid = counter if s.node_id < 0 else s.node_id
-            counter = max(counter, nid) + 1
+            nid = len(self.nodes)
             self.nodes[nid] = s  # holds the id's place in pre-order
             self.parent[nid] = par
             if isinstance(s, Seq):
@@ -255,23 +244,11 @@ class Program:
         path.reverse()
         return path
 
-    def leaves(self) -> list[Stmt]:
-        out: list[Stmt] = []
-
-        def walk(s: Stmt) -> None:
-            if isinstance(s, (Basic, Advance)):
-                out.append(s)
-            for c in children(s):
-                walk(c)
-
-        walk(self.root)
-        return out
-
     def basic_statements(self) -> list[Basic]:
-        return [s for s in self.leaves() if isinstance(s, Basic)]
+        return [s for s in self.nodes.values() if isinstance(s, Basic)]
 
     def advance_statements(self) -> list[Advance]:
-        return [s for s in self.leaves() if isinstance(s, Advance)]
+        return [s for s in self.nodes.values() if isinstance(s, Advance)]
 
     def enclosing_iterators(self, node_id: int) -> list[str]:
         """Loop iterators in scope at the node, outermost first."""

@@ -12,10 +12,6 @@ def satisfied(disjuncts, env):
     return any(all(c.satisfied(env) for c in d) for d in disjuncts)
 
 
-def leaf_ids(p):
-    return [s.node_id for s in p.leaves()]
-
-
 def pair_env(u_inst, v_inst, params):
     env = dict(params)
     env.update(("u_" + k, x) for k, x in u_inst[2])

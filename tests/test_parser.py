@@ -8,7 +8,7 @@ from clockrace import (
     print_program,
     validate_clock_rules,
 )
-from clockrace.syntax import Advance, AffineExpr, Basic, Finish, For, Program, Seq, children
+from clockrace.syntax import Advance, AffineExpr, Basic, Finish, For, Program, Seq
 from conftest import CORPUS_NAMES, load
 
 
@@ -26,8 +26,11 @@ def test_print_parse_round_trip(name):
 
 def _preorder(s):
     yield s
-    for c in children(s):
-        yield from _preorder(c)
+    if isinstance(s, Seq):
+        for c in s.body:
+            yield from _preorder(c)
+    elif hasattr(s, "body"):
+        yield from _preorder(s.body)
 
 
 def test_program_numbers_a_hand_built_tree_in_pre_order():
@@ -48,9 +51,10 @@ def test_program_numbers_a_hand_built_tree_in_pre_order():
     again = Program(root=p.root, params=p.params, arrays=p.arrays)
     assert [n.node_id for n in _preorder(again.root)] == list(range(7))
     assert again.parent == p.parent
-    # a node keeps an id it has, and the nodes after it are numbered past it
-    q = Program(root=Seq(body=(Basic(name="f", node_id=5), Advance())), params=(), arrays=())
-    assert [n.node_id for n in _preorder(q.root)] == [0, 5, 6]
+    # a preset id is ignored: ids stay unique and in pre-order
+    q = Program(root=Seq(body=(Advance(), Basic(name="f", node_id=0))), params=(), arrays=())
+    assert [n.node_id for n in _preorder(q.root)] == [0, 1, 2]
+    assert q.parent == {0: None, 1: 0, 2: 0}
 
 
 def test_comments_and_whitespace_ignored():

@@ -18,7 +18,7 @@ from clockrace import (
     run_solver,
 )
 from clockrace.affine import eq, ge
-from clockrace.races import _smt_script, race_candidates
+from clockrace.races import race_candidates
 from clockrace.smt import parse_model
 from clockrace.syntax import AffineExpr
 
@@ -154,7 +154,7 @@ def _check_script(cand, points) -> tuple[int, int]:
     values of its declared constants in order, exactly where the context,
     the system and, when clocked, phase equality hold.  The numbers of
     points in the system and of points where the script holds."""
-    script = Script(_smt_script(cand))
+    script = Script(emit_smtlib(cand.system, cand.phi_u, cand.phi_v))
     s, clocked = cand.system, cand.reduction is not None
     in_system = holding = 0
     for values in points(script.declared):
