@@ -17,10 +17,17 @@ the sealed components where u runs first, :func:`unordered_disjuncts` the
 unsealed ones, and the rest are ``v hb u``.  Identical instances satisfy
 none.  The order is sound but deliberately incomplete.
 
-For clocked programs, :func:`reduce_clock` maps a pair of leaves to the
-innermost clocked ``finish`` governing both, together with a representative
-per side: the outermost clocked ``finish`` below it containing the leaf (or
-the leaf itself).  Phase reasoning is then performed on representatives.
+For clocked programs, :func:`reduce_clock` gives each component its own
+clock.  Two instances share an instance of a clocked ``finish`` only when
+they agree on every iterator of the loops above it, so a clocked ``finish``
+inside a loop is a new clock in every iteration.  The clock of a component
+is therefore the innermost clocked ``finish`` strictly above the
+component's node: above the loop where the iteration vectors first differ,
+or anywhere on the common path for the divergence node.  A component with
+no such ``finish`` is unclocked.  Each side also gets a representative: the
+outermost clocked ``finish`` below the clock containing the leaf (or the
+leaf itself).  Phases are compared only under one clock instance, on the
+representatives.
 """
 
 from __future__ import annotations
@@ -68,15 +75,16 @@ def _components(
     u_prefix: str,
     v_prefix: str,
     keep: Callable[[bool, bool], bool],
-) -> list[list[Constraint]]:
+) -> list[tuple[int, list[Constraint]]]:
     """The ways the two iteration vectors can first differ, in order, as
-    constraint systems over prefixed iterators.  Only the components for
-    which ``keep(u_first, seals)`` holds are built: ``u_first`` says whether
-    u's instance runs first, ``seals`` whether the earlier instance's path
+    (depth, constraint system over prefixed iterators): ``depth`` is the
+    path index of the component's node.  Only the components for which
+    ``keep(u_first, seals)`` holds are built: ``u_first`` says whether u's
+    instance runs first, ``seals`` whether the earlier instance's path
     seals at the component's node."""
     pu, pv = p.path_to(u_id), p.path_to(v_id)
     m = _common_prefix(pu, pv)
-    out: list[list[Constraint]] = []
+    out: list[tuple[int, list[Constraint]]] = []
     equal: list[Constraint] = []
     for i, n in enumerate(pu[:m]):
         if not isinstance(n, For):
@@ -84,9 +92,9 @@ def _components(
         v_minus_u = AffineExpr.var(v_prefix + n.var) - AffineExpr.var(u_prefix + n.var)
         u_minus_v = -v_minus_u
         if keep(True, _seals(pu, i)):
-            out.append(equal + [ge(v_minus_u.shift(-1))])
+            out.append((i, equal + [ge(v_minus_u.shift(-1))]))
         if keep(False, _seals(pv, i)):
-            out.append(equal + [ge(u_minus_v.shift(-1))])
+            out.append((i, equal + [ge(u_minus_v.shift(-1))]))
         equal = equal + [eq(u_minus_v)]
     if m < len(pu) or m < len(pv):
         div = pu[m - 1]
@@ -95,7 +103,7 @@ def _components(
         )
         u_first = next(t for t in div.body if t is pu[m] or t is pv[m]) is pu[m]
         if keep(u_first, _seals(pu if u_first else pv, m - 1)):
-            out.append(equal)
+            out.append((m - 1, equal))
     return out
 
 
@@ -139,16 +147,20 @@ def hb_disjuncts(
     Each disjunct fixes the first component where the iteration vectors
     differ, so the disjuncts never overlap -- counting arguments may sum
     over them."""
-    return _components(
+    components = _components(
         p, u_id, v_id, u_prefix, v_prefix, lambda u_first, seals: u_first and seals
     )
+    return [d for _, d in components]
 
 
-def unordered_disjuncts(p: Program, u_id: int, v_id: int) -> list[list[Constraint]]:
-    """Constraint systems over ``u_``/``v_`` iterators covering exactly the
-    instance pairs ordered in neither direction (clocks ignored).
-    Distinctness of the instances is implied; the systems are pairwise
-    disjoint."""
+def unordered_disjuncts(
+    p: Program, u_id: int, v_id: int
+) -> list[tuple[int, list[Constraint]]]:
+    """(depth, constraint system over ``u_``/``v_`` iterators) per
+    component, the systems covering exactly the instance pairs ordered in
+    neither direction (clocks ignored).  Distinctness of the instances is
+    implied; the systems are pairwise disjoint.  ``depth`` is what
+    :func:`reduce_clock` takes to find the component's clock."""
     return _components(p, u_id, v_id, "u_", "v_", lambda u_first, seals: not seals)
 
 
@@ -157,7 +169,7 @@ def unordered_disjuncts(p: Program, u_id: int, v_id: int) -> list[list[Constrain
 
 
 class ClockReduction(NamedTuple):
-    """Innermost clocked finish spanning both leaves, plus per-side
+    """The clock instance both leaves run under, plus per-side
     representatives on which phase counting is performed."""
 
     finish_id: int
@@ -165,10 +177,14 @@ class ClockReduction(NamedTuple):
     rep_v: int
 
 
-def reduce_clock(p: Program, u_id: int, v_id: int) -> Optional[ClockReduction]:
+def reduce_clock(p: Program, u_id: int, v_id: int, depth: int) -> Optional[ClockReduction]:
+    """The clock of the component at path index ``depth`` (see
+    :func:`unordered_disjuncts`), or None: the innermost clocked finish
+    strictly above the component's node, whose one instance both
+    instances then run under."""
     pu, pv = p.path_to(u_id), p.path_to(v_id)
     finish = None
-    for n in pu[: _common_prefix(pu, pv)]:
+    for n in pu[:depth]:
         if isinstance(n, Finish) and n.clocked:
             finish = n
     if finish is None:

@@ -137,33 +137,37 @@ def race_candidates(p: Program) -> list[RaceCandidate]:
 
     @functools.cache
     def pair_facts(u_id: int, v_id: int):
-        """The unordered disjuncts, both domains and the clock reduction;
-        None when happens-before orders every instance pair."""
-        unordered = unordered_disjuncts(p, u_id, v_id)
-        if not unordered:
+        """Both domains and the unordered disjuncts grouped by their clock
+        reduction, in order; None when happens-before orders every
+        instance pair."""
+        by_clock: dict[Optional[ClockReduction], list[list[Constraint]]] = {}
+        for depth, d in unordered_disjuncts(p, u_id, v_id):
+            by_clock.setdefault(reduce_clock(p, u_id, v_id, depth), []).append(d)
+        if not by_clock:
             return None
-        return unordered, domain(u_id, "u_") + domain(v_id, "v_"), reduce_clock(p, u_id, v_id)
+        return domain(u_id, "u_") + domain(v_id, "v_"), tuple(by_clock.items())
 
     def consider(su: Basic, u_ref: AccessRef, sv: Basic, v_ref: AccessRef, kind: str):
         facts = pair_facts(su.node_id, sv.node_id)
         if facts is None:
             return
-        unordered, dom, reduction = facts
+        dom, by_clock = facts
         subs = _subscript_equalities(p, su.node_id, u_ref, sv.node_id, v_ref)
-        system = AffineSet(tuple(tuple(dom + subs + d) for d in unordered), tuple(context))
-        emptiness = is_empty_with_witness(system)
-        if emptiness[0] is True:
-            return
-        pu = pv = None
-        if reduction is not None:
-            pu = phase_of(reduction.finish_id, reduction.rep_u)
-            pv = _v_phase(p, reduction.rep_v, phase_of(reduction.finish_id, reduction.rep_v))
-        out.append(
-            RaceCandidate(
-                len(out), su.node_id, sv.node_id, u_ref, v_ref, kind,
-                system, emptiness, reduction, pu, pv,
+        for reduction, unordered in by_clock:  # one candidate per clock
+            system = AffineSet(tuple(tuple(dom + subs + d) for d in unordered), tuple(context))
+            emptiness = is_empty_with_witness(system)
+            if emptiness[0] is True:
+                continue
+            pu = pv = None
+            if reduction is not None:
+                pu = phase_of(reduction.finish_id, reduction.rep_u)
+                pv = _v_phase(p, reduction.rep_v, phase_of(reduction.finish_id, reduction.rep_v))
+            out.append(
+                RaceCandidate(
+                    len(out), su.node_id, sv.node_id, u_ref, v_ref, kind,
+                    system, emptiness, reduction, pu, pv,
+                )
             )
-        )
 
     for su in basics:
         if su.write is None:
@@ -232,7 +236,10 @@ class _Confirmer:
     def race_between(
         self, cand: RaceCandidate, params: Mapping[str, int]
     ) -> Optional[dict[str, int]]:
-        """A dynamic race matching the candidate, if any (bounded tier)."""
+        """A dynamic race in the candidate's system, if any (bounded tier):
+        its instances are the candidate's statements, touch one element
+        through the candidate's accesses and run under the candidate's
+        component, hence its clock."""
         res = self.run(params)
         if isinstance(res, str):
             return None
@@ -240,11 +247,10 @@ class _Confirmer:
             for a, b in (pair, pair[::-1]):
                 if (a[1], b[1]) != (cand.u_id, cand.v_id):
                     continue
-                full_a, full_b = {**dict(a[2]), **params}, {**dict(b[2]), **params}
-                if all(su.evaluate(full_a) == sv.evaluate(full_b)
-                       for su, sv in zip(cand.u_ref.subscripts, cand.v_ref.subscripts)):
-                    return {**params, **{"u_" + k: x for k, x in a[2]},
-                            **{"v_" + k: x for k, x in b[2]}}
+                point = {**params, **{"u_" + k: x for k, x in a[2]},
+                         **{"v_" + k: x for k, x in b[2]}}
+                if cand.system.contains(point):
+                    return point
         return None
 
 

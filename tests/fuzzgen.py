@@ -177,7 +177,7 @@ def _static_subset_dynamic(p, res, params):
         return (
             hb_disjuncts(p, a, b, "u_", "v_"),
             hb_disjuncts(p, b, a, "v_", "u_"),
-            unordered_disjuncts(p, a, b),
+            [d for _, d in unordered_disjuncts(p, a, b)],
         )
 
     for u, v in itertools.product(res.instances, repeat=2):
@@ -233,8 +233,37 @@ def check_program(p: Program, rng: random.Random, bound: int = 3):
             errors.append(f"witness violates context: {v.witness}")
         elif not cand.system.contains(witness_env):
             errors.append(f"witness not in the race system: {v.witness}")
+    # (d, e) each candidate against the dynamic races explored above
+    errors += _candidates_against_dynamic_races(p, analysis, results)
     n_witnesses = sum(1 for _, v in analysis.candidates if v.status == "witness")
     return errors, len(analysis.candidates), n_witnesses
+
+
+def _candidates_against_dynamic_races(p, analysis, results):
+    """(d) No ``race-free`` candidate's system holds a dynamic race, and (e)
+    every dynamic race lies in the system of some candidate that is not
+    ``race-free``.  A race lies in a candidate's system when its instances
+    are the candidate's statements, touch one element through the
+    candidate's access pair, and fall in the candidate's component."""
+    errors = []
+    for n, res in results.items():
+        for pair in res.races:
+            statuses = []
+            for a, b in (pair, pair[::-1]):
+                point = {"N": n, **{"u_" + k: x for k, x in a[2]},
+                         **{"v_" + k: x for k, x in b[2]}}
+                for cand, v in analysis.candidates:
+                    if (cand.u_id, cand.v_id) == (a[1], b[1]) and cand.system.contains(point):
+                        statuses.append(v.status)
+                        if v.status == "race-free":
+                            errors.append(
+                                f"race-free {cand.describe(p)} has the dynamic race {point}"
+                            )
+            if all(status == "race-free" for status in statuses):
+                errors.append(
+                    f"dynamic race {pair} at N={n} is in no candidate that is not race-free"
+                )
+    return errors
 
 
 def run_soundness_suite(count: int = 200, seed: int = 0):

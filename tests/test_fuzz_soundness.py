@@ -44,3 +44,26 @@ def test_checks_catch_a_seeded_unconfirmed_witness():
     errs, n_cand, n_wit = fuzzgen.check_program(p, random.Random(0))
     assert errs == []
     assert n_cand >= 1 and n_wit >= 1
+
+
+def test_checks_catch_a_race_free_candidate_that_races(monkeypatch):
+    # the per-candidate checks: an analysis whose every candidate claims
+    # race-free, on a program that races, fails both of them
+    from clockrace import parse
+    from clockrace.races import Verdict
+
+    analyze = fuzzgen.analyze
+
+    def all_race_free(*args, **kwargs):
+        a = analyze(*args, **kwargs)
+        return a._replace(candidates=[(c, Verdict("race-free", "affine")) for c, _ in a.candidates])
+
+    monkeypatch.setattr(fuzzgen, "analyze", all_race_free)
+    p = parse(
+        "param N >= 1;\narray A[1];\n"
+        "finish { for (i1=0:N-1) { async { A[0] = W(A[i1]); } } }\n"
+    )
+    errs, n_cand, _ = fuzzgen.check_program(p, random.Random(0))
+    assert n_cand >= 1
+    assert any(e.startswith("race-free ") and "has the dynamic race" in e for e in errs)
+    assert any(e.endswith("is in no candidate that is not race-free") for e in errs)

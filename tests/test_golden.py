@@ -1,7 +1,9 @@
 """Golden digests of the corpus reports and of the interpreter's facts.
 
-Each report digest is the sha256 of a corpus file's JSON report (without
-``timings``) followed by its SMT scripts, at bound 8 (bound 3 for ``qr``).
+Each report digest is the sha256 of the JSON reports (without ``timings``)
+of a group of programs, each followed by its SMT scripts: one corpus file at
+bound 8 (bound 3 for ``qr``), or ``fuzzgen.generate`` over a range of seeds
+at bound 3.
 Each facts digest covers one group of ``explore`` runs: state and trace
 counts, termination, the races in order, the sorted phases and the full
 happens-before matrix over the instances.  Each phase digest covers the
@@ -31,20 +33,32 @@ GOLDEN = {
     "sor": "beeab51bb4f77311aa51d88efec59f52241cbd253d6573503a69e98da7cabacb",
     "moldyn": "6ee45128e1e0332f470452e3427ff17b173819c69c4ecde932a278acacd6a686",
     "lufact": "5ffaa1e3288d8346b1f9e4d0c93f73012557e6cfae740d70eb885b354d93e9b1",
+    "fuzz/0-49": "2f6afb227d06365b387e1dc2b1282aad88174e92621d70e1402ce897e9803c83",
 }
 
 
-@pytest.mark.parametrize("name", CORPUS_NAMES)
-def test_report_digest(name):
-    p = load(name)
-    a = analyze(p, bound=3 if name == "qr" else 8)
-    report = build_report(corpus_path(name).name, p, a, [])
-    payload = json.loads(report.to_json())
-    del payload["timings"]
-    h = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
-    for script in a.smt_scripts:
-        h.update(b"\0" + script.encode())
-    assert h.hexdigest() == GOLDEN[name], report.to_text()
+def _report_runs(group):
+    """(source name, program, bound) of each analysis in a report group."""
+    if group.startswith("fuzz/"):
+        lo, hi = map(int, group[len("fuzz/"):].split("-"))
+        return [(f"fuzz{seed}.cx10", fuzzgen.generate(seed), 3) for seed in range(lo, hi + 1)]
+    return [(corpus_path(group).name, load(group), 3 if group == "qr" else 8)]
+
+
+@pytest.mark.parametrize("group", GOLDEN)
+def test_report_digest(group):
+    h = hashlib.sha256()
+    texts = []
+    for source, p, bound in _report_runs(group):
+        a = analyze(p, bound=bound)
+        report = build_report(source, p, a, [])
+        payload = json.loads(report.to_json())
+        del payload["timings"]
+        h.update(json.dumps(payload, sort_keys=True).encode())
+        for script in a.smt_scripts:
+            h.update(b"\0" + script.encode())
+        texts.append(report.to_text())
+    assert h.hexdigest() == GOLDEN[group], "".join(texts)
 
 
 # An advance under an unclocked finish inside a clocked async: the root

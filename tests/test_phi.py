@@ -16,6 +16,7 @@ from clockrace import (
     phi,
     race_test,
     reduce_clock,
+    unordered_disjuncts,
 )
 from clockrace.affine import AffineSet
 from clockrace.interp import instantiate, term_instances
@@ -445,7 +446,8 @@ def test_phi_counts_each_subproblem_once(monkeypatch):
         parse_poly("3*x^2+3*x*y+y^2+y+2"), parse_poly("3*x^2+3*x*y+x+y^2+2*y+1")
     ).program
     writer, reader = p.basic_statements()
-    reduction = reduce_clock(p, writer.node_id, reader.node_id)
+    [(depth, _)] = unordered_disjuncts(p, writer.node_id, reader.node_id)
+    reduction = reduce_clock(p, writer.node_id, reader.node_id, depth)
     calls = []
     sum_over, is_empty = QuasiPoly.sum_over, phi_module.is_empty
 

@@ -1,4 +1,3 @@
-import itertools
 import re
 
 import pytest
@@ -11,9 +10,9 @@ from clockrace import (
     phi,
     race_candidates,
     race_test,
-    reduce_clock,
     races,
 )
+from clockrace.syntax import Finish
 
 import fuzzgen
 from conftest import CORPUS_NAMES, corpus_path, load
@@ -71,14 +70,15 @@ def test_same_element_same_activity_not_a_candidate():
 
 
 def clocked_reps(p):
-    """The (clock, representative) pairs whose phases race_candidates may
-    need: those of every ordered pair of basic statements."""
-    ids = [s.node_id for s in p.basic_statements()]
+    """Every (clock, representative) pair whose phase race_candidates may
+    need: each clocked finish above a basic statement, with the next
+    clocked finish below it on the statement's path, or the statement."""
     reps = set()
-    for u, v in itertools.product(ids, repeat=2):
-        r = reduce_clock(p, u, v)
-        if r is not None:
-            reps |= {(r.finish_id, r.rep_u), (r.finish_id, r.rep_v)}
+    for s in p.basic_statements():
+        path = p.path_to(s.node_id)
+        clocks = [k for k, n in enumerate(path) if isinstance(n, Finish) and n.clocked]
+        for k, rep in zip(clocks, clocks[1:] + [len(path) - 1]):
+            reps.add((path[k].node_id, path[rep].node_id))
     return sorted(reps)
 
 
@@ -193,6 +193,57 @@ def test_negative_control_jacobi_without_second_advance():
     w = hits[0].witness
     res = explore(p, {"N": w["N"], "T": w["T"]})
     assert res.races
+
+
+# A clocked finish inside a loop is a new clock in every iteration: phases
+# are comparable only between instances that agree on the loop's iterator.
+CLOCK_PER_ITERATION = (
+    "param N >= 1;\narray A[1];\n"
+    "finish for (i = 0 : N) async clocked finish {\n"
+    "  A[2 * i] = f();\n"
+    "  advance;\n"
+    "  A[2 * i + 1] = g(A[2 * i + 2]);\n"
+    "}\n"
+)
+# SOR with each activity's sweeps under a clock of its own
+SOR_CLOCK_PER_ACTIVITY = corpus_path("sor").read_text().replace(
+    "clocked async {", "clocked async clocked finish {"
+)
+
+
+@pytest.mark.parametrize(
+    "source", [CLOCK_PER_ITERATION, SOR_CLOCK_PER_ACTIVITY], ids=["loop", "sor"]
+)
+def test_phases_of_different_clock_instances_are_not_compared(source):
+    p = parse(source)
+    a = analyze(p, bound=3)
+    assert a.verdict == "PotentialRaces"
+    hits = [(c, v) for c, v in a.candidates if v.status == "witness"]
+    assert hits and all(v.confirmed for _, v in hits)
+    # the components that race differ in the loop above the inner finish,
+    # which leaves them under the outer clock, or none
+    assert all(c.reduction is None or c.reduction.finish_id == 0 for c, _ in hits)
+    w = hits[0][1].witness
+    assert explore(p, {k: w[k] for k in p.param_names()}).races
+
+
+def test_one_candidate_per_access_pair_and_clock():
+    # f and g race across iterations (no common clock) but not within one
+    # iteration, where g runs a phase after f under the inner clock
+    p = parse(
+        "param N >= 1;\narray A[1];\n"
+        "finish for (i = 0 : N) async clocked finish {\n"
+        "  clocked async A[0] = f();\n"
+        "  clocked async { advance; A[0] = g(); }\n"
+        "}\n"
+    )
+    a = analyze(p, bound=3)
+    pair = [(c.reduction, v.status) for c, v in a.candidates
+            if p.stmt_label(c.u_id) == "f" and p.stmt_label(c.v_id) == "g"]
+    assert [(r is None, status) for r, status in pair] == [
+        (True, "witness"), (False, "race-free")
+    ]
+    assert pair[1][0].finish_id == 3  # the inner clocked finish
 
 
 # ---------------------------------------------------------------------------
