@@ -234,23 +234,26 @@ def check_program(p: Program, rng: random.Random, bound: int = 3):
         elif not cand.system.contains(witness_env):
             errors.append(f"witness not in the race system: {v.witness}")
     # (d, e) each candidate against the dynamic races explored above
-    errors += _candidates_against_dynamic_races(p, analysis, results)
+    errors += _candidates_against_dynamic_races(
+        p, analysis, [({"N": n}, res) for n, res in results.items()]
+    )
     n_witnesses = sum(1 for _, v in analysis.candidates if v.status == "witness")
     return errors, len(analysis.candidates), n_witnesses
 
 
-def _candidates_against_dynamic_races(p, analysis, results):
+def _candidates_against_dynamic_races(p, analysis, runs):
     """(d) No ``race-free`` candidate's system holds a dynamic race, and (e)
     every dynamic race lies in the system of some candidate that is not
-    ``race-free``.  A race lies in a candidate's system when its instances
-    are the candidate's statements, touch one element through the
-    candidate's access pair, and fall in the candidate's component."""
+    ``race-free``, over ``runs``, the (parameters, exploration) pairs.  A
+    race lies in a candidate's system when its instances are the
+    candidate's statements, touch one element through the candidate's
+    access pair, and fall in the candidate's component."""
     errors = []
-    for n, res in results.items():
+    for params, res in runs:
         for pair in res.races:
             statuses = []
             for a, b in (pair, pair[::-1]):
-                point = {"N": n, **{"u_" + k: x for k, x in a[2]},
+                point = {**params, **{"u_" + k: x for k, x in a[2]},
                          **{"v_" + k: x for k, x in b[2]}}
                 for cand, v in analysis.candidates:
                     if (cand.u_id, cand.v_id) == (a[1], b[1]) and cand.system.contains(point):
@@ -261,7 +264,7 @@ def _candidates_against_dynamic_races(p, analysis, results):
                             )
             if all(status == "race-free" for status in statuses):
                 errors.append(
-                    f"dynamic race {pair} at N={n} is in no candidate that is not race-free"
+                    f"dynamic race {pair} at {params} is in no candidate that is not race-free"
                 )
     return errors
 
