@@ -27,12 +27,12 @@ those dicts and made canonical once, at the end.  A phase function likewise
 adds its disjuncts' counts into one monomial dict before it is made
 canonical.
 
-The happens-before disjuncts of one advance differ only in their outer
-components, so the same inner sums and bound comparisons recur across them.
-One phase-function computation therefore counts each distinct subproblem
-once: a counter made per ``phi`` call memoizes every count, summation and
-emptiness query by its exact (frozen, hashable) arguments.  The memo never
-outlives the ``phi`` call, so nothing is shared between programs or calls.
+A count is one loop over the advance's loop nest, so its stack does not
+grow with the nest.  The happens-before disjuncts of one advance differ
+only in their outer components, so the same inner sums and bound
+comparisons recur across them: a counter made per ``phi`` call caches its
+emptiness proofs by constraint tuple and its summations by
+``(integrand, var, lo, hi)``, and shares nothing between calls.
 A phase's iterator prefix changes only the names in it, so the caller
 computes each once: ``races.race_candidates`` calls ``phi`` once per clock
 and statement with the ``u_`` prefix, and renames that polynomial's
@@ -292,32 +292,36 @@ def _bounds_of(c: Constraint, var: str) -> Optional[tuple[str, AffineExpr]]:
     return ("lo" if k == 1 else "hi", bound)
 
 
+def _unit_equality(
+    constraints: tuple[Constraint, ...], sum_vars: tuple[str, ...]
+) -> Optional[tuple[Constraint, str, AffineExpr]]:
+    """The first ``(equality, summed variable, its value)`` with a unit
+    coefficient, in constraint then sum_vars order; None if there is none."""
+    for c in constraints:
+        for var in sum_vars if c.kind == "eq" else ():
+            if (repl := c.expr.solve(var)) is not None:
+                return c, var, repl
+    return None
+
+
 class _Counter:
     """Symbolic counting for one phase-function computation: the parameter
-    context plus one memo of every subproblem counted or proved there, so
-    each distinct one is done once.  Sound because every key is a tuple of
-    frozen values and the answers are deterministic; a _CountFailure ends
-    the whole computation, so failures are never stored."""
+    context and the caches.  Sound because every key is a tuple of frozen
+    values and the answers are deterministic; a _CountFailure ends the
+    whole computation, so failures are never stored."""
 
     def __init__(self, context: Sequence[Constraint]):
         self.context = tuple(context)
-        self.memo: dict[tuple, object] = {}
-
-    def _once(self, key: tuple, compute):
-        """``compute(*key[1:])``, computed the first time the key is seen;
-        ``key[0]`` names the kind of subproblem.  Records are tuples, equal
-        to any tuple with the same items, so each position of a kind's key
-        holds one record type."""
-        if key not in self.memo:
-            self.memo[key] = compute(*key[1:])
-        return self.memo[key]
+        self.empties: dict[tuple[Constraint, ...], bool] = {}
+        self.sums: dict[tuple, QuasiPoly] = {}
 
     def empty(self, constraints: tuple[Constraint, ...]) -> bool:
         """Is the conjunction (under the context) provably empty?"""
-        return self._once(("empty", constraints), self._empty)
-
-    def _empty(self, constraints: tuple[Constraint, ...]) -> bool:
-        return is_empty(AffineSet.conjunction(constraints, self.context)) is True
+        known = self.empties.get(constraints)
+        if known is None:
+            s = AffineSet.conjunction(constraints, self.context)
+            known = self.empties[constraints] = is_empty(s) is True
+        return known
 
     def implied(self, ctx: tuple[Constraint, ...], claim: AffineExpr) -> bool:
         """Does ctx (integrally) imply claim >= 0?  Sound, incomplete."""
@@ -325,81 +329,74 @@ class _Counter:
             return True
         return self.empty(ctx + (ge((-claim).shift(-1)),))  # claim <= -1
 
+    def dominant(
+        self, ctx: tuple[Constraint, ...], cands: list[AffineExpr], var: str, flip: bool
+    ) -> AffineExpr:
+        """The bound of var in cands that ctx proves greatest (least if flip)."""
+        for b in cands:
+            if all(b is o or self.implied(ctx, (o - b) if flip else (b - o)) for o in cands):
+                return b
+        raise _CountFailure(f"incomparable bounds on {var}")
+
     def count(
         self,
         sum_vars: tuple[str, ...],
         constraints: tuple[Constraint, ...],
         ctx: tuple[Constraint, ...],
-        integrand: QuasiPoly = QuasiPoly.constant(1),
     ) -> QuasiPoly:
-        """Sum ``integrand`` over integer assignments of sum_vars satisfying
-        constraints, as a polynomial in the free variables.  ``ctx`` are
-        facts known about the free variables.  Variables are eliminated
-        innermost first, so each summation's bounds may mention the
-        still-outer summation variables.
+        """The number of integer assignments of sum_vars satisfying
+        constraints, as a polynomial in the free variables; ``ctx`` are facts
+        known about them.  One loop: each step eliminates a summed variable
+        by an equality with a unit coefficient on it, or sums the innermost
+        one, whose bounds may mention the still-outer summed variables.
 
         Raises _CountFailure when the region is not a provable box chain."""
-        return self._once(("count", sum_vars, constraints, ctx, integrand), self._count)
-
-    def _count(self, sum_vars, constraints, ctx, integrand) -> QuasiPoly:
-        # Use equalities on sum variables to eliminate them outright.
-        for c in constraints:
-            if c.kind != "eq":
+        poly = QuasiPoly.constant(1)
+        while sum_vars:
+            unit = _unit_equality(constraints, sum_vars)
+            if unit is not None:
+                c, var, repl = unit
+                constraints = tuple(
+                    Constraint(d.expr.subst({var: repl}), d.kind) if d.expr.coeff(var) else d
+                    for d in constraints
+                    if d is not c
+                )
+                poly = poly.substitute({var: repl})
+                sum_vars = tuple(v for v in sum_vars if v != var)
                 continue
-            for var in sum_vars:
-                repl = c.expr.solve(var)
-                if repl is not None:
-                    new = tuple(
-                        Constraint(d.expr.subst({var: repl}), d.kind)
-                        for d in constraints
-                        if d is not c
-                    )
-                    body = integrand.substitute({var: repl})
-                    rest_vars = tuple(v for v in sum_vars if v != var)
-                    return self.count(rest_vars, new, ctx, body)
-        if any(c.kind == "eq" and any(v in sum_vars for v in c.expr.variables) for c in constraints):
-            raise _CountFailure("equality with non-unit coefficient on a sum variable")
+            if any(c.kind == "eq" and any(v in sum_vars for v in c.expr.variables) for c in constraints):
+                raise _CountFailure("equality with non-unit coefficient on a sum variable")
 
-        if not sum_vars:
-            # Every residual constraint must be implied by what we know of
-            # the free variables, otherwise the count would be conditional.
-            for c in constraints:
-                if c.kind == "eq":
-                    if not (self.implied(ctx, c.expr) and self.implied(ctx, -c.expr)):
-                        raise _CountFailure(f"residual equality {c}")
-                elif not self.implied(ctx, c.expr):
-                    if self.empty(ctx + (c,)):
-                        return QuasiPoly.zero()
-                    raise _CountFailure(f"residual constraint {c}")
-            return integrand
+            var = sum_vars[-1]  # innermost loop variable
+            without = tuple(c for c in constraints if not c.expr.coeff(var))
+            bounds = [_bounds_of(c, var) for c in constraints if c.expr.coeff(var)]
+            los = [b for kind, b in bounds if kind == "lo"]
+            his = [b for kind, b in bounds if kind == "hi"]
+            if not los or not his:
+                raise _CountFailure(f"{var} unbounded")
+            side_ctx = ctx + without
+            lo = self.dominant(side_ctx, los, var, flip=False)  # greatest lower bound
+            hi = self.dominant(side_ctx, his, var, flip=True)  # least upper bound
+            # The closed-form summation needs hi >= lo - 1 throughout the region.
+            if not self.implied(side_ctx, (hi - lo).shift(1)):
+                raise _CountFailure(f"possibly negative extent for {var}")
+            key = (poly, var, lo, hi)
+            summed = self.sums.get(key)
+            if summed is None:
+                summed = self.sums[key] = poly.sum_over(var, lo, hi)
+            poly, sum_vars, constraints = summed, sum_vars[:-1], without
 
-        var = sum_vars[-1]  # innermost loop variable
-        with_var = [c for c in constraints if c.expr.coeff(var)]
-        without = tuple(c for c in constraints if not c.expr.coeff(var))
-        los, his = [], []
-        for c in with_var:
-            kind, bound = _bounds_of(c, var)
-            (los if kind == "lo" else his).append(bound)
-        if not los or not his:
-            raise _CountFailure(f"{var} unbounded")
-        side_ctx = ctx + without
-
-        def dominant(cands: list[AffineExpr], flip: bool) -> AffineExpr:
-            for b in cands:
-                if all(
-                    b is o or self.implied(side_ctx, (b - o) if not flip else (o - b))
-                    for o in cands
-                ):
-                    return b
-            raise _CountFailure(f"incomparable bounds on {var}")
-
-        lo = dominant(los, flip=False)  # greatest lower bound
-        hi = dominant(his, flip=True)  # least upper bound
-        # The closed-form summation needs hi >= lo - 1 throughout the region.
-        if not self.implied(side_ctx, (hi - lo).shift(1)):
-            raise _CountFailure(f"possibly negative extent for {var}")
-        summed = self._once(("sum", integrand, var, lo, hi), QuasiPoly.sum_over)
-        return self.count(sum_vars[:-1], without, ctx, summed)
+        # Every residual constraint must be implied by what we know of the
+        # free variables, otherwise the count would be conditional.
+        for c in constraints:
+            if c.kind == "eq":
+                if not (self.implied(ctx, c.expr) and self.implied(ctx, -c.expr)):
+                    raise _CountFailure(f"residual equality {c}")
+            elif not self.implied(ctx, c.expr):
+                if self.empty(ctx + (c,)):
+                    return QuasiPoly.zero()
+                raise _CountFailure(f"residual constraint {c}")
+        return poly
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from clockrace import parse, parse_file
@@ -39,3 +41,19 @@ def advance_count(p, params) -> int:
     """Number of advance instances the program executes (a counting nest is
     a straight line of clock steps, so this equals its advance count)."""
     return sum(1 for inst in term_instances(instantiate(p, params)) if inst[0] == "advance")
+
+
+@contextmanager
+def recursion_headroom(frames: int):
+    """Lower the recursion limit to the caller's stack depth plus ``frames``
+    for the body, so code that recurses once per nesting level fails fast;
+    the old limit comes back on exit."""
+    depth, frame = 0, sys._getframe(2)  # the caller, above __enter__ and this
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)

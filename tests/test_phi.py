@@ -19,12 +19,13 @@ from clockrace import (
     unordered_disjuncts,
 )
 from clockrace.affine import AffineSet
+from clockrace.generators import counting_nest
 from clockrace.interp import instantiate, term_instances
 from clockrace.phi import _bernoulli
 from clockrace.smt import emit_smtlib
-from clockrace.syntax import AffineExpr
+from clockrace.syntax import AccessRef, AffineExpr, Basic, Program, Seq
 
-from conftest import load
+from conftest import load, recursion_headroom
 from oracles import count_concrete, dynamic_phi
 from sympy_oracle import from_sympy, same_poly, sym, to_sympy
 
@@ -468,3 +469,40 @@ def test_phi_counts_each_subproblem_once(monkeypatch):
     assert len(set(once)) == len(once)
     assert phi(p, reduction.finish_id, reduction.rep_u, "u_") == first
     assert calls[len(once):] == once
+
+
+# ---------------------------------------------------------------------------
+# Counting is a loop over the nest
+
+
+# counting_nest(P), then a write of a scalar in the same clocked finish: every
+# advance comes before the write, so its phase is P.  Each polynomial's nest
+# depth is given; the corpus and the fuzzer reach 3.
+COUNTING_NESTS = {"x^2+x*y+y^2": 3, "x^3": 4, "x^6": 7, "x^3*y^2+2*x+5": 6, "x^8": 9}
+
+
+@pytest.mark.parametrize("poly", COUNTING_NESTS)
+def test_phase_after_a_counting_nest_is_its_polynomial(poly):
+    spec = parse_poly(poly)
+    nest = counting_nest(spec)
+    write = Basic(name="f", write=AccessRef("s", (), "write"))
+    root = nest.root._replace(body=Seq(body=nest.root.body.body + (write,)))
+    p = Program(root, nest.params, (("s", 0),))
+    depths = [len(p.enclosing_iterators(a.node_id)) for a in p.advance_statements()]
+    assert max(depths) == COUNTING_NESTS[poly]
+    (stmt,) = p.basic_statements()
+    assert phi(p, 0, stmt.node_id, "u_") == spec
+
+
+def test_phi_counts_a_deep_nest_in_bounded_stack():
+    """Counting takes the same frames at any nest depth: 60 loops fit in a
+    hundred frames more than the caller's."""
+    loops = "".join(f"for (i{k} = 0 : N) " for k in range(60))
+    p = parse(
+        "param N >= 1;\narray A[1];\n"
+        f"clocked finish {{ {loops}clocked async {{ advance; A[0] = f(); }} }}\n"
+    )
+    (stmt,) = p.basic_statements()
+    with recursion_headroom(100):
+        q = phi(p, 0, stmt.node_id, "u_")
+    assert q == QuasiPoly.constant(1)

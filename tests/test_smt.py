@@ -22,6 +22,7 @@ from clockrace.races import race_candidates
 from clockrace.smt import parse_model
 from clockrace.syntax import AffineExpr
 
+import fuzzgen
 from conftest import CORPUS_NAMES, load
 from smt_eval import Script
 from sympy_oracle import from_sympy, sym
@@ -218,6 +219,22 @@ def test_corpus_scripts_mean_their_systems(name):
             return [[witness[v] + rng.choice((-1, 0, 0, 1)) for v in names] for _ in range(300)]
 
         assert _check_script(cand, near)[0]
+
+
+@pytest.mark.parametrize("first", range(0, 200, 50))
+def test_fuzz_scripts_mean_their_systems(first):
+    # as for the corpus, over the candidates of 50 fuzz programs each
+    for seed in range(first, first + 50):
+        rng = random.Random(seed)
+        for cand in race_candidates(fuzzgen.generate(seed)):
+            if cand.reduction is not None and (cand.phi_u is None or cand.phi_v is None):
+                continue
+            witness = cand.emptiness[1]
+
+            def near(names):
+                return [[witness[v] + rng.choice((-1, 0, 0, 1)) for v in names] for _ in range(100)]
+
+            assert _check_script(cand, near)[0], seed
 
 
 # ---------------------------------------------------------------------------
