@@ -114,12 +114,6 @@ class QuasiPoly(NamedTuple):
     def var(name: str) -> "QuasiPoly":
         return QuasiPoly.from_terms({((name, 1),): 1})
 
-    @staticmethod
-    def from_affine(e: AffineExpr) -> "QuasiPoly":
-        terms = {((v, 1),): c for v, c in e.terms}
-        terms[()] = e.const
-        return QuasiPoly.from_terms(terms)
-
     @property
     def variables(self) -> tuple[str, ...]:
         """The sorted names that occur."""

@@ -11,14 +11,17 @@ verdict or passes the candidate on:
    the phase difference becomes affine after substituting the candidate's
    equalities, of the system with phase equality added;
 2. smt -- an external solver on the full nonlinear system (QF_NIA);
-3. bounded -- small parameter valuations are interpreted exhaustively and
-   observed races are matched against the candidate; always decides.
+3. bounded -- small parameter valuations are interpreted exhaustively, and
+   each observed race between the candidate's statements is a point for
+   the gate; always decides.
 
 ``race-free`` only ever comes from a sound emptiness or unsat proof.
-Affine points and SMT models pass one witness gate: substitution into the
-context, the system and (when clocked) phase equality, then a replay in
-the reference interpreter, when the program is small enough to explore, in
-which the point's own pair of instances must race.
+Affine points, SMT models and bounded races pass one witness gate:
+substitution into the context, the system and phase equality (skipped
+only when a phase is unavailable), then a replay in the reference
+interpreter, in which the point's own pair of instances must race.  The
+bounded tier's own exploration is its replay; other points are replayed
+when the program is small enough to explore.
 SMT-LIB scripts are built only on request (``Analysis.smt_scripts``).
 """
 
@@ -210,48 +213,28 @@ def _substituted_phase_diff(
     return (diff * scale).as_affine()
 
 
-class _Confirmer:
-    """Shared interpreter runs for witness confirmation / bounded search."""
+class _Run:
+    """One analysis: the program, its settings, and the explorations that
+    witness replay and the bounded tier share."""
 
-    def __init__(self, p: Program, max_states: int = _CONFIRM_MAX_STATES):
-        self.p = p
-        self.max_states = max_states
-        self.cache: dict[tuple[tuple[str, int], ...], Union[ExploreResult, str]] = {}
+    def __init__(self, p: Program, solver_cmd: Optional[str] = None, bound: int = DEFAULT_BOUND):
+        self.p, self.solver_cmd, self.bound = p, solver_cmd, bound
+        self.explored: dict[tuple[tuple[str, int], ...], Union[ExploreResult, str]] = {}
 
-    def run(self, params: Mapping[str, int]) -> Union[ExploreResult, str]:
+    def explore(self, params: Mapping[str, int]) -> Union[ExploreResult, str]:
         """The complete exploration at these parameters, or why there is none."""
         key = tuple(sorted(params.items()))
-        if key not in self.cache:
+        if key not in self.explored:
             try:
-                res = explore(self.p, params, max_states=self.max_states, count_traces=False)
+                res = explore(self.p, params, max_states=_CONFIRM_MAX_STATES, count_traces=False)
                 if res.incomplete:
                     res = "state limit hit"
             except MemoryError:
                 res = "out of memory"
             except RecursionError:
                 res = "program nested too deeply to interpret"
-            self.cache[key] = res
-        return self.cache[key]
-
-    def race_between(
-        self, cand: RaceCandidate, params: Mapping[str, int]
-    ) -> Optional[dict[str, int]]:
-        """A dynamic race in the candidate's system, if any (bounded tier):
-        its instances are the candidate's statements, touch one element
-        through the candidate's accesses and run under the candidate's
-        component, hence its clock."""
-        res = self.run(params)
-        if isinstance(res, str):
-            return None
-        for pair in res.races:
-            for a, b in (pair, pair[::-1]):
-                if (a[1], b[1]) != (cand.u_id, cand.v_id):
-                    continue
-                point = {**params, **{"u_" + k: x for k, x in a[2]},
-                         **{"v_" + k: x for k, x in b[2]}}
-                if cand.system.contains(point):
-                    return point
-        return None
+            self.explored[key] = res
+        return self.explored[key]
 
 
 def _instance(p: Program, stmt_id: int, point: Mapping[str, int], prefix: str) -> Instance:
@@ -261,27 +244,31 @@ def _instance(p: Program, stmt_id: int, point: Mapping[str, int], prefix: str) -
 
 
 def _gate(
-    p: Program, cand: RaceCandidate, point: Mapping[str, int], method: str,
-    confirmer: _Confirmer,
+    run: _Run, cand: RaceCandidate, point: Mapping[str, int], method: str,
+    res: Optional[ExploreResult] = None,
 ) -> Optional[Verdict]:
     """The witness verdict for a point a tier claims races, or None when it
-    fails substitution into the context, the system and (when clocked) phase
-    equality, or when the replay does not race the point's own instance pair
-    (distinct, both executed, unordered by happens-before).  A point that
-    cannot be replayed is still reported, with the reason in ``detail``."""
+    fails substitution into the context, the system and phase equality
+    (skipped only when a phase is unavailable), or when the exploration at
+    its parameters does not race the point's own instance pair (distinct,
+    both executed, unordered by happens-before).  That exploration is
+    ``res`` when the tier holds one, else a replay; a point that cannot be
+    replayed is still reported, with the reason in ``detail``."""
     s = cand.system
     try:
         holds = all(c.satisfied(point) for c in s.context) and s.contains(point) and (
-            cand.reduction is None or cand.phi_u.evaluate(point) == cand.phi_v.evaluate(point)
+            cand.phi_u is None or cand.phi_v is None
+            or cand.phi_u.evaluate(point) == cand.phi_v.evaluate(point)
         )
-        u, v = _instance(p, cand.u_id, point, "u_"), _instance(p, cand.v_id, point, "v_")
+        u, v = _instance(run.p, cand.u_id, point, "u_"), _instance(run.p, cand.v_id, point, "v_")
     except KeyError:  # the point leaves a variable unset
         holds = False
     if not holds:
         return None
-    params = {n: point.get(n, lb) for n, lb in p.params}
-    too_large = any(x > _REPLAY_MAX_PARAM for x in params.values())
-    res = f"parameter above {_REPLAY_MAX_PARAM}" if too_large else confirmer.run(params)
+    if res is None:
+        params = {n: point.get(n, lb) for n, lb in run.p.params}
+        too_large = any(x > _REPLAY_MAX_PARAM for x in params.values())
+        res = f"parameter above {_REPLAY_MAX_PARAM}" if too_large else run.explore(params)
     if isinstance(res, str):
         return Verdict("witness", method, point, detail=f"not replayed: {res}")
     if u == v or u not in res.index or v not in res.index or res.hb(u, v) or res.hb(v, u):
@@ -289,11 +276,12 @@ def _gate(
     return Verdict("witness", method, point, confirmed=True)
 
 
-# Each tier takes (p, cand, confirmer, solver_cmd, bound) and returns a
-# verdict, or None to pass the candidate on to the next tier.
+# Each tier takes (run, cand) and returns a verdict, or None to pass the
+# candidate on to the next tier.  A point becomes a witness only through
+# _gate.
 
 
-def _affine_tier(p, cand, confirmer, solver_cmd, bound) -> Optional[Verdict]:
+def _affine_tier(run: _Run, cand: RaceCandidate) -> Optional[Verdict]:
     """Exact integer emptiness: of the system itself when unclocked (decided
     in race_candidates already), else with phase equality added when every
     disjunct's phase difference linearizes."""
@@ -314,69 +302,64 @@ def _affine_tier(p, cand, confirmer, solver_cmd, bound) -> Optional[Verdict]:
     if empty is None:
         return None
     # a point the gate refutes: stay conservative
-    return _gate(p, cand, point, "affine", confirmer) or Verdict(
+    return _gate(run, cand, point, "affine") or Verdict(
         "unknown", "affine", detail="unconfirmed witness"
     )
 
 
-def _smt_tier(p, cand, confirmer, solver_cmd, bound) -> Optional[Verdict]:
+def _smt_tier(run: _Run, cand: RaceCandidate) -> Optional[Verdict]:
     """An external solver on the full, possibly nonlinear, system."""
     clocked = cand.reduction is not None
-    if not solver_cmd or (clocked and (cand.phi_u is None or cand.phi_v is None)):
+    if not run.solver_cmd or (clocked and (cand.phi_u is None or cand.phi_v is None)):
         return None
-    status, model = run_solver(solver_cmd, emit_smtlib(cand.system, cand.phi_u, cand.phi_v))
+    status, model = run_solver(run.solver_cmd, emit_smtlib(cand.system, cand.phi_u, cand.phi_v))
     if status == "unsat":
         return Verdict("race-free", "smt")
-    return _gate(p, cand, model, "smt", confirmer) if status == "sat" else None
+    return _gate(run, cand, model, "smt") if status == "sat" else None
 
 
-def _bounded_tier(p, cand, confirmer, solver_cmd, bound) -> Verdict:
+def _bounded_tier(run: _Run, cand: RaceCandidate) -> Verdict:
     """Exhaustive interpretation at every parameter valuation up to the
-    bound, smallest maximum first; always decides."""
-    grids = [range(lb, max(lb, bound) + 1) for _, lb in p.params]
-    names = p.param_names()
+    bound, smallest maximum first; the first observed race between the
+    candidate's statements that passes the gate decides, else unknown."""
+    p = run.p
+    grids = [range(lb, max(lb, run.bound) + 1) for _, lb in p.params]
     combos = sorted(itertools.product(*grids), key=lambda t: (max(t, default=0), t))
     failures: dict[str, None] = {}
     for combo in combos:
-        params = dict(zip(names, combo))
-        res = confirmer.run(params)
+        params = dict(zip(p.param_names(), combo))
+        res = run.explore(params)
         if isinstance(res, str):
             failures[res] = None
             continue
-        env = confirmer.race_between(cand, params)
-        if env is not None:
-            return Verdict("witness", "bounded", env, confirmed=True, bound=bound)
+        for pair in res.races:
+            for a, b in (pair, pair[::-1]):
+                if (a[1], b[1]) != (cand.u_id, cand.v_id):
+                    continue
+                point = {**params, **{"u_" + k: x for k, x in a[2]},
+                         **{"v_" + k: x for k, x in b[2]}}
+                verdict = _gate(run, cand, point, "bounded", res)
+                if verdict is not None:
+                    return verdict._replace(bound=run.bound)
     detail = " and ".join(failures) + " during bounded search" if failures else ""
-    return Verdict("unknown", "bounded", bound=bound, detail=detail)
+    return Verdict("unknown", "bounded", bound=run.bound, detail=detail)
 
 
 _TIERS = (_affine_tier, _smt_tier, _bounded_tier)
 
 
-def disprove(
-    p: Program,
-    cand: RaceCandidate,
-    confirmer: _Confirmer,
-    solver_cmd: Optional[str] = None,
-    bound: int = DEFAULT_BOUND,
-) -> Verdict:
+def disprove(run: _Run, cand: RaceCandidate) -> Verdict:
     """The first verdict of the tiers, tried in order."""
     for tier in _TIERS:
-        verdict = tier(p, cand, confirmer, solver_cmd, bound)
+        verdict = tier(run, cand)
         if verdict is not None:
             return verdict
     raise AssertionError("the bounded tier always returns a verdict")
 
 
-def analyze(
-    p: Program,
-    solver_cmd: Optional[str] = None,
-    bound: int = DEFAULT_BOUND,
-    confirm_max_states: int = _CONFIRM_MAX_STATES,
-) -> Analysis:
-    candidates = race_candidates(p)
-    confirmer = _Confirmer(p, confirm_max_states)
-    results = [(c, disprove(p, c, confirmer, solver_cmd, bound)) for c in candidates]
+def analyze(p: Program, solver_cmd: Optional[str] = None, bound: int = DEFAULT_BOUND) -> Analysis:
+    run = _Run(p, solver_cmd, bound)
+    results = [(c, disprove(run, c)) for c in race_candidates(p)]
     if any(v.status == "witness" for _, v in results):
         verdict = "PotentialRaces"
     elif any(v.status == "unknown" for _, v in results):

@@ -51,6 +51,8 @@ class Report(NamedTuple):
                 extra = f" at {pt}" + (" (confirmed)" if c["confirmed"] else "")
             elif verdict == "unknown" and c.get("bound") is not None:
                 extra = f" (bound {c['bound']})"
+            if c["detail"]:
+                extra += f" ({c['detail']})"
             lines.append(f"  [{c['index']}] {c['description']}: {verdict}"
                          f"{'/' + c['method'] if c['method'] else ''}{extra}")
         lines.append(f"verdict: {self.status}")

@@ -218,7 +218,7 @@ def check_program(p: Program, rng: random.Random, bound: int = 3):
     n = rng.randint(lo, hi)
     errors += _static_subset_dynamic(p, results[n], {"N": n})
     # (b, c) analyzer verdict against ground truth
-    analysis = analyze(p, bound=bound, confirm_max_states=200_000)
+    analysis = analyze(p, bound=bound)
     dynamic_races = {n: bool(results[n].races) for n in results}
     if analysis.verdict == "RaceFree" and any(dynamic_races.values()):
         errors.append(f"analyzer said RaceFree but dynamic races exist: {dynamic_races}")

@@ -48,6 +48,17 @@ def test_analyze_unknown_exit_3(capsys):
     assert "Unknown(8)" in out
 
 
+def test_analyze_text_says_why_a_witness_was_not_replayed(tmp_path, capsys):
+    f = tmp_path / "racy.cx10"
+    f.write_text(
+        "param N >= 7;\narray A[1];\n"
+        "finish { async { A[0] = f(); } async { A[0] = g(); } }\n"
+    )
+    code, out, _ = run(capsys, "analyze", str(f))
+    assert code == 2
+    assert ": witness/affine at N=7 (not replayed: parameter above 6)\n" in out
+
+
 def test_analyze_negative_bound_exit_1(capsys):
     """A negative bound would search only at the parameters' lower bounds
     and still be reported as the bound; it is refused instead."""

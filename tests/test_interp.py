@@ -321,7 +321,7 @@ def test_confirmer_runs_uncounted(monkeypatch):
         return explore(*args, **kwargs)
 
     monkeypatch.setattr(races, "explore", spy)
-    res = races._Confirmer(load("fig1b")).run({"N": 2})
+    res = races._Run(load("fig1b")).explore({"N": 2})
     assert [kw.get("count_traces") for kw in calls] == [False]
     assert res.trace_count is None
 

@@ -13,7 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from clockrace import parse
+from clockrace import parse, parse_poly, race_test
 from clockrace.interp import instantiate
 
 from conftest import load
@@ -29,11 +29,17 @@ def perfbench_module(name):
 
 
 def test_tracer_wraps_every_boundary():
+    """Jacobi reaches the static layers; a nonlinear race test with a stub
+    solver that answers unknown reaches SMT emission and, in the bounded
+    tier, the interpreter."""
     races = importlib.import_module("clockrace.races")
     tracer = perfbench_module("tracing").Tracer()
+    squares = race_test(parse_poly("x^2"), parse_poly("y^2")).program
     with tracer.installed():
         races.analyze(load("jacobi"))
-    for counter in ("phi.calls", "affine.calls", "hb.calls"):
+        races.analyze(squares, solver_cmd="echo unknown", bound=2)
+    for counter in ("phi.calls", "affine.calls", "hb.calls", "interp.calls", "smt.bytes",
+                    "races.verdict.race-free", "races.verdict.witness"):
         assert tracer.counters[counter] > 0, counter
 
 

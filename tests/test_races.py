@@ -316,12 +316,12 @@ def test_smt_model_failing_substitution_is_not_the_witness(model):
 
 
 def test_refuted_affine_point_is_unknown():
-    from clockrace.races import _Confirmer, disprove
+    from clockrace.races import _Run, disprove
 
-    class NoRaces(_Confirmer):
-        def run(self, params):
+    class NoRaces(_Run):
+        def explore(self, params):
             # every instance pair ordered both ways, so none can race
-            res = super().run(params)
+            res = super().explore(params)
             return res._replace(hb_forbidden=[0] * len(res.instances))
 
     p = parse(
@@ -331,11 +331,11 @@ def test_refuted_affine_point_is_unknown():
     (cand,) = race_candidates(p)
     # N = 2 races, but i = 2 lies outside 0..N-1
     outside = {"N": 2, "u_i": 0, "v_i": 2}
-    for confirmer, emptiness in (
+    for run, emptiness in (
         (NoRaces(p), cand.emptiness),  # the replay refutes the point
-        (_Confirmer(p), (False, outside)),  # substitution refutes it
+        (_Run(p), (False, outside)),  # substitution refutes it
     ):
-        v = disprove(p, cand._replace(emptiness=emptiness), confirmer)
+        v = disprove(run, cand._replace(emptiness=emptiness))
         assert (v.status, v.method, v.detail) == ("unknown", "affine", "unconfirmed witness")
 
 
@@ -367,19 +367,37 @@ def test_qr_nonstrict_guard_races():
 
 
 def test_replay_refutes_a_point_whose_own_pair_does_not_race():
-    from clockrace.races import _Confirmer, _gate
+    from clockrace.races import _Run, _gate
 
     p = _squares()
     (cand,) = race_candidates(p)
-    confirmer = _Confirmer(p)
+    run = _Run(p)
     # at m_x = m_y = 1 the instances x = y = 0 race ...
-    assert confirmer.race_between(cand, {"m_x": 1, "m_y": 1}) is not None
+    x0y0 = {"m_x": 1, "m_y": 1, "u_x": 0, "u_y": 0, "v_x": 0, "v_y": 0}
+    assert _gate(run, cand, x0y0, "smt").confirmed
     # ... but this point's own pair runs at phases 1 and 0; without the
     # phase check it passes substitution, and only the replay refutes it
     point = {"m_x": 1, "m_y": 1, "u_x": 1, "u_y": 0, "v_x": 1, "v_y": 0}
     unphased = cand._replace(reduction=None)
     assert unphased.system.contains(point)
-    assert _gate(p, unphased, point, "smt", confirmer) is None
+    assert _gate(run, unphased, point, "smt") is None
+
+
+def test_bounded_races_pass_the_phase_gate():
+    # x^2 = y^2 races at x = y; shifting one phase by 1 leaves no point
+    # with equal phases, so the races the interpreter observes between the
+    # two statements are no witness of the shifted candidate
+    from clockrace.phi import QuasiPoly
+    from clockrace.races import _Run, disprove
+
+    p = _squares()
+    (cand,) = race_candidates(p)
+    shifted = cand._replace(phi_v=cand.phi_v + QuasiPoly.constant(1))
+    run = _Run(p, bound=2)
+    v = disprove(run, cand)
+    assert (v.status, v.method, v.confirmed, v.bound) == ("witness", "bounded", True, 2)
+    v = disprove(run, shifted)
+    assert (v.status, v.method, v.bound, v.detail) == ("unknown", "bounded", 2, "")
 
 
 def test_bounded_confirms_nonlinear_race():
@@ -417,14 +435,15 @@ def _nested(body: str, depth: int = 400) -> str:
     ],
     ids=["nested", "param-above-6", "state-limit"],
 )
-def test_unreplayed_witness_says_why(source, max_states, detail):
-    a = analyze(parse(source), bound=2, confirm_max_states=max_states)
+def test_unreplayed_witness_says_why(monkeypatch, source, max_states, detail):
+    monkeypatch.setattr(races, "_CONFIRM_MAX_STATES", max_states)
+    a = analyze(parse(source), bound=2)
     ((_, v),) = a.candidates
     assert (v.status, v.method, v.confirmed) == ("witness", "affine", False)
     assert v.detail == detail
 
 
-def test_bounded_search_says_why_it_was_partial():
+def test_bounded_search_says_why_it_was_partial(monkeypatch):
     lines = corpus_path("qr").read_text().splitlines()
     decls = [ln for ln in lines if ln.startswith(("param", "array"))]
     body = [ln for ln in lines if ln and not ln.startswith(("param", "array", "//"))]
@@ -433,7 +452,8 @@ def test_bounded_search_says_why_it_was_partial():
         (load("qr"), 5, "state limit hit during bounded search"),
         (nested, 60_000, "program nested too deeply to interpret during bounded search"),
     ):
-        a = analyze(p, bound=3, confirm_max_states=max_states)
+        monkeypatch.setattr(races, "_CONFIRM_MAX_STATES", max_states)
+        a = analyze(p, bound=3)
         assert a.candidates
         for _, v in a.candidates:
             assert (v.status, v.method, v.detail) == ("unknown", "bounded", detail)
