@@ -375,11 +375,14 @@ def test_replay_refutes_a_point_whose_own_pair_does_not_race():
     # at m_x = m_y = 1 the instances x = y = 0 race ...
     x0y0 = {"m_x": 1, "m_y": 1, "u_x": 0, "u_y": 0, "v_x": 0, "v_y": 0}
     assert _gate(run, cand, x0y0, "smt").confirmed
-    # ... but this point's own pair runs at phases 1 and 0; without the
-    # phase check it passes substitution, and only the replay refutes it
+    # ... but this point's own pair runs at phases 1 and 0; with a phase
+    # unavailable the gate skips the phase check, the point passes
+    # substitution, and only the replay refutes it
     point = {"m_x": 1, "m_y": 1, "u_x": 1, "u_y": 0, "v_x": 1, "v_y": 0}
-    unphased = cand._replace(reduction=None)
-    assert unphased.system.contains(point)
+    assert _gate(run, cand, point, "smt") is None  # the phase check
+    unphased = cand._replace(phi_v=None)
+    unreplayed = _gate(run, unphased, point, "smt", "no exploration")
+    assert (unreplayed.status, unreplayed.confirmed) == ("witness", False)
     assert _gate(run, unphased, point, "smt") is None
 
 
