@@ -11,14 +11,16 @@ concrete witness exists), or ``None`` (undetermined).
 The decision procedure is self-contained: GCD-normalized equality
 elimination (with unimodular coefficient reduction when no unit coefficient
 exists), Fourier-Motzkin projection with integer tightening, and an
-exhaustive bounded search for witnesses.
+exhaustive bounded search for witnesses.  The search is one depth-first
+loop over an explicit stack (a frame per variable set), so it takes the same
+Python frames however many variables a system has.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import gcd
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .syntax import AffineExpr
 
@@ -116,6 +118,30 @@ def _gcd_all(values) -> int:
 
 class _Infeasible(Exception):
     pass
+
+
+# A row ``a*var + others + const >= 0`` indexed under var, as (a, the other
+# terms, const); a is never 0, since linear forms drop zero coefficients.
+_Row = tuple[int, tuple[tuple[str, int], ...], int]
+
+
+def _bounds(rows: list[_Row], env: Mapping[str, int]) -> tuple[Optional[int], Optional[int]]:
+    """The integer range that a variable's rows give it once env sets all of
+    a row's other terms; None for a side that no such row bounds."""
+    lo, hi = None, None
+    for a, others, rest in rows:
+        for v, c in others:
+            if v not in env:
+                break
+            rest += c * env[v]
+        else:
+            if a > 0:  # a*var + rest >= 0 -> var >= ceil(-rest/a)
+                b = -(rest // a)
+                lo = b if lo is None else max(lo, b)
+            else:  # a<0: var <= rest/(-a), integer: floor
+                b = rest // (-a)
+                hi = b if hi is None else min(hi, b)
+    return lo, hi
 
 
 class _System:
@@ -224,103 +250,63 @@ class _System:
         Returns (witness, complete): witness is None when none was found;
         complete=True means the search space provably covered the whole set,
         so no witness implies emptiness.
+
+        The search is one depth-first loop over an explicit stack.  A frame
+        holds a variable, an iterator over its values not yet tried and the
+        variables after it; env holds the value each frame tries.  Each node
+        sets, of the variables left, the first with the tightest range that
+        has both bounds, else the first over a fallback window.  The rows
+        that the variable completes are the rows that bound its range, so
+        every value tried holds each of them.
         """
+        if any(k < 0 for c, k in self.ineqs if not c):
+            return None, True
         variables = sorted({v for c, _ in self.ineqs for v in c})
-        if not variables:
-            for c, k in self.ineqs:
-                if k < 0:
-                    return None, True
-            return {}, True
-        budget = [_SEARCH_MAX_NODES]
-        complete = [True]
-        # Each row indexed once per call under each of its variables, in row
-        # order, as (coefficient of the variable, the other terms, constant).
-        rows: dict[str, list[tuple[int, tuple[tuple[str, int], ...], int]]] = {
-            v: [] for v in variables
-        }
+        # Each row indexed once per call under each of its variables, in row order.
+        rows: dict[str, list[_Row]] = {v: [] for v in variables}
         for coeffs, const in self.ineqs:
             for var, a in coeffs.items():
                 rows[var].append((a, tuple((v, c) for v, c in coeffs.items() if v != var), const))
-        constant_violated = any(k < 0 for c, k in self.ineqs if not c)
-
-        def bounds_for(var: str, env: dict[str, int]):
-            lo, hi = None, None
-            for a, others, const in rows[var]:
-                if a == 0:
-                    continue
-                rest = const
-                for v, c in others:
-                    if v not in env:
-                        break
-                    rest += c * env[v]
-                else:
-                    if a > 0:  # a*var + rest >= 0 -> var >= ceil(-rest/a)
-                        b = -(rest // a)
-                        lo = b if lo is None else max(lo, b)
-                    else:  # a<0: var <= rest/(-a), integer: floor
-                        b = rest // (-a)
-                        hi = b if hi is None else min(hi, b)
-            return lo, hi
-
-        def violates(var: str, env: dict[str, int]) -> bool:
-            """Whether env, just extended by var, fails a row: one without
-            variables, or one that var's value completes.  Every other row
-            complete in env held before var was set."""
-            if constant_violated:
-                return True
-            for a, others, const in rows[var]:
-                total = const + a * env[var]
-                for v, c in others:
-                    if v not in env:
-                        break
-                    total += c * env[v]
-                else:
-                    if total < 0:
-                        return True
-            return False
-
-        def rec(remaining: list[str], env: dict[str, int]) -> Optional[dict[str, int]]:
-            if budget[0] <= 0:
-                complete[0] = False
-                return None
-            budget[0] -= 1
-            if not remaining:  # each row was checked as its last variable was set
-                return dict(env)
-            # choose the variable with the tightest known range
-            best, best_range = None, None
+        env: dict[str, int] = {}
+        stack: list[tuple[str, Iterator[int], list[str]]] = []
+        remaining, nodes, complete = variables, _SEARCH_MAX_NODES, True
+        while True:
+            if nodes <= 0:
+                return None, False
+            nodes -= 1
+            if not remaining:
+                return dict(env), complete
+            first, best = None, None
             for var in remaining:
-                lo, hi = bounds_for(var, env)
-                if lo is not None and hi is not None:
-                    width = hi - lo + 1
-                    if best_range is None or width < best_range:
-                        best, best_range = (var, lo, hi), width
+                lo, hi = _bounds(rows[var], env)
+                first = first or (var, lo, hi)
+                if lo is not None and hi is not None and (best is None or hi - lo < best[2] - best[1]):
+                    best = (var, lo, hi)
             if best is None:
-                var = remaining[0]
-                lo, hi = bounds_for(var, env)
+                var, lo, hi = first
                 if lo is not None:
-                    lo, hi = lo, lo + _FALLBACK_WIDTH
+                    hi = lo + _FALLBACK_WIDTH
                 elif hi is not None:
-                    lo, hi = hi - _FALLBACK_WIDTH, hi
+                    lo = hi - _FALLBACK_WIDTH
                 else:
                     lo, hi = -_FALLBACK_WIDTH, _FALLBACK_WIDTH
-                complete[0] = False
+                complete = False
             else:
                 var, lo, hi = best
                 if hi - lo + 1 > _SEARCH_MAX_RANGE:
                     hi = lo + _SEARCH_MAX_RANGE
-                    complete[0] = False
-            rest = [v for v in remaining if v != var]
-            for val in range(lo, hi + 1):
-                env[var] = val
-                if not violates(var, env):
-                    found = rec(rest, env)
-                    if found is not None:
-                        return found
-                del env[var]
-            return None
-
-        witness = rec(variables, {})
-        return witness, complete[0]
+                    complete = False
+            stack.append((var, iter(range(lo, hi + 1)), [v for v in remaining if v != var]))
+            while stack:
+                var, values, remaining = stack[-1]
+                value = next(values, None)
+                if value is not None:
+                    env[var] = value
+                    break
+                env.pop(var, None)
+                stack.pop()
+            else:
+                return None, complete
 
     def reconstruct(self, env: dict[str, int]) -> dict[str, int]:
         """Extend a witness over surviving variables to the original ones."""

@@ -10,6 +10,8 @@ from clockrace import affine
 from clockrace.affine import is_empty_with_witness
 from clockrace.syntax import AffineExpr
 
+from conftest import recursion_headroom
+
 
 def expr(const=0, **coeffs):
     return AffineExpr.make(const, coeffs)
@@ -250,3 +252,41 @@ def test_search_fallback_width(bounded, expected):
     upper = (ge(expr(affine._FALLBACK_WIDTH, x=-1)),) if bounded else ()
     s = conj(ge(expr(0, x=1)), *upper, *odd_gap("y", "x"))
     assert is_empty(s) is expected
+
+
+def test_search_takes_the_first_of_equally_tight_variables():
+    # x and y both range over 0..3; x comes first, and its values are tried
+    # in ascending order, so x = 0 leaves y = 3
+    s = conj(*box("x", 0, 3), *box("y", 0, 3), ge(expr(-3, x=1, y=1)))
+    assert is_empty_with_witness(s) == (False, {"x": 0, "y": 3})
+
+
+@pytest.mark.parametrize(
+    "constraints, witness",
+    [
+        # x >= 0 only: the window x in 0..8, and only x = 8 leaves y a value
+        ((ge(expr(0, x=1)), ge(expr(0, y=-1)), ge(expr(-8, x=1, y=1))), {"x": 8, "y": 0}),
+        # x <= 0 only: the window x in -8..0
+        ((ge(expr(0, x=-1)), ge(expr(0, y=1)), ge(expr(8, x=1, y=-1))), {"x": -8, "y": 0}),
+        # x unbounded: the window x in -8..8
+        ((ge(expr(0, y=1)), ge(expr(8, x=1, y=-1))), {"x": -8, "y": 0}),
+    ],
+)
+def test_search_fallback_windows(constraints, witness):
+    # neither variable has both bounds, so x, the first, takes the window
+    # beside its bound and y the range that x's value leaves it
+    assert affine._FALLBACK_WIDTH == 8
+    assert is_empty_with_witness(conj(*constraints)) == (False, witness)
+
+
+def test_search_depth_is_bounded():
+    # x000 <= x001 <= ... <= x299 in 0..5: the search sets one variable per
+    # node, 300 deep, within a few frames of its caller
+    names = [f"x{k:03}" for k in range(300)]
+    rows = [ge(expr(0, **{names[0]: 1})), ge(expr(5, **{names[-1]: -1}))]
+    rows += [ge(expr(0, **{b: 1, a: -1})) for a, b in zip(names, names[1:])]
+    s = affine._System(rows)
+    with recursion_headroom(40):
+        witness, complete = s.search_witness()
+    assert witness == dict.fromkeys(names, 0)
+    assert complete is False

@@ -15,7 +15,7 @@ from clockrace import (
 from clockrace.syntax import Finish
 
 import fuzzgen
-from conftest import CORPUS_NAMES, corpus_path, load
+from conftest import CORPUS_NAMES, corpus_path, load, recursion_headroom
 
 
 def verdicts(analysis):
@@ -63,6 +63,20 @@ def test_same_element_same_activity_not_a_candidate():
     p = load("jacobi")
     for c in race_candidates(p):
         assert str(c.u_ref) != str(c.v_ref)
+
+
+@pytest.mark.parametrize("depth", [10, 60])
+def test_candidates_of_a_deep_nest_in_bounded_stack(depth):
+    """Candidate generation takes the same frames at any nest depth, though
+    the emptiness search sets two variables per loop (its u_ and v_ copy)."""
+    loops = "".join(f"for (i{k} = 0 : N) " for k in range(depth))
+    p = parse(
+        "param N >= 0;\narray A[1];\n"
+        f"clocked finish {{ {loops}clocked async {{ advance; A[0] = f(); }} }}\n"
+    )
+    with recursion_headroom(40):
+        (cand,) = race_candidates(p)
+    assert cand.emptiness[0] is False
 
 
 # ---------------------------------------------------------------------------
