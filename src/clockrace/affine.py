@@ -11,9 +11,11 @@ concrete witness exists), or ``None`` (undetermined).
 The decision procedure is self-contained: GCD-normalized equality
 elimination (with unimodular coefficient reduction when no unit coefficient
 exists), Fourier-Motzkin projection with integer tightening, and an
-exhaustive bounded search for witnesses.  The search is one depth-first
-loop over an explicit stack (a frame per variable set), so it takes the same
-Python frames however many variables a system has.
+exhaustive bounded search for witnesses.  The projection keeps each row in
+the bucket of its first variable, so a step reads only the rows it
+eliminates.  The search is one depth-first loop over an explicit stack (a
+frame per variable set), so it takes the same Python frames however many
+variables a system has.
 """
 
 from __future__ import annotations
@@ -90,30 +92,19 @@ class AffineSet(NamedTuple):
 # Linear forms: mutable dict representation used by the decision procedure.
 
 
-def _to_form(c: Constraint) -> tuple[dict[str, int], int, str]:
-    return dict(c.expr.terms), c.expr.const, c.kind
-
-
 def _subst_form(
     coeffs: dict[str, int], const: int, var: str, repl: tuple[dict[str, int], int]
 ) -> tuple[dict[str, int], int]:
-    """Substitute var := repl (a linear form) into (coeffs, const)."""
-    k = coeffs.pop(var, 0)
-    if k == 0:
-        return coeffs, const
+    """A new row: var := repl (a linear form) in (coeffs, const), which
+    mentions var.  The row given is left as it is."""
+    coeffs = dict(coeffs)
+    k = coeffs.pop(var)
     rc, rconst = repl
     for v, c in rc.items():
         coeffs[v] = coeffs.get(v, 0) + k * c
         if coeffs[v] == 0:
             del coeffs[v]
     return coeffs, const + k * rconst
-
-
-def _gcd_all(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g
 
 
 class _Infeasible(Exception):
@@ -151,11 +142,7 @@ class _System:
         self.eqs: list[tuple[dict[str, int], int]] = []
         self.ineqs: list[tuple[dict[str, int], int]] = []
         for c in constraints:
-            coeffs, const, kind = _to_form(c)
-            if kind == "eq":
-                self.eqs.append((coeffs, const))
-            else:
-                self.ineqs.append((coeffs, const))
+            (self.eqs if c.kind == "eq" else self.ineqs).append((dict(c.expr.terms), c.expr.const))
         # var -> linear form over surviving variables, applied in reverse
         # order to reconstruct a witness.
         self.bindings: list[tuple[str, dict[str, int], int]] = []
@@ -166,21 +153,21 @@ class _System:
         return f"$e{self._fresh}"
 
     def substitute(self, var: str, repl: tuple[dict[str, int], int]) -> None:
+        """Rewrite the rows that mention var; the others stay shared."""
         self.bindings.append((var, dict(repl[0]), repl[1]))
-        self.eqs = [_subst_form(dict(c), k, var, repl) for c, k in self.eqs]
-        self.ineqs = [_subst_form(dict(c), k, var, repl) for c, k in self.ineqs]
+        self.eqs = [_subst_form(c, k, var, repl) if var in c else (c, k) for c, k in self.eqs]
+        self.ineqs = [_subst_form(c, k, var, repl) if var in c else (c, k) for c, k in self.ineqs]
 
     # -- equality elimination
 
     def eliminate_equalities(self) -> None:
         while self.eqs:
             coeffs, const = self.eqs.pop()
-            coeffs = {v: c for v, c in coeffs.items() if c}
             if not coeffs:
                 if const != 0:
                     raise _Infeasible
                 continue
-            g = _gcd_all(coeffs.values())
+            g = gcd(*coeffs.values())
             if const % g != 0:
                 raise _Infeasible
             coeffs = {v: c // g for v, c in coeffs.items()}
@@ -194,53 +181,60 @@ class _System:
                 nk = self.fresh_var()
                 repl = ({nk: 1, vj: -q}, 0)
                 self.substitute(vk, repl)
-                coeffs, const = _subst_form(dict(coeffs), const, vk, repl)
+                coeffs, const = _subst_form(coeffs, const, vk, repl)
             v1 = next(v for v, c in coeffs.items() if abs(c) == 1)
             a = coeffs.pop(v1)
             # a*v1 + rest + const = 0  =>  v1 = -(rest + const)/a
             repl = ({v: -c * a for v, c in coeffs.items()}, -const * a)
             self.substitute(v1, repl)
 
-    # -- Fourier-Motzkin with integer tightening (on a copy)
+    # -- Fourier-Motzkin with integer tightening
 
     def fm_infeasible(self) -> Optional[bool]:
         """True if provably infeasible, False if rationally feasible,
-        None if the projection blew past its size cap."""
-        cons = [(dict(c), k) for c, k in self.ineqs]
-        variables = sorted({v for c, _ in cons for v in c})
-        for var in variables:
-            pos = [(c, k) for c, k in cons if c.get(var, 0) > 0]
-            neg = [(c, k) for c, k in cons if c.get(var, 0) < 0]
-            rest = [(c, k) for c, k in cons if c.get(var, 0) == 0]
-            new = rest
+        None if the projection blew past its size cap.
+
+        Variables go in sorted order, and each row waits in the bucket of its
+        first variable: the rows that mention a variable when its turn comes
+        are exactly its bucket, so a step reads only that bucket.  A combined
+        row is new and goes to the back of its own first variable's bucket,
+        so every bucket keeps its rows in the order they were made; no row is
+        copied or changed.  Rows without variables stay out of the buckets
+        but count toward the cap on live rows, which is checked after each
+        new row and after each step.
+        """
+        buckets: dict[str, list[tuple[dict[str, int], int]]] = {}
+        for coeffs, const in self.ineqs:
+            if coeffs:
+                buckets.setdefault(min(coeffs), []).append((coeffs, const))
+        live = len(self.ineqs)
+        for var in sorted({v for c, _ in self.ineqs for v in c}):
+            rows = buckets.pop(var, [])
+            live -= len(rows)
+            pos = [(c, k) for c, k in rows if c[var] > 0]
+            neg = [(c, k) for c, k in rows if c[var] < 0]
             for (ca, ka), (cb, kb) in itertools.product(pos, neg):
                 fa, fb = -cb[var], ca[var]
-                coeffs: dict[str, int] = {}
-                for v in set(ca) | set(cb):
-                    if v == var:
-                        continue
-                    c = fa * ca.get(v, 0) + fb * cb.get(v, 0)
-                    if c:
-                        coeffs[v] = c
+                coeffs = {v: fa * c for v, c in ca.items()}
+                for v, c in cb.items():
+                    coeffs[v] = coeffs.get(v, 0) + fb * c
+                coeffs = {v: c for v, c in coeffs.items() if c}  # var cancels
                 const = fa * ka + fb * kb
                 if not coeffs:
                     if const < 0:
                         return True
                     continue
-                g = _gcd_all(coeffs.values())
+                g = gcd(*coeffs.values())
                 if g > 1:
                     coeffs = {v: c // g for v, c in coeffs.items()}
                     const = const // g  # floor: valid tightening for integers
-                new.append((coeffs, const))
-                if len(new) > _FM_MAX_CONSTRAINTS:
+                buckets.setdefault(min(coeffs), []).append((coeffs, const))
+                live += 1
+                if live > _FM_MAX_CONSTRAINTS:
                     return None
-            cons = new
-            if len(cons) > _FM_MAX_CONSTRAINTS:
+            if live > _FM_MAX_CONSTRAINTS:
                 return None
-        for coeffs, const in cons:
-            if not coeffs and const < 0:
-                return True
-        return False
+        return any(k < 0 for c, k in self.ineqs if not c)
 
     # -- exhaustive / bounded witness search
 

@@ -1,8 +1,9 @@
 import itertools
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clockrace import AffineSet, eq, ge, is_empty
@@ -202,19 +203,101 @@ def box(name, lo, hi):
     return ge(expr(-lo, **{name: 1})), ge(expr(hi, **{name: -1}))
 
 
-@pytest.mark.parametrize("n, expected", [(8, True), (64, None), (300, None)])
-def test_fm_constraint_cap(n, expected):
-    # x >= y + i and x <= z - j for i, j in 1..n leave n * n constraints on
-    # (y, z) after x; with y >= z they are rationally infeasible.  No
-    # variable has two bounds, so the search cannot finish either.  At
-    # n = 300 the step stops at the cap rather than building 90 000.
-    assert (n * n + 1 > affine._FM_MAX_CONSTRAINTS) == (expected is None)
-    s = conj(
+def cap_rows(n):
+    """x >= y + i and x <= z - j for i, j in 1..n, and y >= z: eliminating x
+    leaves n * n + 1 rows, n * n of them on (y, z) beside y >= z, which are
+    rationally infeasible.  No variable has two bounds, so the search cannot
+    finish either."""
+    return (
         *(ge(expr(-i, x=1, y=-1)) for i in range(1, n + 1)),
         *(ge(expr(-j, x=-1, z=1)) for j in range(1, n + 1)),
         ge(expr(0, y=1, z=-1)),
     )
-    assert is_empty(s) is expected
+
+
+@pytest.mark.parametrize("n, expected", [(8, True), (64, None), (300, None)])
+def test_fm_constraint_cap(n, expected):
+    # at n = 300 the step stops at the cap rather than building 90 000
+    assert (n * n + 1 > affine._FM_MAX_CONSTRAINTS) == (expected is None)
+    assert is_empty(conj(*cap_rows(n))) is expected
+
+
+@pytest.mark.parametrize("extra, expected", [(1, True), (0, None)])
+def test_fm_constraint_cap_is_exact(monkeypatch, extra, expected):
+    # n * n + 1 rows live after x: a cap of exactly that many still proves
+    # the set empty, one less stops the step
+    n = 8
+    monkeypatch.setattr(affine, "_FM_MAX_CONSTRAINTS", n * n + extra)
+    assert affine._System(cap_rows(n)).fm_infeasible() is expected
+
+
+def test_fm_cap_holds_after_a_step_that_pairs_nothing(monkeypatch):
+    # a >= 0 bounds a on one side only, so its step combines nothing and
+    # leaves 4 rows, past a cap of 2; under the default cap, b's step
+    # empties the set
+    rows = (ge(expr(0, a=1)), *box("b", 1, 0), ge(expr(0, c=1)), ge(expr(0, d=1)))
+    assert affine._System(rows).fm_infeasible() is True
+    monkeypatch.setattr(affine, "_FM_MAX_CONSTRAINTS", 2)
+    assert affine._System(rows).fm_infeasible() is None
+
+
+def reference_fm_infeasible(rows):
+    """The reference for _System.fm_infeasible: the same projection over one
+    row list, where each step rescans every live row for the ones that
+    mention its variable."""
+    cons = [(dict(c), k) for c, k in rows]
+    for var in sorted({v for c, _ in cons for v in c}):
+        pos = [(c, k) for c, k in cons if c.get(var, 0) > 0]
+        neg = [(c, k) for c, k in cons if c.get(var, 0) < 0]
+        new = [(c, k) for c, k in cons if c.get(var, 0) == 0]
+        for (ca, ka), (cb, kb) in itertools.product(pos, neg):
+            fa, fb = -cb[var], ca[var]
+            coeffs = {}
+            for v in set(ca) | set(cb):
+                c = fa * ca.get(v, 0) + fb * cb.get(v, 0)
+                if v != var and c:
+                    coeffs[v] = c
+            const = fa * ka + fb * kb
+            if not coeffs:
+                if const < 0:
+                    return True
+                continue
+            g = math.gcd(*coeffs.values())
+            new.append(({v: c // g for v, c in coeffs.items()}, const // g))
+            if len(new) > affine._FM_MAX_CONSTRAINTS:
+                return None
+        cons = new
+        if len(cons) > affine._FM_MAX_CONSTRAINTS:
+            return None
+    return any(not c and k < 0 for c, k in cons)
+
+
+@st.composite
+def fm_rows(draw):
+    """1 to 12 rows over 1 to 5 variables, coefficients -3..3; an empty
+    coefficient map is a row without variables."""
+    names = [f"x{i}" for i in range(draw(st.integers(1, 5)))]
+    row = st.tuples(st.dictionaries(st.sampled_from(names), st.integers(-3, 3)), st.integers(-6, 6))
+    return draw(st.lists(row, min_size=1, max_size=12))
+
+
+@pytest.mark.parametrize("cap", [3, 10, 40, None])
+@settings(max_examples=150, deadline=None)
+@given(rows=fm_rows())
+# at a cap of 10 the cap and a negative constant meet in one step, and the
+# order of the rows that step reads decides which comes first
+@example(rows=[
+    ({"x0": -2, "x1": 3}, -6), ({"x0": 1, "x1": 3}, -1), ({"x0": 2, "x1": -1, "x2": -1}, 5),
+    ({"x0": 2, "x2": 1}, -4), ({"x0": -3}, 0), ({"x0": -2, "x1": -2}, 0),
+])
+def test_fm_matches_the_reference(cap, rows):
+    s = affine._System([ge(expr(k, **c)) for c, k in rows])
+    before = [(dict(c), k) for c, k in s.ineqs]
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(affine, "_FM_MAX_CONSTRAINTS", cap)
+        assert s.fm_infeasible() == reference_fm_infeasible(s.ineqs)
+    assert s.ineqs == before  # no row is changed
 
 
 @pytest.mark.parametrize(
