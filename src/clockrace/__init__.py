@@ -8,7 +8,7 @@ compile polynomials into synchronization patterns.
 
 from .affine import AffineSet, eq, ge, is_empty
 from .generators import counting_nest, parse_poly, race_test, race_tests_all_orthants
-from .hb import hb_disjuncts, reduce_clock, unordered_disjuncts
+from .hb import hb_disjuncts, unordered_disjuncts
 from .interp import explore, instantiate
 from .parser import ParseError, parse, parse_file, validate_clock_rules
 from .phi import QuasiPoly, phi
@@ -40,7 +40,6 @@ __all__ = [
     "race_candidates",
     "race_test",
     "race_tests_all_orthants",
-    "reduce_clock",
     "run_solver",
     "unordered_disjuncts",
     "validate_clock_rules",

@@ -17,17 +17,17 @@ the sealed components where u runs first, :func:`unordered_disjuncts` the
 unsealed ones, and the rest are ``v hb u``.  Identical instances satisfy
 none.  The order is sound but deliberately incomplete.
 
-For clocked programs, :func:`reduce_clock` gives each component its own
-clock.  Two instances share an instance of a clocked ``finish`` only when
-they agree on every iterator of the loops above it, so a clocked ``finish``
-inside a loop is a new clock in every iteration.  The clock of a component
-is therefore the innermost clocked ``finish`` strictly above the
-component's node: above the loop where the iteration vectors first differ,
-or anywhere on the common path for the divergence node.  A component with
-no such ``finish`` is unclocked.  Each side also gets a representative: the
-outermost clocked ``finish`` below the clock containing the leaf (or the
-leaf itself).  Phases are compared only under one clock instance, on the
-representatives.
+For clocked programs, the same walk gives each component its clock.  Two
+instances share an instance of a clocked ``finish`` only when they agree on
+every iterator of the loops above it, so a clocked ``finish`` inside a loop
+is a new clock in every iteration.  The clock of a component is therefore
+the innermost clocked ``finish`` strictly above the component's node: above
+the loop where the iteration vectors first differ, or anywhere on the common
+path for the divergence node.  A component with no such ``finish`` is
+unclocked.  :func:`reduce_clock` builds a clock's reduction once, when the
+walk meets the ``finish``; each side gets a representative: the outermost
+clocked ``finish`` below the clock containing the leaf (or the leaf itself).
+Phases are compared only under one clock instance, on the representatives.
 """
 
 from __future__ import annotations
@@ -56,16 +56,41 @@ def _common_prefix(pu: Sequence[Stmt], pv: Sequence[Stmt]) -> int:
     return m
 
 
-def _seals(path: Sequence[Stmt], i: int) -> bool:
-    """Whether the subcomputation below ``path[i]`` along ``path`` completes
-    before control returns: True unless the path escapes into an ``async``
-    before any ``finish``."""
-    for n in path[i + 1 : len(path) - 1]:
-        if isinstance(n, Async):
-            return False
-        if isinstance(n, Finish):
-            return True
-    return True
+def _sealed(path: Sequence[Stmt]) -> list[bool]:
+    """``sealed[i]``: whether the subcomputation below ``path[i]`` along
+    ``path`` completes before control returns -- True unless the path
+    escapes into an ``async`` before any ``finish``.  One backward pass."""
+    sealed, seals = [], True
+    for n in reversed(path[:-1]):
+        sealed.append(seals)
+        if isinstance(n, (Async, Finish)):
+            seals = isinstance(n, Finish)
+    sealed.reverse()
+    return sealed
+
+
+class ClockReduction(NamedTuple):
+    """The clock instance both leaves run under, plus per-side
+    representatives on which phase counting is performed."""
+
+    finish_id: int
+    rep_u: int
+    rep_v: int
+
+
+def reduce_clock(pu: Sequence[Stmt], pv: Sequence[Stmt], i: int) -> ClockReduction:
+    """The reduction to the clocked finish at index ``i`` of the common
+    prefix of both root paths: each representative is the outermost clocked
+    finish below it on that side's path, or the leaf."""
+
+    def representative(path: Sequence[Stmt]) -> int:
+        below = (n for n in path[i + 1 :] if isinstance(n, Finish) and n.clocked)
+        return next(below, path[-1]).node_id
+
+    return ClockReduction(pu[i].node_id, representative(pu), representative(pv))
+
+
+Component = tuple[Optional[ClockReduction], list[Constraint]]
 
 
 def _components(
@@ -75,26 +100,31 @@ def _components(
     u_prefix: str,
     v_prefix: str,
     keep: Callable[[bool, bool], bool],
-) -> list[tuple[int, list[Constraint]]]:
+) -> list[Component]:
     """The ways the two iteration vectors can first differ, in order, as
-    (depth, constraint system over prefixed iterators): ``depth`` is the
-    path index of the component's node.  Only the components for which
-    ``keep(u_first, seals)`` holds are built: ``u_first`` says whether u's
-    instance runs first, ``seals`` whether the earlier instance's path
-    seals at the component's node."""
+    (clock, constraint system over prefixed iterators).  Only the
+    components for which ``keep(u_first, seals)`` holds are built:
+    ``u_first`` says whether u's instance runs first, ``seals`` whether the
+    earlier instance's path seals at the component's node.  The walk keeps
+    the innermost clocked finish seen so far; the sealing comes from one
+    backward pass per path (:func:`_sealed`)."""
     pu, pv = p.path_to(u_id), p.path_to(v_id)
     m = _common_prefix(pu, pv)
-    out: list[tuple[int, list[Constraint]]] = []
+    su, sv = _sealed(pu), _sealed(pv)
+    out: list[Component] = []
+    clock: Optional[ClockReduction] = None
     equal: list[Constraint] = []
     for i, n in enumerate(pu[:m]):
+        if isinstance(n, Finish) and n.clocked:
+            clock = reduce_clock(pu, pv, i)
         if not isinstance(n, For):
             continue
         v_minus_u = AffineExpr.var(v_prefix + n.var) - AffineExpr.var(u_prefix + n.var)
         u_minus_v = -v_minus_u
-        if keep(True, _seals(pu, i)):
-            out.append((i, equal + [ge(v_minus_u.shift(-1))]))
-        if keep(False, _seals(pv, i)):
-            out.append((i, equal + [ge(u_minus_v.shift(-1))]))
+        if keep(True, su[i]):
+            out.append((clock, equal + [ge(v_minus_u.shift(-1))]))
+        if keep(False, sv[i]):
+            out.append((clock, equal + [ge(u_minus_v.shift(-1))]))
         equal = equal + [eq(u_minus_v)]
     if m < len(pu) or m < len(pv):
         div = pu[m - 1]
@@ -102,8 +132,8 @@ def _components(
             "paths can only diverge at a sequence"
         )
         u_first = next(t for t in div.body if t is pu[m] or t is pv[m]) is pu[m]
-        if keep(u_first, _seals(pu if u_first else pv, m - 1)):
-            out.append((m - 1, equal))
+        if keep(u_first, (su if u_first else sv)[m - 1]):
+            out.append((clock, equal))
     return out
 
 
@@ -135,11 +165,7 @@ def param_context(p: Program) -> list[Constraint]:
 
 
 def hb_disjuncts(
-    p: Program,
-    u_id: int,
-    v_id: int,
-    u_prefix: str = "u_",
-    v_prefix: str = "v_",
+    p: Program, u_id: int, v_id: int, u_prefix: str, v_prefix: str
 ) -> list[list[Constraint]]:
     """Pairwise-disjoint constraint systems whose union is ``u hb v``
     (ignoring clocks), over prefixed iterator variables.
@@ -153,53 +179,14 @@ def hb_disjuncts(
     return [d for _, d in components]
 
 
-def unordered_disjuncts(
-    p: Program, u_id: int, v_id: int
-) -> list[tuple[int, list[Constraint]]]:
-    """(depth, constraint system over ``u_``/``v_`` iterators) per
+def unordered_disjuncts(p: Program, u_id: int, v_id: int) -> list[Component]:
+    """(clock, constraint system over ``u_``/``v_`` iterators) per
     component, the systems covering exactly the instance pairs ordered in
     neither direction (clocks ignored).  Distinctness of the instances is
-    implied; the systems are pairwise disjoint.  ``depth`` is what
-    :func:`reduce_clock` takes to find the component's clock."""
+    implied; the systems are pairwise disjoint.  The clock is the
+    component's :class:`ClockReduction`, or None when no clocked finish is
+    above its node."""
     return _components(p, u_id, v_id, "u_", "v_", lambda u_first, seals: not seals)
-
-
-# ---------------------------------------------------------------------------
-# Clock reduction
-
-
-class ClockReduction(NamedTuple):
-    """The clock instance both leaves run under, plus per-side
-    representatives on which phase counting is performed."""
-
-    finish_id: int
-    rep_u: int
-    rep_v: int
-
-
-def reduce_clock(p: Program, u_id: int, v_id: int, depth: int) -> Optional[ClockReduction]:
-    """The clock of the component at path index ``depth`` (see
-    :func:`unordered_disjuncts`), or None: the innermost clocked finish
-    strictly above the component's node, whose one instance both
-    instances then run under."""
-    pu, pv = p.path_to(u_id), p.path_to(v_id)
-    finish = None
-    for n in pu[:depth]:
-        if isinstance(n, Finish) and n.clocked:
-            finish = n
-    if finish is None:
-        return None
-
-    def representative(path) -> int:
-        below = False
-        for n in path:
-            if below and isinstance(n, Finish) and n.clocked:
-                return n.node_id
-            if n is finish:
-                below = True
-        return path[-1].node_id
-
-    return ClockReduction(finish.node_id, representative(pu), representative(pv))
 
 
 def governed_advances(p: Program, finish_id: int) -> list[int]:

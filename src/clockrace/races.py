@@ -32,13 +32,14 @@ import itertools
 from math import lcm
 from typing import Mapping, NamedTuple, Optional, Union
 
-# is_empty is not called here but stays bound: perfbench/tracing.py wraps
-# ``races.is_empty`` by name with getattr and fails if it is missing.
+# is_empty and reduce_clock are not called here but stay bound:
+# perfbench/tracing.py wraps ``races.is_empty`` and ``races.reduce_clock`` by
+# name with getattr and fails if either is missing.
 from .affine import AffineSet, Constraint, eq, is_empty, is_empty_with_witness  # noqa: F401
 from .hb import (
     ClockReduction,
     param_context,
-    reduce_clock,
+    reduce_clock,  # noqa: F401
     statement_domain,
     unordered_disjuncts,
 )
@@ -144,8 +145,8 @@ def race_candidates(p: Program) -> list[RaceCandidate]:
         reduction, in order; None when happens-before orders every
         instance pair."""
         by_clock: dict[Optional[ClockReduction], list[list[Constraint]]] = {}
-        for depth, d in unordered_disjuncts(p, u_id, v_id):
-            by_clock.setdefault(reduce_clock(p, u_id, v_id, depth), []).append(d)
+        for clock, d in unordered_disjuncts(p, u_id, v_id):
+            by_clock.setdefault(clock, []).append(d)
         if not by_clock:
             return None
         return domain(u_id, "u_") + domain(v_id, "v_"), tuple(by_clock.items())

@@ -48,7 +48,7 @@ class Report(NamedTuple):
             extra = ""
             if verdict == "witness":
                 pt = ", ".join(f"{k}={v}" for k, v in sorted(c["witness"].items()))
-                extra = f" at {pt}" + (" (confirmed)" if c["confirmed"] else "")
+                extra = (f" at {pt}" if pt else "") + (" (confirmed)" if c["confirmed"] else "")
             elif verdict == "unknown" and c.get("bound") is not None:
                 extra = f" (bound {c['bound']})"
             if c["detail"]:

@@ -59,6 +59,16 @@ def test_analyze_text_says_why_a_witness_was_not_replayed(tmp_path, capsys):
     assert ": witness/affine at N=7 (not replayed: parameter above 6)\n" in out
 
 
+def test_analyze_text_of_a_witness_without_variables(tmp_path, capsys):
+    """A program with no parameters and no loops races at the empty point:
+    the text line has no dangling ``at``."""
+    f = tmp_path / "racy.cx10"
+    f.write_text("array A[1];\nfinish { async A[0] = f(); async A[0] = g(); }\n")
+    code, out, _ = run(capsys, "analyze", str(f))
+    assert code == 2
+    assert "  [0] f:A[0] vs g:A[0] [write-write]: witness/affine (confirmed)\n" in out
+
+
 def test_analyze_negative_bound_exit_1(capsys):
     """A negative bound would search only at the parameters' lower bounds
     and still be reported as the bound; it is refused instead."""

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from clockrace import explore, hb_disjuncts, parse, unordered_disjuncts
-from clockrace.hb import ClockReduction, governed_advances, reduce_clock
+from clockrace.hb import ClockReduction, governed_advances
 from clockrace.syntax import governing_clocked_finish
 
 from conftest import load
@@ -14,15 +14,17 @@ def satisfied(disjuncts, env):
 
 
 def unordered(p, u_id, v_id):
-    """The unordered disjuncts without their depths."""
+    """The unordered disjuncts without their clocks."""
     return [d for _, d in unordered_disjuncts(p, u_id, v_id)]
 
 
 def component_clocks(p, u_id, v_id):
-    """(node type, clock reduction) of each unordered component."""
+    """(node type, clock reduction) of each unordered component.  A loop
+    component's system ends in the inequality between its own iterators;
+    the divergence component's system holds equalities only."""
     return [
-        (type(p.path_to(u_id)[depth]).__name__, reduce_clock(p, u_id, v_id, depth))
-        for depth, _ in unordered_disjuncts(p, u_id, v_id)
+        ("For" if d and d[-1].kind == "ge" else "Seq", clock)
+        for clock, d in unordered_disjuncts(p, u_id, v_id)
     ]
 
 
@@ -124,6 +126,22 @@ def test_a_loop_component_takes_the_clock_above_the_loop(outer, clock):
     assert component_clocks(p, f, g) == [
         ("For", across), ("For", across), ("Seq", ClockReduction(inner, f, g))
     ]
+
+
+def test_representatives_are_the_outermost_clocks_below_the_clock():
+    """Each side's representative is the outermost clocked finish below the
+    shared clock on its path, not the innermost one around its leaf."""
+    p = parse(
+        "param N >= 1;\narray A[1];\n"
+        "clocked finish {\n"
+        "  clocked async clocked finish { advance;\n"
+        "    clocked async clocked finish { clocked async A[0] = f(); } }\n"
+        "  clocked async clocked finish {\n"
+        "    clocked async clocked finish { advance; clocked async A[0] = g(); } }\n"
+        "}\n"
+    )
+    f, g = (s.node_id for s in p.basic_statements())
+    assert component_clocks(p, f, g) == [("Seq", ClockReduction(0, 3, 12))]
 
 
 def test_no_clock_reduction_without_clocks():

@@ -15,7 +15,6 @@ from clockrace import (
     parse_poly,
     phi,
     race_test,
-    reduce_clock,
     unordered_disjuncts,
 )
 from clockrace.affine import AffineSet
@@ -454,8 +453,7 @@ def test_phi_counts_each_subproblem_once(monkeypatch):
         parse_poly("3*x^2+3*x*y+y^2+y+2"), parse_poly("3*x^2+3*x*y+x+y^2+2*y+1")
     ).program
     writer, reader = p.basic_statements()
-    [(depth, _)] = unordered_disjuncts(p, writer.node_id, reader.node_id)
-    reduction = reduce_clock(p, writer.node_id, reader.node_id, depth)
+    [(reduction, _)] = unordered_disjuncts(p, writer.node_id, reader.node_id)
     calls = []
     sum_over, is_empty = QuasiPoly.sum_over, phi_module.is_empty
 

@@ -12,7 +12,7 @@ from clockrace import (
     race_test,
     races,
 )
-from clockrace.syntax import Finish
+from clockrace.syntax import Finish, Program
 
 import fuzzgen
 from conftest import CORPUS_NAMES, corpus_path, load, recursion_headroom
@@ -65,18 +65,44 @@ def test_same_element_same_activity_not_a_candidate():
         assert str(c.u_ref) != str(c.v_ref)
 
 
+def deep_nest(depth):
+    """One clocked statement under ``depth`` loops, racing with itself."""
+    loops = "".join(f"for (i{k} = 0 : N) " for k in range(depth))
+    return parse(
+        "param N >= 0;\narray A[1];\n"
+        f"clocked finish {{ {loops}clocked async {{ advance; A[0] = f(); }} }}\n"
+    )
+
+
 @pytest.mark.parametrize("depth", [10, 60])
 def test_candidates_of_a_deep_nest_in_bounded_stack(depth):
     """Candidate generation takes the same frames at any nest depth, though
     the emptiness search sets two variables per loop (its u_ and v_ copy)."""
-    loops = "".join(f"for (i{k} = 0 : N) " for k in range(depth))
-    p = parse(
-        "param N >= 0;\narray A[1];\n"
-        f"clocked finish {{ {loops}clocked async {{ advance; A[0] = f(); }} }}\n"
-    )
+    p = deep_nest(depth)
     with recursion_headroom(40):
         (cand,) = race_candidates(p)
     assert cand.emptiness[0] is False
+
+
+def test_root_paths_built_do_not_grow_with_depth(monkeypatch):
+    """Happens-before finds every component's clock in the walk it makes
+    anyway: the number of root paths built does not grow with the depth."""
+    path_to = Program.path_to
+    calls = []
+
+    def counted(self, node_id):
+        calls.append(node_id)
+        return path_to(self, node_id)
+
+    monkeypatch.setattr(Program, "path_to", counted)
+    counts = []
+    for depth in (10, 60):
+        p = deep_nest(depth)
+        calls.clear()
+        with recursion_headroom(40):
+            race_candidates(p)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------
