@@ -23,16 +23,22 @@ the counter proves before it sums.  Each summation is one pass: the
 integrand's coefficients of every power of the variable are folded into a
 single antiderivative ``G(x) = sum_e c_e F_e(x)``, kept as one monomial dict
 per power of ``x``; ``G(hi) - G(lo - 1)`` is evaluated by Horner's rule on
-those dicts and made canonical once, at the end.  A phase function likewise
-adds its disjuncts' counts into one monomial dict before it is made
-canonical.
+those dicts, in integer numerators over one common denominator, and made
+canonical once, at the end.  A phase function likewise adds its disjuncts'
+counts into one monomial dict before it is made canonical.
 
 A count is one loop over the advance's loop nest, so its stack does not
 grow with the nest.  The happens-before disjuncts of one advance differ
 only in their outer components, so the same inner sums and bound
-comparisons recur across them: a counter made per ``phi`` call caches its
-emptiness proofs by constraint tuple and its summations by
-``(integrand, var, lo, hi)``, and shares nothing between calls.
+comparisons recur across them, and the two representatives of one clock
+count the same advances over the same ``u_`` domain and outer disjuncts.
+A ``Counting`` context therefore caches emptiness proofs by constraint
+tuple, summations by ``(integrand, var, lo, hi)`` and whole counts by
+``(sum_vars, constraints, ctx)``.  ``races.race_candidates`` shares one
+context between all the ``phi`` calls of an analysis; a standalone ``phi``
+call makes its own.  Sharing is sound because every key is a tuple of
+frozen values, an answer depends only on its key and the context's
+parameter bounds (one set per program), and a failure is never stored.
 A phase's iterator prefix changes only the names in it, so the caller
 computes each once: ``races.race_candidates`` calls ``phi`` once per clock
 and statement with the ``u_`` prefix, and renames that polynomial's
@@ -47,7 +53,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .affine import AffineSet, Constraint, ge, is_empty
@@ -189,23 +195,29 @@ class QuasiPoly(NamedTuple):
         G(lo - 1)`` for the antiderivative ``G(x) = sum_e c_e F_e(x)``.
         ``G``'s coefficient of each ``x^k`` is collected from the Faulhaber
         coefficients as one monomial dict, both values are taken by Horner's
-        rule on monomial dicts, and only the difference is made canonical."""
+        rule on monomial dicts of integer numerators over the common
+        denominator of ``G``'s coefficients, and only the difference is made
+        canonical."""
         g: dict[int, dict[Monomial, Fraction]] = {}  # x^k -> its coefficient
         for m, c in self.terms:
             rest = tuple(x for x in m if x[0] != var)
             for k, f in _power_sum_coeffs(dict(m).get(var, 0)):
                 coeff = g.setdefault(k, {})
                 coeff[rest] = coeff.get(rest, 0) + c * f
-        total: dict[Monomial, Fraction] = {}
+        # den * G has integer coefficients, and the bounds are integral.
+        den = lcm(*(c.denominator for coeff in g.values() for c in coeff.values()))
+        num = {k: {m: c.numerator * (den // c.denominator) for m, c in coeff.items()}
+               for k, coeff in g.items()}
+        total: dict[Monomial, int] = {}
         for x, sign in ((hi, 1), (lo.shift(-1), -1)):
-            acc: dict[Monomial, Fraction] = {}
+            acc: dict[Monomial, int] = {}
             for k in range(max(g, default=0), 0, -1):  # G has no constant term
-                for m, c in g.get(k, {}).items():
+                for m, c in num.get(k, {}).items():
                     acc[m] = acc.get(m, 0) + c
                 acc = _times_affine(acc, x)
             for m, c in acc.items():
                 total[m] = total.get(m, 0) + sign * c
-        return QuasiPoly.from_terms(total)
+        return QuasiPoly.from_terms({m: Fraction(c, den) for m, c in total.items() if c})
 
     def __str__(self) -> str:
         if not self.terms:
@@ -298,16 +310,19 @@ def _unit_equality(
     return None
 
 
-class _Counter:
-    """Symbolic counting for one phase-function computation: the parameter
-    context and the caches.  Sound because every key is a tuple of frozen
-    values and the answers are deterministic; a _CountFailure ends the
-    whole computation, so failures are never stored."""
+class Counting:
+    """Symbolic counting under one program's parameter context, with its
+    caches: emptiness proofs, summations and whole counts.  One context may
+    serve every phase function of a program (``race_candidates`` makes one
+    per run).  Sound because every key is a tuple of frozen values and an
+    answer depends only on its key and the context; a _CountFailure leaves
+    ``count`` before anything is stored, so failures are never cached."""
 
     def __init__(self, context: Sequence[Constraint]):
         self.context = tuple(context)
         self.empties: dict[tuple[Constraint, ...], bool] = {}
         self.sums: dict[tuple, QuasiPoly] = {}
+        self.counts: dict[tuple, QuasiPoly] = {}
 
     def empty(self, constraints: tuple[Constraint, ...]) -> bool:
         """Is the conjunction (under the context) provably empty?"""
@@ -340,11 +355,24 @@ class _Counter:
     ) -> QuasiPoly:
         """The number of integer assignments of sum_vars satisfying
         constraints, as a polynomial in the free variables; ``ctx`` are facts
-        known about them.  One loop: each step eliminates a summed variable
-        by an equality with a unit coefficient on it, or sums the innermost
-        one, whose bounds may mention the still-outer summed variables.
+        known about them.  Each distinct count is made once.
 
         Raises _CountFailure when the region is not a provable box chain."""
+        key = (sum_vars, constraints, ctx)
+        known = self.counts.get(key)
+        if known is None:
+            known = self.counts[key] = self._count(sum_vars, constraints, ctx)
+        return known
+
+    def _count(
+        self,
+        sum_vars: tuple[str, ...],
+        constraints: tuple[Constraint, ...],
+        ctx: tuple[Constraint, ...],
+    ) -> QuasiPoly:
+        """``count`` as one loop: each step eliminates a summed variable by
+        an equality with a unit coefficient on it, or sums the innermost
+        one, whose bounds may mention the still-outer summed variables."""
         poly = QuasiPoly.constant(1)
         while sum_vars:
             unit = _unit_equality(constraints, sum_vars)
@@ -398,12 +426,18 @@ class _Counter:
 
 
 def phi(
-    p: Program, finish_id: int, stmt_id: int, prefix: str = "u_"
+    p: Program,
+    finish_id: int,
+    stmt_id: int,
+    prefix: str = "u_",
+    counting: Optional[Counting] = None,
 ) -> Optional[QuasiPoly]:
     """Advance-count polynomial for a statement (or clocked-finish
     representative) with respect to a clock, in the statement's prefixed
-    iterators and the parameters.  None when counting fails."""
-    counter = _Counter(param_context(p))
+    iterators and the parameters.  None when counting fails.  ``counting``
+    is a context made from ``param_context(p)`` to share with other calls
+    on ``p``; without one, the call makes its own."""
+    counter = counting or Counting(param_context(p))
     stmt_dom = tuple(statement_domain(p, stmt_id, prefix))
     total: dict[Monomial, Fraction] = {}
     for adv_id in governed_advances(p, finish_id):

@@ -44,7 +44,7 @@ from .hb import (
     unordered_disjuncts,
 )
 from .interp import ExploreResult, Instance, explore
-from .phi import QuasiPoly, phi
+from .phi import Counting, QuasiPoly, phi
 from .smt import emit_smtlib, run_solver
 from .syntax import AccessRef, AffineExpr, Basic, Program
 
@@ -131,13 +131,17 @@ def race_candidates(p: Program) -> list[RaceCandidate]:
 
     # Computed once per program: each statement's domain per prefix, and each
     # (clock, representative) phase, by one phi call in the u_ iterators that
-    # the v_ side renames (_v_phase).  Computed once per statement pair: its
-    # happens-before facts, which do not depend on the access pair.
+    # the v_ side renames (_v_phase).  The phi calls share one counting
+    # context, so a count that two representatives of a clock both need is
+    # made once; it is freed when this run returns.  Computed once per
+    # statement pair: its happens-before facts, which do not depend on the
+    # access pair.
     domain = functools.cache(functools.partial(statement_domain, p))
+    counting = Counting(context)
 
     @functools.cache
     def phase_of(finish_id: int, rep: int) -> Optional[QuasiPoly]:
-        return phi(p, finish_id, rep, "u_")
+        return phi(p, finish_id, rep, "u_", counting=counting)
 
     @functools.cache
     def pair_facts(u_id: int, v_id: int):

@@ -11,16 +11,19 @@ from hypothesis import strategies as st
 from clockrace import (
     QuasiPoly,
     explore,
+    ge,
     parse,
     parse_poly,
     phi,
+    race_candidates,
     race_test,
     unordered_disjuncts,
 )
 from clockrace.affine import AffineSet
 from clockrace.generators import counting_nest
+from clockrace.hb import param_context
 from clockrace.interp import instantiate, term_instances
-from clockrace.phi import _bernoulli
+from clockrace.phi import Counting, _bernoulli
 from clockrace.smt import emit_smtlib
 from clockrace.syntax import AccessRef, AffineExpr, Basic, Program, Seq
 
@@ -445,15 +448,10 @@ def test_phi_zero_when_inner_range_is_empty(body):
 # Each distinct subproblem is counted once per phase function
 
 
-def test_phi_counts_each_subproblem_once(monkeypatch):
-    """One phi call sums and proves each distinct subproblem once, and the
-    next call keeps nothing from it: it makes the same calls again."""
+def record_counting(monkeypatch):
+    """The list that every later ``QuasiPoly.sum_over`` and ``phi``-module
+    ``is_empty`` call appends its name and arguments to."""
     phi_module = importlib.import_module("clockrace.phi")
-    p = race_test(
-        parse_poly("3*x^2+3*x*y+y^2+y+2"), parse_poly("3*x^2+3*x*y+x+y^2+2*y+1")
-    ).program
-    writer, reader = p.basic_statements()
-    [(reduction, _)] = unordered_disjuncts(p, writer.node_id, reader.node_id)
     calls = []
     sum_over, is_empty = QuasiPoly.sum_over, phi_module.is_empty
 
@@ -467,6 +465,18 @@ def test_phi_counts_each_subproblem_once(monkeypatch):
 
     monkeypatch.setattr(QuasiPoly, "sum_over", recorded_sum_over)
     monkeypatch.setattr(phi_module, "is_empty", recorded_is_empty)
+    return calls
+
+
+def test_phi_counts_each_subproblem_once(monkeypatch):
+    """One phi call sums and proves each distinct subproblem once, and the
+    next call keeps nothing from it: it makes the same calls again."""
+    p = race_test(
+        parse_poly("3*x^2+3*x*y+y^2+y+2"), parse_poly("3*x^2+3*x*y+x+y^2+2*y+1")
+    ).program
+    writer, reader = p.basic_statements()
+    [(reduction, _)] = unordered_disjuncts(p, writer.node_id, reader.node_id)
+    calls = record_counting(monkeypatch)
     first = phi(p, reduction.finish_id, reduction.rep_u, "u_")
     once = list(calls)
     assert first is not None
@@ -474,6 +484,62 @@ def test_phi_counts_each_subproblem_once(monkeypatch):
     assert len(set(once)) == len(once)
     assert phi(p, reduction.finish_id, reduction.rep_u, "u_") == first
     assert calls[len(once):] == once
+
+
+def test_race_candidates_counts_each_subproblem_once(monkeypatch):
+    """The phi calls of one race_candidates run share one counting context:
+    the two representatives of a clock count the same advances, yet each
+    distinct summation and emptiness proof is made once per run.  The next
+    run keeps nothing from it: it makes the same calls again."""
+    p = race_test(
+        parse_poly("3*x^2+3*x*y+x+y^2+2*y+1"), parse_poly("3*x^2+3*x*y+y^2+y+2")
+    ).program
+    calls = record_counting(monkeypatch)
+    [cand] = race_candidates(p)
+    once = list(calls)
+    assert cand.phi_u is not None and cand.phi_v is not None
+    assert len(set(once)) == len(once)
+    # 62 and 128 when each phi call counted on its own
+    assert [c[0] for c in once].count("is_empty") == 34
+    assert [c[0] for c in once].count("sum_over") == 68
+    race_candidates(p)
+    assert calls[len(once):] == once
+
+
+# Two statements in one loop body that differ only by a guard.  The advance
+# loop's upper bounds on a_t are N - 2 and u_t - 1 (the advance comes after
+# the statement); only the guard u_t <= N - 1 proves the second the least.
+GUARDED = parse(
+    "param N >= 2;\narray A[1];\n"
+    "clocked finish { clocked async { for (t = 0 : N) {\n"
+    "  if (N - 1 >= t) A[0] = F();\n"
+    "  A[0] = G();\n"
+    "  if (N - 2 >= t) advance;\n"
+    "} } }\n"
+)
+
+
+def test_shared_counting_keeps_each_statements_domain():
+    """A count depends on the statement domain it is proved under: on a
+    shared context, the guarded statement's count does not answer the
+    unguarded one's, and a failed count fails again."""
+    guarded, plain = GUARDED.basic_statements()
+    counting = Counting(param_context(GUARDED))
+    assert phi(GUARDED, 0, guarded.node_id, "u_", counting) == QuasiPoly.var("u_t")
+    assert phi(GUARDED, 0, plain.node_id, "u_", counting) is None
+    assert phi(GUARDED, 0, plain.node_id, "u_", counting) is None
+    assert phi(GUARDED, 0, plain.node_id) is None
+
+
+def test_shared_counting_keeps_each_count_variables():
+    """The same constraints and facts counted over different variables are
+    different counts: a triangle's size, and the length of one of its rows."""
+    n, i, j = (AffineExpr.var(v) for v in ("N", "a_i", "a_j"))
+    triangle = (ge(i), ge(n - i), ge(j), ge(i - j))
+    ctx = (ge(i), ge(n - i))
+    counting = Counting([ge(n)])
+    assert str(counting.count(("a_i", "a_j"), triangle, ctx)) == "(1/2)*N^2+(3/2)*N+1"
+    assert str(counting.count(("a_j",), triangle, ctx)) == "a_i+1"
 
 
 # ---------------------------------------------------------------------------

@@ -133,15 +133,24 @@ RACE_TESTS = [
 
 
 def test_v_phase_is_the_renamed_u_phase():
+    """Each phase a candidate carries, made by race_candidates on its shared
+    counting context and renamed for the v_ side, is the standalone phi of
+    its representative; so is every renamed phase race_candidates may need."""
     programs = [load(n) for n in CORPUS_NAMES] + [QR_UZ] + RACE_TESTS
     programs += [fuzzgen.generate(seed) for seed in range(200)]
-    checked = 0
+    checked = clocked = 0
     for p in programs:
         for f, rep in clocked_reps(p):
             phase_u = phi(p, f, rep, "u_")
             assert races._v_phase(p, rep, phase_u) == phi(p, f, rep, "v_"), (f, rep)
             checked += phase_u is not None
-    assert checked >= 200
+        for c in race_candidates(p):
+            if c.reduction is not None:
+                f, rep_u, rep_v = c.reduction
+                assert c.phi_u == phi(p, f, rep_u, "u_"), c.describe(p)
+                assert c.phi_v == phi(p, f, rep_v, "v_"), c.describe(p)
+                clocked += 1
+    assert checked >= 200 and clocked >= 40
     assert all("uz" in phi(QR_UZ, f, rep).variables for f, rep in clocked_reps(QR_UZ))
 
 
@@ -153,9 +162,9 @@ def test_v_phase_is_the_renamed_u_phase():
 def test_phi_calls_per_analysis(monkeypatch, name, calls):
     prefixes = []
 
-    def counted(p, finish_id, stmt_id, prefix):
+    def counted(p, finish_id, stmt_id, prefix, counting):
         prefixes.append(prefix)
-        return phi(p, finish_id, stmt_id, prefix)
+        return phi(p, finish_id, stmt_id, prefix, counting)
 
     monkeypatch.setattr(races, "phi", counted)
     analyze(load(name), bound=2)
