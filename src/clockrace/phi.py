@@ -33,12 +33,12 @@ only in their outer components, so the same inner sums and bound
 comparisons recur across them, and the two representatives of one clock
 count the same advances over the same ``u_`` domain and outer disjuncts.
 A ``Counting`` context therefore caches emptiness proofs by constraint
-tuple, summations by ``(integrand, var, lo, hi)`` and whole counts by
-``(sum_vars, constraints, ctx)``.  ``races.race_candidates`` shares one
-context between all the ``phi`` calls of an analysis; a standalone ``phi``
-call makes its own.  Sharing is sound because every key is a tuple of
-frozen values, an answer depends only on its key and the context's
-parameter bounds (one set per program), and a failure is never stored.
+tuple and summations by ``(integrand, var, lo, hi)``.
+``races.race_candidates`` shares one context between all the ``phi`` calls
+of an analysis; a standalone ``phi`` call makes its own.  Sharing is sound
+because every key is a tuple of frozen values, an answer depends only on
+its key and the context's parameter bounds (one set per program, which
+``phi`` checks), and a failed count stores nothing.
 A phase's iterator prefix changes only the names in it, so the caller
 computes each once: ``races.race_candidates`` calls ``phi`` once per clock
 and statement with the ``u_`` prefix, and renames that polynomial's
@@ -217,7 +217,7 @@ class QuasiPoly(NamedTuple):
                 acc = _times_affine(acc, x)
             for m, c in acc.items():
                 total[m] = total.get(m, 0) + sign * c
-        return QuasiPoly.from_terms({m: Fraction(c, den) for m, c in total.items() if c})
+        return QuasiPoly.from_terms({m: Fraction(c, den) for m, c in total.items()})
 
     def __str__(self) -> str:
         if not self.terms:
@@ -312,17 +312,16 @@ def _unit_equality(
 
 class Counting:
     """Symbolic counting under one program's parameter context, with its
-    caches: emptiness proofs, summations and whole counts.  One context may
-    serve every phase function of a program (``race_candidates`` makes one
-    per run).  Sound because every key is a tuple of frozen values and an
-    answer depends only on its key and the context; a _CountFailure leaves
-    ``count`` before anything is stored, so failures are never cached."""
+    caches of emptiness proofs and summations.  One context may serve every
+    phase function of a program (``race_candidates`` makes one per run;
+    ``phi`` refuses one made from other parameter facts).  Sound because
+    every key is a tuple of frozen values and an answer depends only on its
+    key and the context; a _CountFailure is never stored."""
 
     def __init__(self, context: Sequence[Constraint]):
         self.context = tuple(context)
         self.empties: dict[tuple[Constraint, ...], bool] = {}
         self.sums: dict[tuple, QuasiPoly] = {}
-        self.counts: dict[tuple, QuasiPoly] = {}
 
     def empty(self, constraints: tuple[Constraint, ...]) -> bool:
         """Is the conjunction (under the context) provably empty?"""
@@ -355,24 +354,11 @@ class Counting:
     ) -> QuasiPoly:
         """The number of integer assignments of sum_vars satisfying
         constraints, as a polynomial in the free variables; ``ctx`` are facts
-        known about them.  Each distinct count is made once.
+        known about them.  One loop: each step eliminates a summed variable
+        by an equality with a unit coefficient on it, or sums the innermost
+        one, whose bounds may mention the still-outer summed variables.
 
         Raises _CountFailure when the region is not a provable box chain."""
-        key = (sum_vars, constraints, ctx)
-        known = self.counts.get(key)
-        if known is None:
-            known = self.counts[key] = self._count(sum_vars, constraints, ctx)
-        return known
-
-    def _count(
-        self,
-        sum_vars: tuple[str, ...],
-        constraints: tuple[Constraint, ...],
-        ctx: tuple[Constraint, ...],
-    ) -> QuasiPoly:
-        """``count`` as one loop: each step eliminates a summed variable by
-        an equality with a unit coefficient on it, or sums the innermost
-        one, whose bounds may mention the still-outer summed variables."""
         poly = QuasiPoly.constant(1)
         while sum_vars:
             unit = _unit_equality(constraints, sum_vars)
@@ -436,8 +422,13 @@ def phi(
     representative) with respect to a clock, in the statement's prefixed
     iterators and the parameters.  None when counting fails.  ``counting``
     is a context made from ``param_context(p)`` to share with other calls
-    on ``p``; without one, the call makes its own."""
-    counter = counting or Counting(param_context(p))
+    on ``p``; without one, the call makes its own.
+
+    Raises ValueError when ``counting`` holds other parameter facts."""
+    context = tuple(param_context(p))
+    counter = counting or Counting(context)
+    if counter.context != context:
+        raise ValueError("counting context made for other parameter facts")
     stmt_dom = tuple(statement_domain(p, stmt_id, prefix))
     total: dict[Monomial, Fraction] = {}
     for adv_id in governed_advances(p, finish_id):

@@ -132,10 +132,10 @@ def race_candidates(p: Program) -> list[RaceCandidate]:
     # Computed once per program: each statement's domain per prefix, and each
     # (clock, representative) phase, by one phi call in the u_ iterators that
     # the v_ side renames (_v_phase).  The phi calls share one counting
-    # context, so a count that two representatives of a clock both need is
-    # made once; it is freed when this run returns.  Computed once per
-    # statement pair: its happens-before facts, which do not depend on the
-    # access pair.
+    # context, so an emptiness proof or summation that two representatives
+    # of a clock both need is made once; it is freed when this run returns.
+    # Computed once per statement pair: its happens-before facts, which do
+    # not depend on the access pair.
     domain = functools.cache(functools.partial(statement_domain, p))
     counting = Counting(context)
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from clockrace import (
     QuasiPoly,
     explore,
-    ge,
     parse,
     parse_poly,
     phi,
@@ -521,8 +520,8 @@ GUARDED = parse(
 
 def test_shared_counting_keeps_each_statements_domain():
     """A count depends on the statement domain it is proved under: on a
-    shared context, the guarded statement's count does not answer the
-    unguarded one's, and a failed count fails again."""
+    shared context, the proofs made for the guarded statement do not answer
+    the unguarded one's, and a failed count fails again."""
     guarded, plain = GUARDED.basic_statements()
     counting = Counting(param_context(GUARDED))
     assert phi(GUARDED, 0, guarded.node_id, "u_", counting) == QuasiPoly.var("u_t")
@@ -531,15 +530,12 @@ def test_shared_counting_keeps_each_statements_domain():
     assert phi(GUARDED, 0, plain.node_id) is None
 
 
-def test_shared_counting_keeps_each_count_variables():
-    """The same constraints and facts counted over different variables are
-    different counts: a triangle's size, and the length of one of its rows."""
-    n, i, j = (AffineExpr.var(v) for v in ("N", "a_i", "a_j"))
-    triangle = (ge(i), ge(n - i), ge(j), ge(i - j))
-    ctx = (ge(i), ge(n - i))
-    counting = Counting([ge(n)])
-    assert str(counting.count(("a_i", "a_j"), triangle, ctx)) == "(1/2)*N^2+(3/2)*N+1"
-    assert str(counting.count(("a_j",), triangle, ctx)) == "a_i+1"
+def test_phi_refuses_a_counting_context_of_other_parameter_facts():
+    """A context's answers hold only under the parameter facts it was made
+    from, so phi refuses one made for other facts."""
+    guarded, _ = GUARDED.basic_statements()
+    with pytest.raises(ValueError):
+        phi(GUARDED, 0, guarded.node_id, "u_", Counting([]))
 
 
 # ---------------------------------------------------------------------------
