@@ -56,7 +56,8 @@ other steps are kept.
 
 A body other than ``()`` is stuck exactly when it has no step, so
 ``_Terms.frame_steps`` offers a clocked finish's clock step exactly when
-its body is not done and has no step.  By induction on the body: a
+its body is not done and has no step (for the root, none asleep either:
+see the sleep sets below).  By induction on the body: a
 ``basic`` element steps and is not stuck, an ``advance`` has no step and
 is stuck; an ``async`` or unclocked ``finish`` inherits both from its body;
 a clocked ``finish`` is never stuck and always steps, since a body without
@@ -101,12 +102,49 @@ reachable.  The test is made where a state's steps are computed: for the
 initial state and on each discovery edge.
 
 Traces are counted only on request (``clockrace interpret`` asks; the
-bounded tier and witness replay do not).  Uncounted, a table is a set of
-elements.  Counted, it maps elements to the number of traces from that
-state: the sum of its successors' counts, or 1 when its body is done.  The
-stack is a path of the graph, so a state seen before is not on it, or it
-would reach itself: it has left the stack, and its count, written into its
-table as it left, is final.
+bounded tier and witness replay do not).  Counted, a table maps elements
+to the number of traces from that state: the sum of its successors'
+counts, or 1 when its body is done, so every edge is taken.  The stack is
+a path of the graph, so a state seen before is not on it, or it would
+reach itself: it has left the stack, and its count, written into its table
+as it left, is final.  Uncounted, a table is a set of elements, and the
+search skips the edges that sleep sets (Godefroid, *Partial-Order Methods
+for the Verification of Concurrent Systems*, LNCS 1032, 1996) show lead to
+states already added.
+
+Two leaf steps a and b of one body commute: each leaves the other enabled,
+both orders reach one body, and neither changes the counter vector.  A
+leaf step only removes its basic statement, and b is enabled when every
+element before it, in each seq around it, is async; removing a cannot
+break that, since a basic before b would block b, and an async only ever
+becomes an async or ``DONE``.  So each stack entry carries a sleep mask of
+basic instances.  Once the search has taken leaf step a from a state, a
+sleeps in the successors of that state's later steps; a leaf step's
+successor keeps its parent's sleeping steps, and a clock step's starts
+with none, since a clock step changes the counter vector; a clock step
+never sleeps.  ``_Terms.seq_steps`` leaves a sleeping step of the root
+body out before building its successor; the memoized steps of an async
+and the steps of a nested frame are not filtered.  A sleeping step is
+enabled, so a state with one asleep is not stuck: the root frame offers
+its clock step, and the stuck test fires, only when a state has no step
+and an empty mask.  When counting, nothing ever sleeps.
+
+A sleeping step leads to a state already added, so the search adds the
+same states, in the same order and by the same discovery edges, as one
+without sleep sets: the state count, each state's stuck test, and the
+pending masks collected into ``hb_forbidden`` are unchanged.  Write s·w
+for the state that steps w lead to from state s, and say a sleeps in x.
+It was put to sleep at a state y on the stack below x, from which the
+search took a and later a leaf step towards x, so x = y·w for leaf steps
+w, and x·a = y·a·w.  The search from y·a finished before, and a finished
+search has added every state its state reaches: each step it took leads
+to a state whose search finished earlier, and each step it skipped to one
+that, by this argument, an earlier search reaches.  A cut run is the same
+too: if the limit cut the search from y·a, then ``incomplete`` is set and
+no state is added after it, so the edge to x·a, taken, would only set
+``incomplete`` again and record a's bit in ``fired_at``.  That bit is
+there already: only leaf steps lie between y and x, so x has y's counter
+id, and the step a that the search took from y recorded it under that id.
 
 A state's steps are computed when it is added.  Once the state limit is
 hit, the search adds no state: it only finishes the step iterators it
@@ -283,7 +321,7 @@ class _Terms:
                 return fired, rest + elems[i + 1 :]
         return fired, rest
 
-    def seq_steps(self, elems: tuple) -> list[BodyStep]:
+    def seq_steps(self, elems: tuple, asleep: int = 0) -> list[BodyStep]:
         """All enabled steps of a body: (clock, fired instance bits, next
         body).  A leaf step has clock None and fires one basic instance; a
         clock step names the clock instance it advances and fires the
@@ -291,7 +329,9 @@ class _Terms:
         element is async.  An element only ever becomes one of its own kind
         or DONE, which is dropped, so the next body stays flat without
         re-scanning the others.  A successor's body is one copy of
-        ``work``, the elements with slot i replaced."""
+        ``work``, the elements with slot i replaced.  The leaf steps whose
+        instances are in the sleep mask ``asleep`` are left out; a clock
+        step fires only advances, which never sleep."""
         nodes, async_steps = self.nodes, self.async_steps
         out = []
         work = list(elems)
@@ -302,7 +342,8 @@ class _Terms:
                 node = nodes[u]
                 kind = node[0]
                 if kind == "basic":  # the elements after it wait
-                    out.append((None, node[3], elems[:i] + elems[i + 1 :]))
+                    if not node[3] & asleep:
+                        out.append((None, node[3], elems[:i] + elems[i + 1 :]))
                     break
                 if kind == "advance":
                     break
@@ -315,6 +356,8 @@ class _Terms:
                     frame = self.frame_steps(node[1], (node[2], node[3]), node[4])
                     inner = [(k, f, self.wrap(node[:4], rest)) for k, f, rest in frame]
             for key, fired, nu in inner:
+                if fired & asleep:
+                    continue
                 if nu == DONE:
                     out.append((key, fired, elems[:i] + elems[i + 1 :]))
                 else:
@@ -325,13 +368,16 @@ class _Terms:
                 break
         return out
 
-    def frame_steps(self, clocked: bool, clock: Optional[ClockKey], elems: tuple) -> list[BodyStep]:
+    def frame_steps(
+        self, clocked: bool, clock: Optional[ClockKey], elems: tuple, asleep: int = 0
+    ) -> list[BodyStep]:
         """The steps of a finish around the body with flat elements
         ``elems``, naming the body's next elements: the body's own steps
-        or, when the finish is clocked and its body is stuck (see the
-        module doc), one step of the finish's clock."""
-        out = self.seq_steps(elems)
-        if clocked and not out and elems:
+        but those asleep or, when the finish is clocked and its body is
+        stuck (see the module doc), one step of the finish's clock.  A body
+        with a step asleep has that step, so it is not stuck."""
+        out = self.seq_steps(elems, asleep)
+        if clocked and not out and elems and not asleep:
             fired, rest = self.yield_seq(elems)
             return [(clock, fired, rest)]
         return out
@@ -380,7 +426,8 @@ def explore(
 ) -> ExploreResult:
     """Exhaustively interpret the program under the given parameters.  The
     traces are counted only when ``count_traces`` is set; otherwise the
-    result's ``trace_count`` is None."""
+    result's ``trace_count`` is None and the search skips sleeping steps
+    (see the module doc)."""
     t0 = instantiate(p, params)
     instances = term_instances(t0)
     index = {inst: i for i, inst in enumerate(instances)}
@@ -408,24 +455,30 @@ def explore(
     forbidden = [0] * n  # per instance v: instances pending in some state with v done
     state_count = 1
     mask = (1 << n) - 1
+    sleepable = 0 if count_traces else -1  # counting takes every edge, so nothing sleeps
     steps = frame_steps(clocked, clock, initial)
     terminated = bool(steps) or not mask  # until an added state is stuck
     incomplete = False
 
-    # A stack entry: (table, elements, counter id, pending mask, iterator
-    # over the state's steps).  When counting, `found` holds the traces
-    # found so far from the top entry, counts[i] those from entry i below
-    # it.  A state seen before has left the stack, so its table value is
-    # final (see the module doc).
-    stack = [(tables[0], initial, 0, mask, iter(steps))]
+    # A stack entry: (table, elements, counter id, pending mask, sleep
+    # mask, iterator over the state's steps).  The sleep mask grows by each
+    # leaf step taken from the state, for the later steps' successors (see
+    # the module doc).  When counting, `found` holds the traces found so
+    # far from the top entry, counts[i] those from entry i below it.  A
+    # state seen before has left the stack, so its table value is final.
+    stack = [(tables[0], initial, 0, mask, 0, iter(steps))]
     found = 0
     counts = []
     while stack:
-        table, elems, cid, mask, steps = stack[-1]
+        table, elems, cid, mask, asleep, steps = stack[-1]
         for key, fired, rest in steps:
             fired_at[cid] |= fired
             next_cid = cid
-            if key is not None:
+            if key is None:
+                next_asleep = asleep
+                asleep |= fired & sleepable
+            else:
+                next_asleep = 0
                 next_cid = ticked.get((cid, key))
                 if next_cid is None:
                     counter_map = dict(counters[cid])
@@ -457,8 +510,8 @@ def explore(
             else:
                 for i in _bits(fired):
                     forbidden[i] |= next_mask
-            next_steps = frame_steps(clocked, clock, rest)
-            if next_mask and not next_steps:  # a stuck state
+            next_steps = frame_steps(clocked, clock, rest, next_asleep)
+            if next_mask and not next_steps and not next_asleep:  # a stuck state
                 terminated = False
             if count_traces:
                 next_table[rest] = 0  # never read before the state leaves the stack
@@ -466,7 +519,8 @@ def explore(
                 found = 0
             else:
                 next_table.add(rest)
-            stack.append((next_table, rest, next_cid, next_mask, iter(next_steps)))
+            stack[-1] = (table, elems, cid, mask, asleep, steps)  # the grown mask, for later steps
+            stack.append((next_table, rest, next_cid, next_mask, next_asleep, iter(next_steps)))
             break
         else:  # no steps left
             stack.pop()

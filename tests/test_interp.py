@@ -8,6 +8,7 @@ from clockrace.interp import _Terms, term_instances
 import fuzzgen
 from conftest import CORPUS_NAMES, SIDE_BY_SIDE_CLOCKS, load
 from oracles import dynamic_phi
+from test_golden import GOLDEN_FACTS, _fact_runs
 
 
 def basics(res):
@@ -283,8 +284,19 @@ def _facts(res):
     return {f: getattr(res, f) for f in res._fields if f != "trace_count"}
 
 
-# Runs on which counting traces must change nothing else: the corpus at
-# N = 1..3, the cut runs above, and the first 50 fuzz programs at N = 1..3.
+# One root activity holding two nested asyncs and a statement: its steps
+# are one root element's, and each sleeps on its own.
+NESTED_ASYNCS = parse(
+    "param N >= 1;\narray A[1];\n"
+    "finish { async { for (i=0:N-1) { async { A[i] = f(); } }\n"
+    "  async { A[0] = g(); } A[0] = h(); } }\n"
+)
+
+# Runs on which counting traces, and so sleep sets (which only uncounted
+# runs use), must change nothing else: the corpus at N = 1..3, the cut runs
+# above, the first 200 fuzz programs at N = 1..3, every run of the golden
+# facts digests, and programs whose leaf steps share a root element or
+# whose nested clocks step beside leaf steps.
 UNCOUNTED_RUNS = {
     "corpus": lambda: [
         (p, {k: max(lb, n) for k, lb in p.params}, 1_000_000)
@@ -298,7 +310,14 @@ UNCOUNTED_RUNS = {
         for max_states in (5, 50)
     ],
     "fuzz": lambda: [
-        (fuzzgen.generate(seed), {"N": n}, 1_000_000) for seed in range(50) for n in (1, 2, 3)
+        (fuzzgen.generate(seed), {"N": n}, 1_000_000) for seed in range(200) for n in (1, 2, 3)
+    ],
+    "golden": lambda: [run for group in GOLDEN_FACTS for run in _fact_runs(group)],
+    "sleep": lambda: [
+        (p, {"N": n}, max_states)
+        for p in (NESTED_ASYNCS, SIDE_BY_SIDE_CLOCKS)
+        for n in (1, 2, 3)
+        for max_states in (1_000_000, 10)
     ],
 }
 
@@ -310,6 +329,92 @@ def test_uncounted_run_has_the_same_facts(runs):
         uncounted = explore(p, params, max_states=max_states, count_traces=False)
         assert uncounted.trace_count is None
         assert _facts(uncounted) == _facts(counted), params
+
+
+def _root_bodies_built(monkeypatch):
+    """Wrap ``_Terms.frame_steps`` to count the successor bodies that
+    explore builds, the steps its calls to the root frame return, into the
+    one item of the returned list.  A nested frame's steps are built inside
+    such a call and are not counted."""
+    built, depth = [0], [0]
+    frame_steps = _Terms.frame_steps
+
+    def counted(self, *args):
+        depth[0] += 1
+        try:
+            out = frame_steps(self, *args)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            built[0] += len(out)
+        return out
+
+    monkeypatch.setattr(_Terms, "frame_steps", counted)
+    return built
+
+
+# (program, params, states, bodies built counted, bodies built uncounted):
+# on QR and the nested asyncs the uncounted search builds one body per state
+# but the first, a spanning tree; a clock step wakes every sleeping step, so
+# the side-by-side clocks build a few bodies more.
+BODIES_BUILT = {
+    "qr/N=6": (lambda: load("qr"), {"N": 6}, 1_642, 5_117, 1_641),
+    "nested_asyncs/N=3": (lambda: NESTED_ASYNCS, {"N": 3}, 32, 80, 31),
+    "side_by_side_clocks/N=2": (lambda: SIDE_BY_SIDE_CLOCKS, {"N": 2}, 25, 50, 32),
+}
+
+
+@pytest.mark.parametrize("run", BODIES_BUILT)
+def test_uncounted_run_skips_sleeping_steps(monkeypatch, run):
+    # a sleeping step leads to a state already added, so the uncounted
+    # search does not build its body; the counting search builds them all
+    make, params, states, counted_bodies, uncounted_bodies = BODIES_BUILT[run]
+    p = make()
+    built = _root_bodies_built(monkeypatch)
+    assert explore(p, params).state_count == states
+    assert built[0] == counted_bodies
+    built[0] = 0
+    assert explore(p, params, count_traces=False).state_count == states
+    assert built[0] == uncounted_bodies
+
+
+def _diamonds(p, params, max_bodies=2_000):
+    """Check, on the bodies reachable from the root of p (at most
+    ``max_bodies``), that two leaf steps from one body commute: each stays
+    enabled after the other, and both orders reach one body.  Returns the
+    number of ordered pairs checked."""
+    terms, initial, _ = interned(instantiate(p, params))
+    seen, todo, pairs = {initial}, [initial], 0
+    while todo and len(seen) < max_bodies:
+        elems = todo.pop()
+        steps = terms.seq_steps(elems)
+        # per leaf step a: the steps after a, by the bits they fire
+        after = {
+            a: {fired: (key, rest) for key, fired, rest in terms.seq_steps(rest_a)}
+            for key_a, a, rest_a in steps
+            if key_a is None
+        }
+        for a in after:
+            for b in after:
+                if a != b:
+                    pairs += 1
+                    assert after[a][b] == (None, after[b][a][1])
+        for _, _, rest in steps:
+            if rest not in seen:
+                seen.add(rest)
+                todo.append(rest)
+    return pairs
+
+
+def test_leaf_steps_commute():
+    # the premise of the sleep sets (see the module doc): any two leaf steps
+    # of a body commute, whether or not they lie in one root element
+    runs = [(fuzzgen.generate(seed), {"N": n}) for seed in range(200) for n in (1, 2, 3)]
+    runs += [
+        (p, {k: max(lb, n) for k, lb in p.params}) for p in map(load, CORPUS_NAMES) for n in (1, 2, 3)
+    ]
+    runs += [(p, {"N": n}) for p in (NESTED_ASYNCS, SIDE_BY_SIDE_CLOCKS) for n in (1, 2, 3)]
+    assert sum(_diamonds(p, params) for p, params in runs) > 90_000
 
 
 def test_confirmer_runs_uncounted(monkeypatch):
