@@ -310,26 +310,6 @@ class _System:
         return {v: k for v, k in full.items() if not v.startswith("$e")}
 
 
-def _disjunct_feasibility(
-    constraints: Sequence[Constraint],
-) -> tuple[Optional[bool], Optional[dict[str, int]]]:
-    """(feasible?, witness).  feasible is True/False/None (unknown)."""
-    sys = _System(constraints)
-    try:
-        sys.eliminate_equalities()
-    except _Infeasible:
-        return False, None
-    fm = sys.fm_infeasible()
-    if fm is True:
-        return False, None
-    witness, complete = sys.search_witness()
-    if witness is not None:
-        return True, sys.reconstruct(witness)
-    if complete:
-        return False, None
-    return None, None
-
-
 def is_empty(s: AffineSet) -> Optional[bool]:
     """Three-valued emptiness under the context.
 
@@ -344,12 +324,21 @@ def is_empty(s: AffineSet) -> Optional[bool]:
 def is_empty_with_witness(
     s: AffineSet,
 ) -> tuple[Optional[bool], Optional[dict[str, int]]]:
+    """``is_empty``, with a witness when the answer is False.  A disjunct is
+    empty when equality elimination or Fourier-Motzkin proves it infeasible,
+    or when a complete search finds no point."""
     unknown = False
     for d in s.disjuncts:
-        feasible, witness = _disjunct_feasibility(tuple(d) + s.context)
-        if feasible is True:
-            return False, witness
-        if feasible is None:
-            unknown = True
+        sys = _System(tuple(d) + s.context)
+        try:
+            sys.eliminate_equalities()
+        except _Infeasible:
+            continue
+        if sys.fm_infeasible() is True:
+            continue
+        witness, complete = sys.search_witness()
+        if witness is not None:
+            return False, sys.reconstruct(witness)
+        unknown = unknown or not complete
     return (None, None) if unknown else (True, None)
 

@@ -104,11 +104,6 @@ def _parse_params(pairs, program) -> dict[str, int]:
         if name in out:
             raise ValueError(f"--param {name} given more than once")
         out[name] = int(value)
-    for name, lb in program.params:
-        if name not in out:
-            raise ValueError(f"missing --param {name}=...")
-        if out[name] < lb:
-            raise ValueError(f"parameter {name}={out[name]} below bound {lb}")
     return out
 
 
@@ -124,6 +119,8 @@ def _cmd_interpret(args) -> int:
         return _fail(e)
     try:
         res = explore(program, params, max_states=args.max_states)
+    except ValueError as e:  # a parameter missing or below its bound
+        return _fail(e)
     except MemoryError:
         return _fail("out of memory")
     except RecursionError:

@@ -19,17 +19,17 @@ env)``; instance i is bit ``1 << i`` of an instance bitmask, i being its
 position in ``term_instances`` of the whole program.
 
 ``explore`` interns the elements of the term once into a hash-cons table,
-``_Terms``.  A body is the flat tuple of its element ids: a seq's elements,
-``(e,)`` for a body that is one element ``e``, and ``()`` once it is done.
+``_Terms``.  The interning walk meets the leaves in the pre-order of
+``term_instances`` and numbers each instance as it meets it.  A body is the
+flat tuple of its element ids: a seq's elements, ``(e,)`` for a body that
+is one element ``e``, and ``()`` once it is done.
 This is the one format of a body: an ``async`` or ``finish`` node has the
 shape of its term but holds its body's tuple as its last field, and a leaf
 node also carries its instance bit as a fourth field.  A finished element
 is the id ``DONE``, which a body drops; an ``async`` or ``finish`` whose
 body is done is itself ``DONE``.  Equal terms get equal ids, so equal
 bodies are equal tuples.  The clock counter vector of a state (a sorted
-tuple of (clock, steps taken) pairs) is interned too.  A clock step finds
-its successor's counter id in a memo keyed by the counter id and the clock
-it advances.
+tuple of (clock, steps taken) pairs) is interned too.
 
 The root ``finish`` is a frame around the state's elements, not a node: a
 state is ``(elements, counter id)``, where ``elements`` is the root body.
@@ -264,12 +264,13 @@ class _Terms:
     """Hash-cons table of the runtime terms of one exploration.  A body is
     its flat tuple of element ids, none of them DONE: an ``async`` or
     ``finish`` node holds its body as its last field, and a leaf node
-    carries its instance's bit, ``1 << index[instance]``, as a fourth
-    field.  ``seq_steps`` and ``frame_steps`` step a body.  Nodes are only
-    ever added, so an id names one term for the whole exploration."""
+    carries its instance's bit, ``1 << i`` for instance ``instances[i]``,
+    as a fourth field.  ``seq_steps`` and ``frame_steps`` step a body.
+    Nodes are only ever added, so an id names one term for the whole
+    exploration."""
 
-    def __init__(self, index: Mapping[Instance, int]) -> None:
-        self.index = index
+    def __init__(self) -> None:
+        self.instances: list[Instance] = []  # by bit, in ``term_instances`` order
         self.nodes: list[tuple] = []
         self.ids: dict[tuple, int] = {}
         self.async_steps: dict[int, list[Step]] = {}
@@ -283,7 +284,9 @@ class _Terms:
 
     def body(self, t: Term) -> tuple:
         """The elements of instantiated term ``t``: a seq's own, ``()`` for
-        the empty term."""
+        the empty term.  Each leaf gets the next instance bit, so the term
+        of a whole program numbers its instances in ``term_instances``
+        order."""
         if t is None:
             return ()
         elems = []
@@ -291,7 +294,8 @@ class _Terms:
             if u[0] in ("async", "finish"):
                 elems.append(self.node(u[:-1] + (self.body(u[-1]),)))
             else:
-                elems.append(self.node(u + (1 << self.index[u],)))
+                elems.append(self.node(u + (1 << len(self.instances),)))
+                self.instances.append(u)
         return tuple(elems)
 
     def wrap(self, head: tuple, body: tuple) -> int:
@@ -429,9 +433,6 @@ def explore(
     result's ``trace_count`` is None and the search skips sleeping steps
     (see the module doc)."""
     t0 = instantiate(p, params)
-    instances = term_instances(t0)
-    index = {inst: i for i, inst in enumerate(instances)}
-    n = len(instances)
 
     # The root finish is a frame: a state holds the elements of its body,
     # not a finish node (see the module doc).  Any other root is the body of
@@ -441,13 +442,15 @@ def explore(
         clock: Optional[ClockKey] = (node_id, env)
     else:
         clocked, clock, body = False, None, t0
-    terms = _Terms(index)
+    terms = _Terms()
     frame_steps = terms.frame_steps
     counters: list[Counters] = [()]  # counter id -> clock counter vector
     counter_ids: dict[Counters, int] = {(): 0}
-    ticked: dict[tuple[int, ClockKey], int] = {}  # (counter id, clock) -> successor id
     fired_at = [0]  # per counter id: instances fired in some state with it
     initial = terms.body(body)
+    instances = terms.instances
+    index = {inst: i for i, inst in enumerate(instances)}
+    n = len(instances)
     # per counter id: the elements of the states added with it, mapped to
     # their trace counts when counting
     new_table = dict if count_traces else set
@@ -479,18 +482,15 @@ def explore(
                 asleep |= fired & sleepable
             else:
                 next_asleep = 0
-                next_cid = ticked.get((cid, key))
+                counter_map = dict(counters[cid])
+                counter_map[key] = counter_map.get(key, 0) + 1
+                vector = tuple(sorted(counter_map.items()))
+                next_cid = counter_ids.get(vector)
                 if next_cid is None:
-                    counter_map = dict(counters[cid])
-                    counter_map[key] = counter_map.get(key, 0) + 1
-                    vector = tuple(sorted(counter_map.items()))
-                    next_cid = counter_ids.get(vector)
-                    if next_cid is None:
-                        next_cid = counter_ids[vector] = len(counters)
-                        counters.append(vector)
-                        fired_at.append(0)
-                        tables.append(new_table())
-                    ticked[cid, key] = next_cid
+                    next_cid = counter_ids[vector] = len(counters)
+                    counters.append(vector)
+                    fired_at.append(0)
+                    tables.append(new_table())
             next_table = tables[next_cid]
             if count_traces:
                 count = next_table.get(rest)

@@ -33,12 +33,13 @@ only in their outer components, so the same inner sums and bound
 comparisons recur across them, and the two representatives of one clock
 count the same advances over the same ``u_`` domain and outer disjuncts.
 A ``Counting`` context therefore caches emptiness proofs by constraint
-tuple and summations by ``(integrand, var, lo, hi)``.
-``races.race_candidates`` shares one context between all the ``phi`` calls
-of an analysis; a standalone ``phi`` call makes its own.  Sharing is sound
-because every key is a tuple of frozen values, an answer depends only on
-its key and the context's parameter bounds (one set per program, which
-``phi`` checks), and a failed count stores nothing.
+tuple and summations by ``(integrand, var, lo, hi)``.  A context is made
+from one program and holds its parameter facts; ``phi`` takes the context
+and reads the program from it, so a context serves only the program it was
+made from.  ``races.race_candidates`` makes one per analysis and passes it
+to all its ``phi`` calls.  Sharing is sound because every key is a tuple of
+frozen values, an answer depends only on its key and the program's
+parameter facts, and a failed count stores nothing.
 A phase's iterator prefix changes only the names in it, so the caller
 computes each once: ``races.race_candidates`` calls ``phi`` once per clock
 and statement with the ``u_`` prefix, and renames that polynomial's
@@ -54,7 +55,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .affine import AffineSet, Constraint, ge, is_empty
 from .hb import (
@@ -311,15 +312,16 @@ def _unit_equality(
 
 
 class Counting:
-    """Symbolic counting under one program's parameter context, with its
-    caches of emptiness proofs and summations.  One context may serve every
-    phase function of a program (``race_candidates`` makes one per run;
-    ``phi`` refuses one made from other parameter facts).  Sound because
-    every key is a tuple of frozen values and an answer depends only on its
-    key and the context; a _CountFailure is never stored."""
+    """Symbolic counting for one program, under its parameter context, with
+    caches of emptiness proofs and summations.  A context is made from one
+    program and may serve every phase function of it (``race_candidates``
+    makes one per run).  Sound because every key is a tuple of frozen values
+    and an answer depends only on its key and the context; a _CountFailure
+    is never stored."""
 
-    def __init__(self, context: Sequence[Constraint]):
-        self.context = tuple(context)
+    def __init__(self, program: Program):
+        self.program = program
+        self.context = tuple(param_context(program))
         self.empties: dict[tuple[Constraint, ...], bool] = {}
         self.sums: dict[tuple, QuasiPoly] = {}
 
@@ -412,23 +414,13 @@ class Counting:
 
 
 def phi(
-    p: Program,
-    finish_id: int,
-    stmt_id: int,
-    prefix: str = "u_",
-    counting: Optional[Counting] = None,
+    counting: Counting, finish_id: int, stmt_id: int, prefix: str = "u_"
 ) -> Optional[QuasiPoly]:
     """Advance-count polynomial for a statement (or clocked-finish
-    representative) with respect to a clock, in the statement's prefixed
-    iterators and the parameters.  None when counting fails.  ``counting``
-    is a context made from ``param_context(p)`` to share with other calls
-    on ``p``; without one, the call makes its own.
-
-    Raises ValueError when ``counting`` holds other parameter facts."""
-    context = tuple(param_context(p))
-    counter = counting or Counting(context)
-    if counter.context != context:
-        raise ValueError("counting context made for other parameter facts")
+    representative) of ``counting``'s program with respect to a clock, in
+    the statement's prefixed iterators and the parameters.  None when
+    counting fails."""
+    p = counting.program
     stmt_dom = tuple(statement_domain(p, stmt_id, prefix))
     total: dict[Monomial, Fraction] = {}
     for adv_id in governed_advances(p, finish_id):
@@ -436,7 +428,7 @@ def phi(
         sum_vars = tuple(_ADV_PREFIX + v for v in p.enclosing_iterators(adv_id))
         for d in hb_disjuncts(p, adv_id, stmt_id, _ADV_PREFIX, prefix):
             try:
-                part = counter.count(sum_vars, tuple(adv_dom + d), stmt_dom)
+                part = counting.count(sum_vars, tuple(adv_dom + d), stmt_dom)
             except _CountFailure:
                 return None
             for m, c in part.terms:

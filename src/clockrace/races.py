@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 from math import lcm
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 # is_empty and reduce_clock are not called here but stay bound:
 # perfbench/tracing.py wraps ``races.is_empty`` and ``races.reduce_clock`` by
@@ -38,7 +38,6 @@ from typing import Mapping, NamedTuple, Optional, Union
 from .affine import AffineSet, Constraint, eq, is_empty, is_empty_with_witness  # noqa: F401
 from .hb import (
     ClockReduction,
-    param_context,
     reduce_clock,  # noqa: F401
     statement_domain,
     unordered_disjuncts,
@@ -114,8 +113,9 @@ def _subscript_equalities(
 
 def _v_phase(p: Program, stmt_id: int, phase_u: Optional[QuasiPoly]) -> Optional[QuasiPoly]:
     """A statement's phase in its ``v_`` iterators, from its phase in its
-    ``u_`` iterators (``phi(p, f, stmt_id, "u_")``), made canonical again.
-    The renaming is exact because no parameter carries a reserved prefix."""
+    ``u_`` iterators (``phi(Counting(p), f, stmt_id, "u_")``), made
+    canonical again.  The renaming is exact because no parameter carries a
+    reserved prefix."""
     if phase_u is None:
         return None
     iters = p.enclosing_iterators(stmt_id)
@@ -126,28 +126,27 @@ def race_candidates(p: Program) -> list[RaceCandidate]:
     """All access pairs that the clock-free happens-before fails to order
     on a common array element."""
     basics = p.basic_statements()
-    context = param_context(p)
+    counting = Counting(p)
     out: list[RaceCandidate] = []
 
     # Computed once per program: each statement's domain per prefix, and each
-    # (clock, representative) phase, by one phi call in the u_ iterators that
-    # the v_ side renames (_v_phase).  The phi calls share one counting
-    # context, so an emptiness proof or summation that two representatives
-    # of a clock both need is made once; it is freed when this run returns.
-    # Computed once per statement pair: its happens-before facts, which do
-    # not depend on the access pair.
+    # (clock, representative) phase, by one call of this module's phi (the
+    # name a tracer may wrap) in the u_ iterators that the v_ side renames
+    # (_v_phase).  The phi calls share one counting context, so an emptiness
+    # proof or summation that two representatives of a clock both need is
+    # made once; it is freed when this run returns.
     domain = functools.cache(functools.partial(statement_domain, p))
-    counting = Counting(context)
 
     @functools.cache
     def phase_of(finish_id: int, rep: int) -> Optional[QuasiPoly]:
-        return phi(p, finish_id, rep, "u_", counting=counting)
+        return phi(counting, finish_id, rep, "u_")
 
     @functools.cache
     def pair_facts(u_id: int, v_id: int):
         """Both domains and the unordered disjuncts grouped by their clock
         reduction, in order; None when happens-before orders every
-        instance pair."""
+        instance pair.  Computed once per statement pair, since these facts
+        do not depend on the access pair."""
         by_clock: dict[Optional[ClockReduction], list[list[Constraint]]] = {}
         for clock, d in unordered_disjuncts(p, u_id, v_id):
             by_clock.setdefault(clock, []).append(d)
@@ -162,7 +161,7 @@ def race_candidates(p: Program) -> list[RaceCandidate]:
         dom, by_clock = facts
         subs = _subscript_equalities(p, su.node_id, u_ref, sv.node_id, v_ref)
         for reduction, unordered in by_clock:  # one candidate per clock
-            system = AffineSet(tuple(tuple(dom + subs + d) for d in unordered), tuple(context))
+            system = AffineSet(tuple(tuple(dom + subs + d) for d in unordered), counting.context)
             emptiness = is_empty_with_witness(system)
             if emptiness[0] is True:
                 continue
@@ -323,15 +322,24 @@ def _smt_tier(run: _Run, cand: RaceCandidate) -> Optional[Verdict]:
     return _gate(run, cand, model, "smt") if status == "sat" else None
 
 
+def _valuations(lower_bounds: Sequence[int], bound: int) -> Iterator[tuple[int, ...]]:
+    """The tuples with each value from its lower bound to the larger of that
+    bound and ``bound``, ordered by their maximum, then as tuples; made one
+    maximum at a time, so none is built before the ones ahead of it are
+    taken."""
+    highs = [max(lb, bound) for lb in lower_bounds]
+    for m in range(max(lower_bounds, default=0), max(highs, default=0) + 1):
+        grid = [range(lb, min(m, hi) + 1) for lb, hi in zip(lower_bounds, highs)]
+        yield from (t for t in itertools.product(*grid) if max(t, default=m) == m)
+
+
 def _bounded_tier(run: _Run, cand: RaceCandidate) -> Verdict:
     """Exhaustive interpretation at every parameter valuation up to the
     bound, smallest maximum first; the first observed race between the
     candidate's statements that passes the gate decides, else unknown."""
     p = run.p
-    grids = [range(lb, max(lb, run.bound) + 1) for _, lb in p.params]
-    combos = sorted(itertools.product(*grids), key=lambda t: (max(t, default=0), t))
     failures: dict[str, None] = {}
-    for combo in combos:
+    for combo in _valuations([lb for _, lb in p.params], run.bound):
         params = dict(zip(p.param_names(), combo))
         res = run.explore(params)
         if isinstance(res, str):

@@ -12,6 +12,7 @@ import sympy
 from clockrace import analyze, explore, parse, phi
 from clockrace.generators import counting_nest, parse_poly
 from clockrace.interp import instantiate, term_instances
+from clockrace.phi import Counting
 
 import fuzzgen
 from conftest import advance_count, load
@@ -44,8 +45,8 @@ def test_criterion_1_jacobi():
     ok = (
         len(a.candidates) == 4
         and described == expected_pairs
-        and same_poly(phi(p, 0, s0, "u_"), 2 * sym("u_t"))
-        and same_poly(phi(p, 0, s1, "u_"), 2 * sym("u_t") + 1)
+        and same_poly(phi(Counting(p), 0, s0, "u_"), 2 * sym("u_t"))
+        and same_poly(phi(Counting(p), 0, s1, "u_"), 2 * sym("u_t") + 1)
         and all(v.status == "race-free" and v.method == "affine" for _, v in a.candidates)
         and elapsed < 5.0
     )
@@ -62,7 +63,7 @@ def test_criterion_2_gauss_seidel():
     (s0,) = (s.node_id for s in p.basic_statements())
     ok = (
         len(a.candidates) == 2
-        and same_poly(phi(p, 0, s0, "u_"), 2 * sym("u_t") + sym("u_i"))
+        and same_poly(phi(Counting(p), 0, s0, "u_"), 2 * sym("u_t") + sym("u_i"))
         and all(v.status == "race-free" and v.method == "affine" for _, v in a.candidates)
     )
     conclude(2, ok, "2 candidates, phi=2t+i, both RaceFree(affine)")
@@ -85,7 +86,7 @@ def test_criterion_3_qr():
     N, k, i = sym("N"), sym("u_k"), sym("u_i")
     expected = N * k + i - sympy.Rational(1, 2) * k**2 - sympy.Rational(1, 2) * k
     phis_ok = all(
-        same_poly(phi(p, 0, s.node_id, "u_"), expected) for s in p.basic_statements()
+        same_poly(phi(Counting(p), 0, s.node_id, "u_"), expected) for s in p.basic_statements()
     )
 
     without = analyze(p, bound=8)
@@ -177,7 +178,7 @@ def test_criterion_6_phi_validation():
         # domains (the guarded QR nest) still contribute >= 20 points
         enum_grid = _param_grid(p, hi=4)
         for stmt in p.basic_statements():
-            q = phi(p, 0, stmt.node_id, "v_")
+            q = phi(Counting(p), 0, stmt.node_id, "v_")
             assert q is not None, (name, stmt.name)
             points_checked = 0
             for params in enum_grid:
@@ -203,7 +204,7 @@ def test_criterion_6_phi_validation():
             for inst in res.instances:
                 if inst[0] != "basic":
                     continue
-                qq = phi(p, 0, inst[1], "u_")
+                qq = phi(Counting(p), 0, inst[1], "u_")
                 env = {("u_" + k): x for k, x in inst[2]}
                 env.update(params)
                 if qq.evaluate(env) != dynamic_phi(res, inst, (0, ())):

@@ -256,9 +256,9 @@ def test_interpret_reports_races(tmp_path, capsys):
 
 
 def test_interpret_missing_param_exit_1(capsys):
-    code, _, err = run(capsys, "interpret", str(corpus_path("jacobi")), "--param", "N=3")
-    assert code == 1
-    assert "T" in err
+    code, out, err = run(capsys, "interpret", str(corpus_path("jacobi")), "--param", "N=3")
+    assert code == 1 and out == ""
+    assert err == "error: missing value for parameter T\n"
 
 
 def test_interpret_deep_nesting_exit_1(tmp_path, capsys):

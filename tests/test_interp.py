@@ -21,10 +21,11 @@ def env(inst):
 
 def interned(t):
     """A fresh term table for t, the elements of t as a body in it, and t's
-    instances."""
-    instances = term_instances(t)
-    terms = _Terms({inst: i for i, inst in enumerate(instances)})
-    return terms, terms.body(t), instances
+    instances, which interning numbers in ``term_instances`` order."""
+    terms = _Terms()
+    body = terms.body(t)
+    assert terms.instances == term_instances(t)
+    return terms, body, terms.instances
 
 
 def decoded_steps(terms, instances, t):
@@ -324,9 +325,12 @@ UNCOUNTED_RUNS = {
 
 @pytest.mark.parametrize("runs", UNCOUNTED_RUNS)
 def test_uncounted_run_has_the_same_facts(runs):
+    # explore numbers the instances as it interns the term; the numbering
+    # is term_instances' order, on which every instance bitmask rests
     for p, params, max_states in UNCOUNTED_RUNS[runs]():
         counted = explore(p, params, max_states=max_states)
         uncounted = explore(p, params, max_states=max_states, count_traces=False)
+        assert counted.instances == term_instances(instantiate(p, params)), params
         assert uncounted.trace_count is None
         assert _facts(uncounted) == _facts(counted), params
 

@@ -20,7 +20,6 @@ from clockrace import (
 )
 from clockrace.affine import AffineSet
 from clockrace.generators import counting_nest
-from clockrace.hb import param_context
 from clockrace.interp import instantiate, term_instances
 from clockrace.phi import Counting, _bernoulli
 from clockrace.smt import emit_smtlib
@@ -271,7 +270,7 @@ def test_sum_over_matches_per_power_reference(case):
 
 def corpus_phis(name):
     p = load(name)
-    return p, [phi(p, 0, s.node_id, "u_") for s in p.basic_statements()]
+    return p, [phi(Counting(p), 0, s.node_id, "u_") for s in p.basic_statements()]
 
 
 def assert_poly(q, expected):
@@ -305,8 +304,8 @@ def test_phi_fig1():
     # fig1a: only the activity's own j - i + 1 advances are ordered before
     # S0(i, j).  fig1b adds the primary's i - 1 skewing advances from the
     # spawns that happened before activity i, for a total of j.
-    assert_poly(phi(pa, 0, pa.basic_statements()[0].node_id, "u_"), j - i + 1)
-    assert_poly(phi(pb, 0, pb.basic_statements()[0].node_id, "u_"), j)
+    assert_poly(phi(Counting(pa), 0, pa.basic_statements()[0].node_id, "u_"), j - i + 1)
+    assert_poly(phi(Counting(pb), 0, pb.basic_statements()[0].node_id, "u_"), j)
 
 
 def test_phi_sor_and_moldyn_and_lufact():
@@ -345,7 +344,7 @@ def in_domain_points(p, stmt_id, params):
 def test_phi_matches_enumeration(name, params_list):
     p = load(name)
     for stmt in p.basic_statements():
-        q = phi(p, 0, stmt.node_id, "v_")
+        q = phi(Counting(p), 0, stmt.node_id, "v_")
         assert q is not None
         for params in params_list:
             for point in in_domain_points(p, stmt.node_id, params):
@@ -375,7 +374,7 @@ def test_phi_matches_dynamic_phase(name, params):
     res = explore(p, params)
     assert res.terminated
     clock = (0, ())
-    polys = {s.node_id: phi(p, 0, s.node_id, "u_") for s in p.basic_statements()}
+    polys = {s.node_id: phi(Counting(p), 0, s.node_id, "u_") for s in p.basic_statements()}
     checked = 0
     for inst in res.instances:
         if inst[0] != "basic":
@@ -397,13 +396,13 @@ def test_phi_none_on_non_unit_bounds():
         "clocked finish { for (i=0:N) { if (2*i <= N) { advance; } } S0(); }\n"
     )
     stmt = p.basic_statements()[0]
-    assert phi(p, 0, stmt.node_id, "u_") is None
+    assert phi(Counting(p), 0, stmt.node_id, "u_") is None
 
 
 def test_phi_zero_when_no_advances():
     p = parse("param N >= 1;\nclocked finish { S0(); }\n")
     stmt = p.basic_statements()[0]
-    q = phi(p, 0, stmt.node_id, "u_")
+    q = phi(Counting(p), 0, stmt.node_id, "u_")
     assert q is not None and sympy.expand(to_sympy(q)) == 0
 
 
@@ -418,7 +417,7 @@ def test_phi_lists_every_iterator_and_parameter(source, expected):
     parameters that occur in the polynomial: here M and u_i never do."""
     p = parse("param N >= 1;\nparam M >= 0;\n" + source + "\n")
     stmt = p.basic_statements()[0]
-    q = phi(p, 0, stmt.node_id, "u_")
+    q = phi(Counting(p), 0, stmt.node_id, "u_")
     assert str(q) == expected
     assert q.variables == {"0": (), "N+1": ("N",)}[expected]
 
@@ -439,7 +438,7 @@ def test_phi_zero_when_inner_range_is_empty(body):
         f"clocked finish {{ for (i = 1 : N) {{ {body} }} S0(); }}\n"
     )
     stmt = p.basic_statements()[0]
-    q = phi(p, 0, stmt.node_id, "u_")
+    q = phi(Counting(p), 0, stmt.node_id, "u_")
     assert q is not None and str(q) == "0"
 
 
@@ -476,12 +475,12 @@ def test_phi_counts_each_subproblem_once(monkeypatch):
     writer, reader = p.basic_statements()
     [(reduction, _)] = unordered_disjuncts(p, writer.node_id, reader.node_id)
     calls = record_counting(monkeypatch)
-    first = phi(p, reduction.finish_id, reduction.rep_u, "u_")
+    first = phi(Counting(p), reduction.finish_id, reduction.rep_u, "u_")
     once = list(calls)
     assert first is not None
     assert {c[0] for c in once} == {"sum_over", "is_empty"}
     assert len(set(once)) == len(once)
-    assert phi(p, reduction.finish_id, reduction.rep_u, "u_") == first
+    assert phi(Counting(p), reduction.finish_id, reduction.rep_u, "u_") == first
     assert calls[len(once):] == once
 
 
@@ -523,19 +522,11 @@ def test_shared_counting_keeps_each_statements_domain():
     shared context, the proofs made for the guarded statement do not answer
     the unguarded one's, and a failed count fails again."""
     guarded, plain = GUARDED.basic_statements()
-    counting = Counting(param_context(GUARDED))
-    assert phi(GUARDED, 0, guarded.node_id, "u_", counting) == QuasiPoly.var("u_t")
-    assert phi(GUARDED, 0, plain.node_id, "u_", counting) is None
-    assert phi(GUARDED, 0, plain.node_id, "u_", counting) is None
-    assert phi(GUARDED, 0, plain.node_id) is None
-
-
-def test_phi_refuses_a_counting_context_of_other_parameter_facts():
-    """A context's answers hold only under the parameter facts it was made
-    from, so phi refuses one made for other facts."""
-    guarded, _ = GUARDED.basic_statements()
-    with pytest.raises(ValueError):
-        phi(GUARDED, 0, guarded.node_id, "u_", Counting([]))
+    counting = Counting(GUARDED)
+    assert phi(counting, 0, guarded.node_id, "u_") == QuasiPoly.var("u_t")
+    assert phi(counting, 0, plain.node_id, "u_") is None
+    assert phi(counting, 0, plain.node_id, "u_") is None
+    assert phi(Counting(GUARDED), 0, plain.node_id) is None
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +549,7 @@ def test_phase_after_a_counting_nest_is_its_polynomial(poly):
     depths = [len(p.enclosing_iterators(a.node_id)) for a in p.advance_statements()]
     assert max(depths) == COUNTING_NESTS[poly]
     (stmt,) = p.basic_statements()
-    assert phi(p, 0, stmt.node_id, "u_") == spec
+    assert phi(Counting(p), 0, stmt.node_id, "u_") == spec
 
 
 def test_phi_counts_a_deep_nest_in_bounded_stack():
@@ -571,5 +562,5 @@ def test_phi_counts_a_deep_nest_in_bounded_stack():
     )
     (stmt,) = p.basic_statements()
     with recursion_headroom(100):
-        q = phi(p, 0, stmt.node_id, "u_")
+        q = phi(Counting(p), 0, stmt.node_id, "u_")
     assert q == QuasiPoly.constant(1)

@@ -1,3 +1,6 @@
+import contextlib
+import itertools
+import os
 import re
 
 import pytest
@@ -12,6 +15,7 @@ from clockrace import (
     race_test,
     races,
 )
+from clockrace.phi import Counting
 from clockrace.syntax import Finish, Program
 
 import fuzzgen
@@ -141,17 +145,17 @@ def test_v_phase_is_the_renamed_u_phase():
     checked = clocked = 0
     for p in programs:
         for f, rep in clocked_reps(p):
-            phase_u = phi(p, f, rep, "u_")
-            assert races._v_phase(p, rep, phase_u) == phi(p, f, rep, "v_"), (f, rep)
+            phase_u = phi(Counting(p), f, rep, "u_")
+            assert races._v_phase(p, rep, phase_u) == phi(Counting(p), f, rep, "v_"), (f, rep)
             checked += phase_u is not None
         for c in race_candidates(p):
             if c.reduction is not None:
                 f, rep_u, rep_v = c.reduction
-                assert c.phi_u == phi(p, f, rep_u, "u_"), c.describe(p)
-                assert c.phi_v == phi(p, f, rep_v, "v_"), c.describe(p)
+                assert c.phi_u == phi(Counting(p), f, rep_u, "u_"), c.describe(p)
+                assert c.phi_v == phi(Counting(p), f, rep_v, "v_"), c.describe(p)
                 clocked += 1
     assert checked >= 200 and clocked >= 40
-    assert all("uz" in phi(QR_UZ, f, rep).variables for f, rep in clocked_reps(QR_UZ))
+    assert all("uz" in phi(Counting(QR_UZ), f, rep).variables for f, rep in clocked_reps(QR_UZ))
 
 
 @pytest.mark.parametrize(
@@ -162,9 +166,9 @@ def test_v_phase_is_the_renamed_u_phase():
 def test_phi_calls_per_analysis(monkeypatch, name, calls):
     prefixes = []
 
-    def counted(p, finish_id, stmt_id, prefix, counting):
+    def counted(counting, finish_id, stmt_id, prefix):
         prefixes.append(prefix)
-        return phi(p, finish_id, stmt_id, prefix, counting)
+        return phi(counting, finish_id, stmt_id, prefix)
 
     monkeypatch.setattr(races, "phi", counted)
     analyze(load(name), bound=2)
@@ -463,6 +467,51 @@ def test_bounded_confirms_nonlinear_race():
     (pair,) = a.candidates
     _, v = pair
     assert v.status == "witness" and v.confirmed and v.method == "bounded"
+
+
+# Lower bounds with none, negative and mixed values.
+LOWER_BOUNDS = [(), (0,), (2,), (-2,), (0, 0), (1, -1), (-3, 2, 0), (2, 2, 5), (0, 3)]
+
+
+@pytest.mark.parametrize("lower_bounds", LOWER_BOUNDS, ids=str)
+def test_valuations_are_the_sorted_grid(lower_bounds):
+    # the order of sorting the whole grid by maximum, then as tuples
+    from clockrace.races import _valuations
+
+    for bound in range(6):
+        grid = itertools.product(*(range(lb, max(lb, bound) + 1) for lb in lower_bounds))
+        expected = sorted(grid, key=lambda t: (max(t, default=0), t))
+        assert list(_valuations(lower_bounds, bound)) == expected, bound
+
+
+@contextlib.contextmanager
+def address_space_limit(headroom: int):
+    """Cap this process's address space at its current size plus
+    ``headroom`` bytes for the block, so that building a huge grid fails
+    at once with a MemoryError."""
+    resource = pytest.importorskip("resource")
+    try:
+        with open("/proc/self/statm") as f:
+            size = int(f.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    except OSError:
+        pytest.skip("the process size is not readable")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + headroom if soft == resource.RLIM_INFINITY else min(size + headroom, soft)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def test_valuations_are_made_lazily():
+    # the grid at bound 10^9 does not fit in memory; the first two
+    # valuations need none of it
+    from clockrace.races import _valuations
+
+    with address_space_limit(1 << 28):
+        first = list(itertools.islice(_valuations([0, 1], 10**9), 2))
+    assert first == [(0, 1), (1, 1)]
 
 
 # ---------------------------------------------------------------------------
