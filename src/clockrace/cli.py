@@ -142,30 +142,33 @@ def _cmd_interpret(args) -> int:
     return EXIT_OK
 
 
+_GEN_TOO_DEEP = "generated program nested too deeply to build or print"
+
+
 def _cmd_gen_count(args) -> int:
     try:
-        spec = parse_poly(args.poly)
-        program = counting_nest(spec)
+        text = print_program(counting_nest(parse_poly(args.poly)))
     except ValueError as e:
         return _fail(e)
-    print(print_program(program), end="")
+    except RecursionError:
+        return _fail(_GEN_TOO_DEEP)
+    print(text, end="")
     return EXIT_OK
 
 
 def _cmd_gen_race(args) -> int:
     try:
-        p1 = parse_poly(args.p1)
-        p2 = parse_poly(args.p2)
-        if args.all_orthants:
-            tests = race_tests_all_orthants(p1, p2)
-        else:
-            tests = [race_test(p1, p2)]
+        p1, p2 = parse_poly(args.p1), parse_poly(args.p2)
+        tests = race_tests_all_orthants(p1, p2) if args.all_orthants else [race_test(p1, p2)]
+        texts = [print_program(t.program) for t in tests]
     except ValueError as e:
         return _fail(e)
-    for i, t in enumerate(tests):
+    except RecursionError:
+        return _fail(_GEN_TOO_DEEP)
+    for i, (t, text) in enumerate(zip(tests, texts)):
         signs = " ".join(f"{v}{'+' if s > 0 else '-'}" for v, s in t.signs)
         print(f"// orthant {i}: {signs or '(none)'}")
-        print(print_program(t.program), end="")
+        print(text, end="")
         if i + 1 < len(tests):
             print()
     return EXIT_OK

@@ -1,13 +1,13 @@
 """Reference small-step interpreter for mini-X10 programs.
 
-For fixed parameter values, a program is instantiated into a finite runtime
-term (loops unrolled, guards resolved).  The interpreter then explores the
+For fixed parameter values, a program unrolls into a finite runtime term
+(loops unrolled, guards resolved).  The interpreter then explores the
 full nondeterministic state space with memoization, producing ground-truth
 dynamic facts: the happens-before relation over statement instances, data
 races observed in some schedule, termination, the clock phase at which each
 instance executes and, on request, the number of distinct traces.
 
-``instantiate`` returns a runtime term as nested tuples:
+``instantiate`` returns the runtime term as nested tuples:
 
     ("basic", node_id, env)      ("advance", node_id, env)
     ("seq", (t1, ..., tn))       ("async", t)
@@ -18,23 +18,27 @@ term is ``None``.  A leaf is also a statement instance, ``(kind, node_id,
 env)``; instance i is bit ``1 << i`` of an instance bitmask, i being its
 position in ``term_instances`` of the whole program.
 
-``explore`` interns the elements of the term once into a hash-cons table,
-``_Terms``.  The interning walk meets the leaves in the pre-order of
-``term_instances`` and numbers each instance as it meets it.  A body is the
-flat tuple of its element ids: a seq's elements, ``(e,)`` for a body that
-is one element ``e``, and ``()`` once it is done.
-This is the one format of a body: an ``async`` or ``finish`` node has the
-shape of its term but holds its body's tuple as its last field, and a leaf
-node also carries its instance bit as a fourth field.  A finished element
-is the id ``DONE``, which a body drops; an ``async`` or ``finish`` whose
-body is done is itself ``DONE``.  Equal terms get equal ids, so equal
-bodies are equal tuples.  The clock counter vector of a state (a sorted
-tuple of (clock, steps taken) pairs) is interned too.
+``explore`` builds no such term: ``_Terms.build`` unrolls the program
+straight into a hash-cons table, ``_Terms``, in one walk that meets the
+leaves in the pre-order of ``term_instances`` and numbers each instance as
+it meets it.  A body is the flat tuple of its element ids: a seq's
+elements, ``(e,)`` for a body that is one element ``e``, and ``()`` once
+it is done.  This is the one format of a body: an ``async`` or ``finish``
+node has the shape of its term but holds its body's tuple as its last
+field, and a leaf node also carries its instance bit as a fourth field.
+A finished element is the id ``DONE``, which a body drops; an ``async``
+or ``finish`` whose body is done is itself ``DONE``, and one whose body
+unrolls to nothing is no element at all.  Equal terms get equal ids, so
+equal bodies are equal tuples.  ``instantiate`` is a view of that table:
+the nested term of the root body, its leaves without their bits.  The
+clock counter vector of a state (a sorted tuple of (clock, steps taken)
+pairs) is interned too.
 
-The root ``finish`` is a frame around the state's elements, not a node: a
-state is ``(elements, counter id)``, where ``elements`` is the root body.
-``_Terms.frame_steps`` gives the finish's steps with the body's next
-elements; a root that is not a finish is the body of an unclocked frame.
+When the root body is one ``finish`` element, that finish is a frame around
+the state's elements: a state is ``(elements, counter id)``, where
+``elements`` is the finish's body.  ``_Terms.frame_steps`` gives the
+finish's steps with the body's next elements; any other root body is the
+body of an unclocked frame.
 
 Scheduling follows the statement classification: the i-th element of a
 sequence may take a step only when every earlier element is asynchronous.
@@ -185,53 +189,21 @@ def _env_tuple(env: Mapping[str, int], names) -> Env:
 
 
 def instantiate(p: Program, params: Mapping[str, int]) -> Term:
-    """Unroll the program for concrete parameter values."""
-    for name, lb in p.params:
-        if name not in params:
-            raise ValueError(f"missing value for parameter {name}")
-        if params[name] < lb:
-            raise ValueError(f"parameter {name}={params[name]} below bound {lb}")
+    """Unroll the program for concrete parameter values: the nested term
+    of the body that :meth:`_Terms.build` interns."""
+    terms = _Terms()
+    nodes = terms.nodes
 
-    def build(s: Stmt, env: dict[str, int], iters: tuple[str, ...]) -> Term:
-        if isinstance(s, Basic):
-            return ("basic", s.node_id, _env_tuple(env, iters))
-        if isinstance(s, Advance):
-            return ("advance", s.node_id, _env_tuple(env, iters))
-        if isinstance(s, Seq):
-            return _mk_seq([build(t, env, iters) for t in s.body])
-        if isinstance(s, For):
-            full = {**env, **params}
-            lo, hi = s.lo.evaluate(full), s.hi.evaluate(full)
-            inner = iters + (s.var,)
-            return _mk_seq([build(s.body, {**env, s.var: val}, inner) for val in range(lo, hi + 1)])
-        if isinstance(s, If):
-            if all(c.evaluate({**env, **params}) >= 0 for c in s.conds):
-                return build(s.body, env, iters)
+    def term(elems: tuple) -> Term:
+        parts = []
+        for u in elems:  # a leaf without its bit, or a node with its body's term
+            node = nodes[u]
+            parts.append(node[:3] if len(node) == 4 else node[:-1] + (term(node[-1]),))
+        if not parts:
             return None
-        if isinstance(s, Async):
-            t = build(s.body, env, iters)
-            return None if t is None else ("async", t)
-        if isinstance(s, Finish):
-            t = build(s.body, env, iters)
-            if t is None:
-                return None
-            return ("finish", s.clocked, s.node_id, _env_tuple(env, iters), t)
-        raise TypeError(f"unknown statement {s!r}")
+        return parts[0] if len(parts) == 1 else ("seq", tuple(parts))
 
-    return build(p.root, {}, ())
-
-
-def _mk_seq(parts: list) -> Term:
-    """The flat seq of the parts that are not empty."""
-    flat: list = []
-    for t in parts:
-        if t is not None:
-            flat.extend(t[1] if t[0] == "seq" else (t,))
-    if not flat:
-        return None
-    if len(flat) == 1:
-        return flat[0]
-    return ("seq", tuple(flat))
+    return term(terms.build(p, params))
 
 
 def term_instances(t: Term) -> list[Instance]:
@@ -261,13 +233,13 @@ DONE = -1  # the id of a finished element
 
 
 class _Terms:
-    """Hash-cons table of the runtime terms of one exploration.  A body is
-    its flat tuple of element ids, none of them DONE: an ``async`` or
-    ``finish`` node holds its body as its last field, and a leaf node
-    carries its instance's bit, ``1 << i`` for instance ``instances[i]``,
-    as a fourth field.  ``seq_steps`` and ``frame_steps`` step a body.
-    Nodes are only ever added, so an id names one term for the whole
-    exploration."""
+    """Hash-cons table of the runtime terms of one exploration.  ``build``
+    fills it with one program unrolled.  A body is its flat tuple of
+    element ids, none of them DONE: an ``async`` or ``finish`` node holds
+    its body as its last field, and a leaf node carries its instance's
+    bit, ``1 << i`` for instance ``instances[i]``, as a fourth field.
+    ``seq_steps`` and ``frame_steps`` step a body.  Nodes are only ever
+    added, so an id names one term for the whole exploration."""
 
     def __init__(self) -> None:
         self.instances: list[Instance] = []  # by bit, in ``term_instances`` order
@@ -282,20 +254,49 @@ class _Terms:
             self.nodes.append(t)
         return tid
 
-    def body(self, t: Term) -> tuple:
-        """The elements of instantiated term ``t``: a seq's own, ``()`` for
-        the empty term.  Each leaf gets the next instance bit, so the term
-        of a whole program numbers its instances in ``term_instances``
-        order."""
-        if t is None:
-            return ()
-        elems = []
-        for u in t[1] if t[0] == "seq" else (t,):
-            if u[0] in ("async", "finish"):
-                elems.append(self.node(u[:-1] + (self.body(u[-1]),)))
+    def build(self, p: Program, params: Mapping[str, int]) -> tuple:
+        """Unroll the program for concrete parameter values into the table:
+        the root body's elements.  Each leaf gets the next instance bit, in
+        ``term_instances`` order."""
+        for name, lb in p.params:
+            if name not in params:
+                raise ValueError(f"missing value for parameter {name}")
+            if params[name] < lb:
+                raise ValueError(f"parameter {name}={params[name]} below bound {lb}")
+        node, instances = self.node, self.instances
+
+        def walk(s: Stmt, env: dict[str, int], iters: tuple[str, ...], out: list) -> None:
+            """Append the elements of ``s`` to ``out``; one frame per level."""
+            if isinstance(s, (Basic, Advance)):
+                kind = "basic" if isinstance(s, Basic) else "advance"
+                inst = (kind, s.node_id, _env_tuple(env, iters))
+                out.append(node(inst + (1 << len(instances),)))
+                instances.append(inst)
+            elif isinstance(s, Seq):
+                for t in s.body:
+                    walk(t, env, iters, out)
+            elif isinstance(s, For):
+                full = {**env, **params}
+                inner = iters + (s.var,)
+                for val in range(s.lo.evaluate(full), s.hi.evaluate(full) + 1):
+                    walk(s.body, {**env, s.var: val}, inner, out)
+            elif isinstance(s, If):
+                if all(c.evaluate({**env, **params}) >= 0 for c in s.conds):
+                    walk(s.body, env, iters, out)
+            elif isinstance(s, (Async, Finish)):
+                body: list = []
+                walk(s.body, env, iters, body)
+                if body:  # a body that unrolls to nothing leaves no element
+                    if isinstance(s, Async):
+                        head: tuple = ("async",)
+                    else:
+                        head = ("finish", s.clocked, s.node_id, _env_tuple(env, iters))
+                    out.append(node(head + (tuple(body),)))
             else:
-                elems.append(self.node(u + (1 << len(self.instances),)))
-                self.instances.append(u)
+                raise TypeError(f"unknown statement {s!r}")
+
+        elems: list = []
+        walk(p.root, {}, (), elems)
         return tuple(elems)
 
     def wrap(self, head: tuple, body: tuple) -> int:
@@ -432,22 +433,22 @@ def explore(
     traces are counted only when ``count_traces`` is set; otherwise the
     result's ``trace_count`` is None and the search skips sleeping steps
     (see the module doc)."""
-    t0 = instantiate(p, params)
-
-    # The root finish is a frame: a state holds the elements of its body,
-    # not a finish node (see the module doc).  Any other root is the body of
-    # an unclocked frame.
-    if t0 is not None and t0[0] == "finish":
-        _, clocked, node_id, env, body = t0
-        clock: Optional[ClockKey] = (node_id, env)
-    else:
-        clocked, clock, body = False, None, t0
     terms = _Terms()
     frame_steps = terms.frame_steps
+    initial = terms.build(p, params)
+
+    # A root body that is one finish is a frame: a state holds the elements
+    # of the finish's body (see the module doc).  Any other root body is the
+    # body of an unclocked frame.
+    root = terms.nodes[initial[0]] if len(initial) == 1 else None
+    if root is not None and root[0] == "finish":
+        _, clocked, node_id, env, initial = root
+        clock: Optional[ClockKey] = (node_id, env)
+    else:
+        clocked, clock = False, None
     counters: list[Counters] = [()]  # counter id -> clock counter vector
     counter_ids: dict[Counters, int] = {(): 0}
     fired_at = [0]  # per counter id: instances fired in some state with it
-    initial = terms.body(body)
     instances = terms.instances
     index = {inst: i for i, inst in enumerate(instances)}
     n = len(instances)

@@ -368,7 +368,7 @@ def validate_clock_rules(p: Program) -> list[Diagnostic]:
             continue
         tag = what.replace(" ", "-")
         found: dict[str, Diagnostic] = {}  # nearest offender per rule
-        for anc in p.ancestors(node_id):
+        for anc in reversed(p.path_to(node_id)[:-1]):
             if isinstance(anc, Finish) and anc.clocked:
                 diags.extend(found.values())
                 break

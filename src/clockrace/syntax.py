@@ -13,7 +13,7 @@ pre-order from 0.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,8 @@ class Program:
     """The header and the statement tree, numbered: ``root`` is the given
     tree rebuilt with every node's id set, in pre-order from 0, whatever id
     a node had.  ``nodes`` maps ids to nodes of that tree, in pre-order,
-    and ``parent`` ids to their parent's id."""
+    ``parent`` ids to their parent's id, and ``paths`` ids to root paths,
+    tuples of nodes from the root down: d²/2 references for a d-deep nest."""
 
     def __init__(
         self,
@@ -223,6 +224,9 @@ class Program:
             return s
 
         self.root = number(root, None)
+        self.paths: dict[int, tuple[Stmt, ...]] = {}
+        for nid, s in self.nodes.items():  # pre-order: a parent's path comes first
+            self.paths[nid] = self.paths.get(self.parent[nid], ()) + (s,)
 
     def node(self, node_id: int) -> Stmt:
         try:
@@ -230,19 +234,12 @@ class Program:
         except KeyError:
             raise KeyError(f"unknown node_id {node_id}") from None
 
-    def ancestors(self, node_id: int) -> Iterator[Stmt]:
-        """Ancestors from the node's parent up to the root."""
-        cur = self.parent[node_id]
-        while cur is not None:
-            yield self.nodes[cur]
-            cur = self.parent[cur]
-
-    def path_to(self, node_id: int) -> list[Stmt]:
+    def path_to(self, node_id: int) -> tuple[Stmt, ...]:
         """Nodes from the root down to (and including) the node."""
-        path = [self.node(node_id)]
-        path.extend(self.ancestors(node_id))
-        path.reverse()
-        return path
+        try:
+            return self.paths[node_id]
+        except KeyError:
+            raise KeyError(f"unknown node_id {node_id}") from None
 
     def basic_statements(self) -> list[Basic]:
         return [s for s in self.nodes.values() if isinstance(s, Basic)]
@@ -268,8 +265,7 @@ class Program:
 
 def governing_clocked_finish(p: Program, node_id: int) -> Optional[int]:
     """Nearest clocked-finish ancestor of a node, or None."""
-    p.node(node_id)
-    for anc in p.ancestors(node_id):
+    for anc in reversed(p.path_to(node_id)[:-1]):
         if isinstance(anc, Finish) and anc.clocked:
             return anc.node_id
     return None

@@ -10,7 +10,7 @@ import clockrace
 from clockrace import parse
 from clockrace.cli import main
 
-from conftest import corpus_path
+from conftest import corpus_path, recursion_headroom
 
 
 def run(capsys, *argv):
@@ -262,13 +262,11 @@ def test_interpret_missing_param_exit_1(capsys):
 
 
 def test_interpret_deep_nesting_exit_1(tmp_path, capsys):
-    # deep enough for the interpreter's recursion, shallow enough to parse
-    depth = 400
+    # deep enough for the interpreter's recursion, two frames per finish,
+    # shallow enough to parse
+    depth = 700
     f = tmp_path / "deep.cx10"
-    f.write_text(
-        "param N >= 1;\narray A[1];\n"
-        + "finish {\n" * depth + "A[0] = f();\n" + "}\n" * depth
-    )
+    f.write_text("param N >= 1;\narray A[1];\n" + "finish\n" * depth + "A[0] = f();\n")
     code, _, err = run(capsys, "interpret", str(f), "--param", "N=1")
     assert code == 1
     assert err == "error: program nested too deeply to interpret\n"
@@ -392,6 +390,21 @@ def test_gen_race_all_orthants(capsys):
     assert code == 0
     assert "// orthant 0: x+" in out
     assert "// orthant 1: x-" in out
+
+
+@pytest.mark.parametrize("frames", [100, 200, 400])
+@pytest.mark.parametrize(
+    "argv", [("gen-count", "--poly"), ("gen-race", "--p2", "1", "--p1")], ids=["gen-count", "gen-race"]
+)
+def test_gen_nested_too_deeply_exit_1(capsys, argv, frames):
+    # a product nests one loop per variable; whichever recursion runs out
+    # first (building the nest, numbering it or printing it, by the frames
+    # left), the command prints one error line, not a traceback
+    poly = "*".join(f"x{i}" for i in range(150))
+    with recursion_headroom(frames):
+        code, out, err = run(capsys, *argv, poly)
+    assert code == 1 and out == ""
+    assert err == "error: generated program nested too deeply to build or print\n"
 
 
 def test_gen_race_negative_coefficient_exit_1(capsys):

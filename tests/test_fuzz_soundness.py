@@ -7,6 +7,7 @@ from clockrace.interp import instantiate, term_instances
 from clockrace.parser import validate_clock_rules
 
 import fuzzgen
+import smallscope
 
 
 def test_generator_is_deterministic():
@@ -30,6 +31,15 @@ def test_soundness_on_fresh_seeds():
     for k, source, errs in errors:
         print(f"violating program (seed {777_000 + k}):\n{source}\n{errs}")
     assert errors == []
+
+
+def test_small_scope_slice_is_sound():
+    # every program of the slice, which reaches a clocked finish inside a
+    # parallel loop; no valid program hits the state limit
+    valid, skipped, violations = smallscope.check_slice()
+    for source, errs in violations:
+        print(f"violating program:\n{source}{errs}")
+    assert (valid, skipped, violations) == (333, 0, [])
 
 
 def test_checks_catch_a_seeded_unconfirmed_witness():

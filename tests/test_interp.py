@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import pytest
@@ -19,12 +20,13 @@ def env(inst):
     return dict(inst[2])
 
 
-def interned(t):
-    """A fresh term table for t, the elements of t as a body in it, and t's
-    instances, which interning numbers in ``term_instances`` order."""
+def interned(p, params):
+    """A fresh term table holding p unrolled at params, its root body's
+    elements, and its instances, which the unrolling numbers in
+    ``term_instances`` order."""
     terms = _Terms()
-    body = terms.body(t)
-    assert terms.instances == term_instances(t)
+    body = terms.build(p, params)
+    assert terms.instances == term_instances(instantiate(p, params))
     return terms, body, terms.instances
 
 
@@ -70,13 +72,45 @@ def test_instantiate_empty_loop():
     assert term_instances(t) == []
 
 
+# Hand cases at N = 1: a block holding one finish, an empty loop range, a
+# false guard, and an async whose body unrolls to nothing.
+INSTANTIATED = {
+    "{ finish { A[0] = f(); A[0] = g(); } }": (
+        "finish", False, 1, (), ("seq", (("basic", 3, ()), ("basic", 4, ()))),
+    ),
+    "{ A[0] = f(); for (i=1:N-1) { A[i] = g(); } }": ("basic", 1, ()),
+    "for (i=0:N-1) { if (i - 1 >= 0) { A[i] = f(); } A[i] = g(); }": ("basic", 5, (("i", 0),)),
+    "{ async { for (i=1:N-1) { A[i] = f(); } } A[0] = g(); }": ("basic", 6, ()),
+}
+
+
+@pytest.mark.parametrize("source", INSTANTIATED)
+def test_instantiate_hand_cases(source):
+    p = parse("param N >= 1;\narray A[1];\n" + source)
+    assert instantiate(p, {"N": 1}) == INSTANTIATED[source]
+
+
+# sha256 over the repr of the instantiated term of every golden facts run and
+# of fuzzgen.generate(0..199) at N = 1..3, each followed by a zero byte
+INSTANTIATE_DIGEST = "03fabfa3ebc68a63eeb0457f6a27ef9c109085a1996404703edfef67d20e8874"
+
+
+def test_instantiate_digest():
+    runs = [(p, params) for group in GOLDEN_FACTS for p, params, _ in _fact_runs(group)]
+    runs += [(fuzzgen.generate(seed), {"N": n}) for seed in range(200) for n in (1, 2, 3)]
+    h = hashlib.sha256()
+    for p, params in runs:
+        h.update(repr(instantiate(p, params)).encode() + b"\0")
+    assert h.hexdigest() == INSTANTIATE_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # Small-step machinery
 
 
 def test_stuck_and_clock_step():
     p = parse("param N >= 1;\narray A[1];\nclocked finish { advance; A[0] = f(); }\n")
-    terms, t, insts = interned(instantiate(p, {"N": 1}))
+    terms, t, insts = interned(p, {"N": 1})
     assert terms.seq_steps(t) != []  # clocked finish absorbs the stuck body
     assert leaf_steps(terms, insts, t) == []  # nothing can move except the clock
     clocks = clock_steps(terms, insts, t)
@@ -94,7 +128,7 @@ def test_seq_is_sequential_but_asyncs_overlap():
         "param N >= 1;\narray A[1];\n"
         "finish { { async { A[0] = f(); } A[1] = g(); } }\n"
     )
-    terms, t, insts = interned(instantiate(p, {"N": 1}))
+    terms, t, insts = interned(p, {"N": 1})
     # both the spawned f and the following g are simultaneously enabled
     assert len(leaf_steps(terms, insts, t)) == 2
     assert clock_steps(terms, insts, t) == []
@@ -114,7 +148,7 @@ def test_advance_through_unclocked_finish():
 @pytest.mark.parametrize("construct, depth", [("async", 800), ("finish", 300)])
 def test_deep_nesting_interprets(construct, depth):
     # seq_steps recurses once per async level and, through frame_steps,
-    # twice per finish level; interning a body recurses once per level
+    # twice per finish level; the unrolling walk recurses once per level
     p = parse("param N >= 1;\narray A[1];\n" + f"{construct} " * depth + "A[0] = f();\n")
     res = explore(p, {"N": 1})
     assert res.state_count == 2 and res.terminated
@@ -387,7 +421,7 @@ def _diamonds(p, params, max_bodies=2_000):
     ``max_bodies``), that two leaf steps from one body commute: each stays
     enabled after the other, and both orders reach one body.  Returns the
     number of ordered pairs checked."""
-    terms, initial, _ = interned(instantiate(p, params))
+    terms, initial, _ = interned(p, params)
     seen, todo, pairs = {initial}, [initial], 0
     while todo and len(seen) < max_bodies:
         elems = todo.pop()
@@ -622,6 +656,13 @@ ROOT_SHAPES = {
     "a root that is empty at N = 1": "for (i=1:N-1) { async { A[i] = f(); } }\n",
     "a statement before asyncs at the root": (
         "{ A[0] = g(); for (i=0:N-1) { async { A[i] = f(); } } }\n"
+    ),
+    "a block around a clocked finish": (
+        "{ clocked finish { clocked async { advance; A[0] = f(); } advance; A[0] = g(); } }\n"
+    ),
+    "a loop around a clocked finish, one iteration at N = 1": (
+        "for (i=0:N-1) { clocked finish {\n"
+        "  clocked async { advance; A[i] = f(); } advance; A[i] = g(); } }\n"
     ),
 }
 

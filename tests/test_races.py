@@ -520,8 +520,10 @@ def test_valuations_are_made_lazily():
 RACING_ASYNCS = "async { A[0] = f(); } async { A[0] = g(); }"
 
 
-def _nested(body: str, depth: int = 400) -> str:
-    return "finish { " * depth + body + " }" * depth
+def _nested(body: str, depth: int = 700) -> str:
+    """``body`` under ``depth`` finishes: deep enough for the interpreter's
+    recursion, two frames per finish, shallow enough to parse."""
+    return "finish " * depth + "{ " + body + " }"
 
 
 @pytest.mark.parametrize(
