@@ -160,10 +160,6 @@ def statement_domain(p: Program, node_id: int, prefix: str) -> list[Constraint]:
     return out
 
 
-def param_context(p: Program) -> list[Constraint]:
-    return [ge(AffineExpr.var(n).shift(-lb)) for n, lb in p.params]
-
-
 def hb_disjuncts(
     p: Program, u_id: int, v_id: int, u_prefix: str, v_prefix: str
 ) -> list[list[Constraint]]:

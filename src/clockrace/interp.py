@@ -358,7 +358,7 @@ class _Terms:
                         (k, f, self.wrap(node[:1], rest)) for k, f, rest in self.seq_steps(node[1])
                     ]
                 else:
-                    frame = self.frame_steps(node[1], (node[2], node[3]), node[4])
+                    frame = self.frame_steps((node[2], node[3]) if node[1] else None, node[4])
                     inner = [(k, f, self.wrap(node[:4], rest)) for k, f, rest in frame]
             for key, fired, nu in inner:
                 if fired & asleep:
@@ -374,15 +374,15 @@ class _Terms:
         return out
 
     def frame_steps(
-        self, clocked: bool, clock: Optional[ClockKey], elems: tuple, asleep: int = 0
+        self, clock: Optional[ClockKey], elems: tuple, asleep: int = 0
     ) -> list[BodyStep]:
         """The steps of a finish around the body with flat elements
         ``elems``, naming the body's next elements: the body's own steps
-        but those asleep or, when the finish is clocked and its body is
-        stuck (see the module doc), one step of the finish's clock.  A body
-        with a step asleep has that step, so it is not stuck."""
+        but those asleep or, when the finish has a ``clock`` and its body is
+        stuck (see the module doc), one step of that clock.  A body with a
+        step asleep has that step, so it is not stuck."""
         out = self.seq_steps(elems, asleep)
-        if clocked and not out and elems and not asleep:
+        if clock is not None and not out and elems and not asleep:
             fired, rest = self.yield_seq(elems)
             return [(clock, fired, rest)]
         return out
@@ -440,12 +440,10 @@ def explore(
     # A root body that is one finish is a frame: a state holds the elements
     # of the finish's body (see the module doc).  Any other root body is the
     # body of an unclocked frame.
-    root = terms.nodes[initial[0]] if len(initial) == 1 else None
-    if root is not None and root[0] == "finish":
-        _, clocked, node_id, env, initial = root
-        clock: Optional[ClockKey] = (node_id, env)
-    else:
-        clocked, clock = False, None
+    clock: Optional[ClockKey] = None
+    if len(initial) == 1 and terms.nodes[initial[0]][0] == "finish":
+        _, clocked, node_id, env, initial = terms.nodes[initial[0]]
+        clock = (node_id, env) if clocked else None
     counters: list[Counters] = [()]  # counter id -> clock counter vector
     counter_ids: dict[Counters, int] = {(): 0}
     fired_at = [0]  # per counter id: instances fired in some state with it
@@ -460,7 +458,7 @@ def explore(
     state_count = 1
     mask = (1 << n) - 1
     sleepable = 0 if count_traces else -1  # counting takes every edge, so nothing sleeps
-    steps = frame_steps(clocked, clock, initial)
+    steps = frame_steps(clock, initial)
     terminated = bool(steps) or not mask  # until an added state is stuck
     incomplete = False
 
@@ -511,7 +509,7 @@ def explore(
             else:
                 for i in _bits(fired):
                     forbidden[i] |= next_mask
-            next_steps = frame_steps(clocked, clock, rest, next_asleep)
+            next_steps = frame_steps(clock, rest, next_asleep)
             if next_mask and not next_steps and not next_asleep:  # a stuck state
                 terminated = False
             if count_traces:

@@ -32,14 +32,14 @@ grow with the nest.  The happens-before disjuncts of one advance differ
 only in their outer components, so the same inner sums and bound
 comparisons recur across them, and the two representatives of one clock
 count the same advances over the same ``u_`` domain and outer disjuncts.
-A ``Counting`` context therefore caches emptiness proofs by constraint
-tuple and summations by ``(integrand, var, lo, hi)``.  A context is made
-from one program and holds its parameter facts; ``phi`` takes the context
-and reads the program from it, so a context serves only the program it was
-made from.  ``races.race_candidates`` makes one per analysis and passes it
-to all its ``phi`` calls.  Sharing is sound because every key is a tuple of
-frozen values, an answer depends only on its key and the program's
-parameter facts, and a failed count stores nothing.
+A ``Counting`` context is the one static context of an analysis, made from
+one program: it holds the parameter facts, the statement domains by
+``(node_id, prefix)``, emptiness proofs by constraint tuple and summations
+by ``(integrand, var, lo, hi)``.  ``phi`` reads the program and every domain
+it needs from it, so an advance's domain is built once per analysis, and
+``races.race_candidates`` makes one per analysis.  Sharing is sound because
+every key is a tuple of frozen values, an answer depends only on its key and
+the program's parameter facts, and a failed count stores nothing.
 A phase's iterator prefix changes only the names in it, so the caller
 computes each once: ``races.race_candidates`` calls ``phi`` once per clock
 and statement with the ``u_`` prefix, and renames that polynomial's
@@ -53,17 +53,12 @@ extent, the phase function is reported as unavailable rather than guessed.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from math import comb, lcm
 from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .affine import AffineSet, Constraint, ge, is_empty
-from .hb import (
-    governed_advances,
-    hb_disjuncts,
-    param_context,
-    statement_domain,
-)
+from .hb import governed_advances, hb_disjuncts, statement_domain
 from .syntax import AffineExpr, Program
 
 _ADV_PREFIX = "a_"
@@ -288,17 +283,6 @@ class _CountFailure(Exception):
     pass
 
 
-def _bounds_of(c: Constraint, var: str) -> Optional[tuple[str, AffineExpr]]:
-    """Classify a >=0 constraint as a unit lower/upper bound on var."""
-    k = c.expr.coeff(var)
-    if k == 0:
-        return None
-    bound = c.expr.solve(var)
-    if bound is None:
-        raise _CountFailure(f"non-unit coefficient on {var}")
-    return ("lo" if k == 1 else "hi", bound)
-
-
 def _unit_equality(
     constraints: tuple[Constraint, ...], sum_vars: tuple[str, ...]
 ) -> Optional[tuple[Constraint, str, AffineExpr]]:
@@ -312,16 +296,17 @@ def _unit_equality(
 
 
 class Counting:
-    """Symbolic counting for one program, under its parameter context, with
-    caches of emptiness proofs and summations.  A context is made from one
-    program and may serve every phase function of it (``race_candidates``
-    makes one per run).  Sound because every key is a tuple of frozen values
-    and an answer depends only on its key and the context; a _CountFailure
-    is never stored."""
+    """Symbolic counting for one program: its parameter facts ``context``, its
+    statement domains ``domain(node_id, prefix)`` (``hb.statement_domain``,
+    built once per key: callers share the list and must not mutate it), and
+    caches of emptiness proofs and summations.  Sound because every key is a
+    tuple of frozen values and an answer depends only on its key and the
+    context; a _CountFailure is never stored."""
 
     def __init__(self, program: Program):
         self.program = program
-        self.context = tuple(param_context(program))
+        self.context = tuple(ge(AffineExpr.var(n).shift(-lb)) for n, lb in program.params)
+        self.domain = cache(partial(statement_domain, program))
         self.empties: dict[tuple[Constraint, ...], bool] = {}
         self.sums: dict[tuple, QuasiPoly] = {}
 
@@ -378,10 +363,16 @@ class Counting:
                 raise _CountFailure("equality with non-unit coefficient on a sum variable")
 
             var = sum_vars[-1]  # innermost loop variable
-            without = tuple(c for c in constraints if not c.expr.coeff(var))
-            bounds = [_bounds_of(c, var) for c in constraints if c.expr.coeff(var)]
-            los = [b for kind, b in bounds if kind == "lo"]
-            his = [b for kind, b in bounds if kind == "hi"]
+            rest, los, his = [], [], []  # one pass over the rows, in order
+            for c in constraints:
+                k = c.expr.coeff(var)
+                if not k:
+                    rest.append(c)
+                elif (bound := c.expr.solve(var)) is None:
+                    raise _CountFailure(f"non-unit coefficient on {var}")
+                else:
+                    (los if k == 1 else his).append(bound)
+            without = tuple(rest)
             if not los or not his:
                 raise _CountFailure(f"{var} unbounded")
             side_ctx = ctx + without
@@ -421,10 +412,10 @@ def phi(
     the statement's prefixed iterators and the parameters.  None when
     counting fails."""
     p = counting.program
-    stmt_dom = tuple(statement_domain(p, stmt_id, prefix))
+    stmt_dom = tuple(counting.domain(stmt_id, prefix))
     total: dict[Monomial, Fraction] = {}
     for adv_id in governed_advances(p, finish_id):
-        adv_dom = statement_domain(p, adv_id, _ADV_PREFIX)
+        adv_dom = counting.domain(adv_id, _ADV_PREFIX)
         sum_vars = tuple(_ADV_PREFIX + v for v in p.enclosing_iterators(adv_id))
         for d in hb_disjuncts(p, adv_id, stmt_id, _ADV_PREFIX, prefix):
             try:

@@ -36,12 +36,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 # perfbench/tracing.py wraps ``races.is_empty`` and ``races.reduce_clock`` by
 # name with getattr and fails if either is missing.
 from .affine import AffineSet, Constraint, eq, is_empty, is_empty_with_witness  # noqa: F401
-from .hb import (
-    ClockReduction,
-    reduce_clock,  # noqa: F401
-    statement_domain,
-    unordered_disjuncts,
-)
+from .hb import ClockReduction, reduce_clock, unordered_disjuncts  # noqa: F401
 from .interp import ExploreResult, Instance, explore
 from .phi import Counting, QuasiPoly, phi
 from .smt import emit_smtlib, run_solver
@@ -129,14 +124,12 @@ def race_candidates(p: Program) -> list[RaceCandidate]:
     counting = Counting(p)
     out: list[RaceCandidate] = []
 
-    # Computed once per program: each statement's domain per prefix, and each
-    # (clock, representative) phase, by one call of this module's phi (the
-    # name a tracer may wrap) in the u_ iterators that the v_ side renames
-    # (_v_phase).  The phi calls share one counting context, so an emptiness
-    # proof or summation that two representatives of a clock both need is
-    # made once; it is freed when this run returns.
-    domain = functools.cache(functools.partial(statement_domain, p))
-
+    # Computed once per program: each (clock, representative) phase, by one
+    # call of this module's phi (the name a tracer may wrap) in the u_
+    # iterators that the v_ side renames (_v_phase).  The phi calls and the
+    # pair facts share one counting context, so a statement domain, an
+    # emptiness proof or a summation that two of them need is made once; it
+    # is freed when this run returns.
     @functools.cache
     def phase_of(finish_id: int, rep: int) -> Optional[QuasiPoly]:
         return phi(counting, finish_id, rep, "u_")
@@ -152,7 +145,7 @@ def race_candidates(p: Program) -> list[RaceCandidate]:
             by_clock.setdefault(clock, []).append(d)
         if not by_clock:
             return None
-        return domain(u_id, "u_") + domain(v_id, "v_"), tuple(by_clock.items())
+        return counting.domain(u_id, "u_") + counting.domain(v_id, "v_"), tuple(by_clock.items())
 
     def consider(su: Basic, u_ref: AccessRef, sv: Basic, v_ref: AccessRef, kind: str):
         facts = pair_facts(su.node_id, sv.node_id)

@@ -87,6 +87,8 @@ def build_report(
             ):
                 key = f"{p.stmt_label(stmt_id)}@clock{cand.reduction.finish_id}"
                 phases[key] = "unavailable" if poly is None else _phase_label(p, stmt_id, poly, prefix)
+        fields = verdict._asdict()
+        fields["verdict"] = fields.pop("status")
         candidates.append(
             {
                 "index": cand.index,
@@ -96,12 +98,7 @@ def build_report(
                 "clocked": cand.reduction is not None,
                 "phi_u": str(cand.phi_u) if cand.phi_u is not None else None,
                 "phi_v": str(cand.phi_v) if cand.phi_v is not None else None,
-                "verdict": verdict.status,
-                "method": verdict.method,
-                "witness": verdict.witness,
-                "confirmed": verdict.confirmed,
-                "bound": verdict.bound,
-                "detail": verdict.detail,
+                **fields,
             }
         )
     if analysis.verdict == "PotentialRaces":

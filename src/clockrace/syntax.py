@@ -193,8 +193,8 @@ class Program:
     """The header and the statement tree, numbered: ``root`` is the given
     tree rebuilt with every node's id set, in pre-order from 0, whatever id
     a node had.  ``nodes`` maps ids to nodes of that tree, in pre-order,
-    ``parent`` ids to their parent's id, and ``paths`` ids to root paths,
-    tuples of nodes from the root down: d²/2 references for a d-deep nest."""
+    and ``paths`` ids to root paths, tuples of nodes from the root down:
+    d²/2 references for a d-deep nest."""
 
     def __init__(
         self,
@@ -205,12 +205,12 @@ class Program:
         self.params = params
         self.arrays = arrays
         self.nodes: dict[int, Stmt] = {}
-        self.parent: dict[int, Optional[int]] = {}
+        parent: dict[int, Optional[int]] = {}
 
         def number(s: Stmt, par: Optional[int]) -> Stmt:
             nid = len(self.nodes)
             self.nodes[nid] = s  # holds the id's place in pre-order
-            self.parent[nid] = par
+            parent[nid] = par
             if isinstance(s, Seq):
                 body = []  # a loop, not a generator: one frame per level
                 for c in s.body:
@@ -226,7 +226,7 @@ class Program:
         self.root = number(root, None)
         self.paths: dict[int, tuple[Stmt, ...]] = {}
         for nid, s in self.nodes.items():  # pre-order: a parent's path comes first
-            self.paths[nid] = self.paths.get(self.parent[nid], ()) + (s,)
+            self.paths[nid] = self.paths.get(parent[nid], ()) + (s,)
 
     def node(self, node_id: int) -> Stmt:
         try:
@@ -276,30 +276,37 @@ def governing_clocked_finish(p: Program, node_id: int) -> Optional[int]:
 
 
 def print_stmt(s: Stmt, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(s, Basic):
-        args = ", ".join(str(r) for r in s.reads)
-        call = f"{s.name}({args})"
-        if s.write is not None:
-            return f"{pad}{s.write} = {call};\n"
-        return f"{pad}{call};\n"
-    if isinstance(s, Advance):
-        return f"{pad}advance;\n"
-    if isinstance(s, Seq):
-        inner = "".join(print_stmt(t, indent + 1) for t in s.body)
-        return f"{pad}{{\n{inner}{pad}}}\n"
-    if isinstance(s, For):
-        return f"{pad}for ({s.var}={s.lo}:{s.hi})\n" + print_stmt(s.body, indent + 1)
-    if isinstance(s, If):
-        cond = " && ".join(f"{c} >= 0" for c in s.conds)
-        return f"{pad}if ({cond})\n" + print_stmt(s.body, indent + 1)
-    if isinstance(s, Async):
-        kw = "clocked async" if s.clocked else "async"
-        return f"{pad}{kw}\n" + print_stmt(s.body, indent + 1)
-    if isinstance(s, Finish):
-        kw = "clocked finish" if s.clocked else "finish"
-        return f"{pad}{kw}\n" + print_stmt(s.body, indent + 1)
-    raise TypeError(f"unknown statement {s!r}")
+    """The canonical text of a statement: one loop over an explicit stack of
+    (statement or block's closing brace, indent), so any depth prints."""
+    out: list[str] = []
+    stack: list = [(s, indent)]
+    while stack:
+        s, indent = stack.pop()
+        pad = "  " * indent
+        if isinstance(s, str):
+            out.append(f"{pad}{s}\n")
+        elif isinstance(s, Basic):
+            call = f"{s.name}({', '.join(str(r) for r in s.reads)})"
+            out.append(f"{pad}{call};\n" if s.write is None else f"{pad}{s.write} = {call};\n")
+        elif isinstance(s, Advance):
+            out.append(f"{pad}advance;\n")
+        elif isinstance(s, Seq):
+            out.append(f"{pad}{{\n")
+            stack.append(("}", indent))
+            stack.extend((t, indent + 1) for t in reversed(s.body))
+        elif isinstance(s, (For, If, Async, Finish)):
+            if isinstance(s, For):
+                head = f"for ({s.var}={s.lo}:{s.hi})"
+            elif isinstance(s, If):
+                head = f"if ({' && '.join(f'{c} >= 0' for c in s.conds)})"
+            else:
+                kind = "async" if isinstance(s, Async) else "finish"
+                head = f"clocked {kind}" if s.clocked else kind
+            out.append(f"{pad}{head}\n")
+            stack.append((s.body, indent + 1))
+        else:
+            raise TypeError(f"unknown statement {s!r}")
+    return "".join(out)
 
 
 def print_program(p: Program) -> str:

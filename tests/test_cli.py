@@ -398,13 +398,22 @@ def test_gen_race_all_orthants(capsys):
 )
 def test_gen_nested_too_deeply_exit_1(capsys, argv, frames):
     # a product nests one loop per variable; whichever recursion runs out
-    # first (building the nest, numbering it or printing it, by the frames
-    # left), the command prints one error line, not a traceback
-    poly = "*".join(f"x{i}" for i in range(150))
+    # first (building the nest or numbering it, by the frames left), the
+    # command prints one error line, not a traceback
+    poly = "*".join(f"x{i}" for i in range(300))
     with recursion_headroom(frames):
         code, out, err = run(capsys, *argv, poly)
     assert code == 1 and out == ""
     assert err == "error: generated program nested too deeply to build or print\n"
+
+
+def test_gen_race_prints_a_200_variable_product(capsys):
+    # the printer keeps an explicit stack, so gen-race prints a product as
+    # deep as gen-count does, at the default recursion limit
+    poly = "*".join(f"x{i}" for i in range(200))
+    code, out, err = run(capsys, "gen-race", "--p2", "1", "--p1", poly)
+    assert code == 0 and err == ""
+    assert out.startswith("// orthant 0") and out.count("for (x199") == 1
 
 
 def test_gen_race_negative_coefficient_exit_1(capsys):

@@ -303,15 +303,17 @@ def test_explore_memory_per_state_uncounted():
 
 
 def test_stuck_root_is_not_a_trace():
-    # an advance outside any clocked finish never steps: the one state has
+    # an advance outside any clocked finish never steps: the last state has
     # pending instances and no successor, and no state limit cut it; the
-    # initial state is tested for stuckness whether or not traces are counted
-    p = parse("param N >= 1;\narray A[1];\n{ advance; A[0] = f(); }\n")
-    for count_traces, traces in ((True, 0), (False, None)):
-        res = explore(p, {"N": 1}, count_traces=count_traces)
-        assert (res.state_count, res.trace_count) == (1, traces)
-        assert not res.terminated
-        assert not res.incomplete
+    # initial state and each state a discovery edge adds are tested for
+    # stuckness whether or not traces are counted
+    for body, states in (("advance; A[0] = f();", 1), ("A[0] = f(); advance;", 2)):
+        p = parse(f"param N >= 1;\narray A[1];\n{{ {body} }}\n")
+        for count_traces, traces in ((True, 0), (False, None)):
+            res = explore(p, {"N": 1}, count_traces=count_traces)
+            assert (res.state_count, res.trace_count) == (states, traces), body
+            assert not res.terminated, body
+            assert not res.incomplete, body
 
 
 def _facts(res):

@@ -33,6 +33,11 @@ def _preorder(s):
         yield from _preorder(s.body)
 
 
+def _parents(p):
+    """Each node's parent id, read from its root path; None for the root, id 0."""
+    return {i: p.path_to(i)[-2].node_id if i else None for i in p.nodes}
+
+
 def test_program_numbers_a_hand_built_tree_in_pre_order():
     loop = For(var="i", lo=AffineExpr(), hi=AffineExpr.var("N"),
                body=Seq(body=(Advance(), Basic(name="f"))))
@@ -45,16 +50,16 @@ def test_program_numbers_a_hand_built_tree_in_pre_order():
     assert [n.node_id for n in nodes] == list(range(7))
     assert list(p.nodes) == list(range(7))
     assert all(p.nodes[n.node_id] is n for n in nodes)
-    assert p.parent == {0: None, 1: 0, 2: 1, 3: 2, 4: 3, 5: 3, 6: 1}
+    assert _parents(p) == {0: None, 1: 0, 2: 1, 3: 2, 4: 3, 5: 3, 6: 1}
     assert tree.node_id == -1 and tree.body.body[1].node_id == -1  # the input is unchanged
     # an already-numbered tree keeps its ids
     again = Program(root=p.root, params=p.params, arrays=p.arrays)
     assert [n.node_id for n in _preorder(again.root)] == list(range(7))
-    assert again.parent == p.parent
+    assert _parents(again) == _parents(p)
     # a preset id is ignored: ids stay unique and in pre-order
     q = Program(root=Seq(body=(Advance(), Basic(name="f", node_id=0))), params=(), arrays=())
     assert [n.node_id for n in _preorder(q.root)] == [0, 1, 2]
-    assert q.parent == {0: None, 1: 0, 2: 0}
+    assert _parents(q) == {0: None, 1: 0, 2: 0}
 
 
 def test_comments_and_whitespace_ignored():
@@ -94,6 +99,11 @@ def _at(source, line, col):
         _at("param N >= 1; // c\n\tadvance $;\n", 2, 10),  # bad character after a tab
         _at("param N >= 1;\n{ advance;", 2, 11),  # unterminated block, no final newline
         _at("param N >= 1;\nfor (i=0:N^2) advance;\n", 2, 11),  # no powers in programs
+        _at("param 5 >= 1;\n", 1, 7),  # expected identifier
+        _at("array A[x];\n", 1, 9),  # expected dimensionality
+        _at("param N >= 1;\nfor (i=0:) advance;\n", 2, 10),  # expected expression
+        _at("param N >= 1;\nfor (i=0:N) if (i = 0) advance;\n", 2, 19),  # expected comparison
+        _at("param N >= 1;\n;\n", 2, 1),  # expected statement
     ],
 )
 def test_parse_errors_have_positions(source, line, col):
@@ -130,6 +140,7 @@ def test_products_with_a_constant_zero_side_are_affine(subscript):
         ("i <= N - 1", "N - 1 >= i"),
         ("i == 2", "i >= 2 && 2 >= i"),
         ("(i + 1) * 2 > N", "2*i + 1 >= N"),
+        ("-i >= -N", "N >= i"),
     ],
 )
 def test_guard_forms_parse_to_their_ge_conditions(guard, canonical):

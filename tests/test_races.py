@@ -392,6 +392,36 @@ def test_refuted_affine_point_is_unknown():
         assert (v.status, v.method, v.detail) == ("unknown", "affine", "unconfirmed witness")
 
 
+def test_unavailable_phase_passes_the_clocked_candidate_on():
+    # the advance's guard has a coefficient 2 on i, so f's phase is
+    # unavailable; the affine tier cannot decide the candidate, and the
+    # bounded tier finds the race
+    p = parse(
+        "param N >= 1;\narray A[1];\n"
+        "clocked finish { for (i = 0 : N) { clocked async {"
+        " if (2 * i >= N) { advance; } A[0] = f(); } } }\n"
+    )
+    a = analyze(p, bound=2)
+    assert a.verdict == "PotentialRaces"
+    ((cand, v),) = a.candidates
+    assert cand.reduction is not None and cand.phi_u is None
+    assert (v.status, v.method, v.confirmed) == ("witness", "bounded", True)
+    assert v.witness == {"N": 2, "u_i": 1, "v_i": 2}
+
+
+def test_undecided_emptiness_passes_the_candidate_on(monkeypatch):
+    # an emptiness check that decides nothing proves nothing: the affine
+    # tier passes the unclocked candidate on, and the bounded tier finds the
+    # race
+    monkeypatch.setattr(races, "is_empty_with_witness", lambda system: (None, None))
+    p = parse("param N >= 1;\narray A[1];\nfinish for (i = 0 : N) async A[0] = f();\n")
+    a = analyze(p, bound=2)
+    assert a.verdict == "PotentialRaces"
+    ((cand, v),) = a.candidates
+    assert cand.emptiness == (None, None)
+    assert (v.status, v.method, v.confirmed) == ("witness", "bounded", True)
+
+
 # ---------------------------------------------------------------------------
 # Bounded tier (tier 3)
 
