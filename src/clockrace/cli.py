@@ -63,15 +63,20 @@ def _cmd_analyze(args) -> int:
         import shlex
 
         try:
-            if not shlex.split(args.solver_cmd):
-                return _fail("--solver-cmd is empty")
+            words = shlex.split(args.solver_cmd)
         except ValueError as e:
             return _fail(f"--solver-cmd {args.solver_cmd!r}: {e}")
+        if not words or not words[0]:  # no program to start
+            return _fail("--solver-cmd is empty")
     program = _load(args.file)
     if program is None:
         return EXIT_INPUT_ERROR
     t0 = time.monotonic()
-    analysis = analyze(program, solver_cmd=args.solver_cmd, bound=args.bound)
+    try:
+        analysis = analyze(program, solver_cmd=args.solver_cmd, bound=args.bound)
+    except MemoryError:
+        print("error: out of memory during analysis", file=sys.stderr)
+        return EXIT_UNKNOWN
     timings = {"analysis": time.monotonic() - t0}
     report = build_report(args.file, program, analysis, [], timings)
     try:

@@ -105,16 +105,16 @@ the initial state ends in a done body, a trace, iff no stuck state is
 reachable.  The test is made where a state's steps are computed: for the
 initial state and on each discovery edge.
 
-Traces are counted only on request (``clockrace interpret`` asks; the
-bounded tier and witness replay do not).  Counted, a table maps elements
-to the number of traces from that state: the sum of its successors'
-counts, or 1 when its body is done, so every edge is taken.  The stack is
-a path of the graph, so a state seen before is not on it, or it would
-reach itself: it has left the stack, and its count, written into its table
-as it left, is final.  Uncounted, a table is a set of elements, and the
-search skips the edges that sleep sets (Godefroid, *Partial-Order Methods
-for the Verification of Concurrent Systems*, LNCS 1032, 1996) show lead to
-states already added.
+Every table maps a state's elements to the number of traces from that
+state, written as the state leaves the stack: the sum of its successors'
+numbers, or 1 when its body is done.  The stack is a path of the graph,
+so a state seen before is not on it, or it would reach itself: it has left
+the stack, and its number is final.  Traces are counted only on request
+(``clockrace interpret`` asks; the bounded tier and witness replay do
+not), and then every edge is taken.  Otherwise the search skips the leaf
+steps that sleep sets (Godefroid, *Partial-Order Methods for the
+Verification of Concurrent Systems*, LNCS 1032, 1996) show lead to states
+already added, so the numbers are not trace counts and are not returned.
 
 Two leaf steps a and b of one body commute: each leaves the other enabled,
 both orders reach one body, and neither changes the counter vector.  A
@@ -429,10 +429,10 @@ def _bits(mask: int):
 def explore(
     p: Program, params: Mapping[str, int], max_states: int = 1_000_000, count_traces: bool = True
 ) -> ExploreResult:
-    """Exhaustively interpret the program under the given parameters.  The
-    traces are counted only when ``count_traces`` is set; otherwise the
-    result's ``trace_count`` is None and the search skips sleeping steps
-    (see the module doc)."""
+    """Exhaustively interpret the program under the given parameters.  Only
+    with ``count_traces`` set is every edge taken and ``trace_count`` the
+    number of traces; otherwise sleeping leaf steps are skipped and
+    ``trace_count`` is None (see the module doc)."""
     terms = _Terms()
     frame_steps = terms.frame_steps
     initial = terms.build(p, params)
@@ -448,12 +448,10 @@ def explore(
     counter_ids: dict[Counters, int] = {(): 0}
     fired_at = [0]  # per counter id: instances fired in some state with it
     instances = terms.instances
-    index = {inst: i for i, inst in enumerate(instances)}
     n = len(instances)
     # per counter id: the elements of the states added with it, mapped to
-    # their trace counts when counting
-    new_table = dict if count_traces else set
-    tables: list = [{initial: 0} if count_traces else {initial}]
+    # the traces from them once they leave the stack
+    tables: list[dict[tuple, int]] = [{initial: 0}]
     forbidden = [0] * n  # per instance v: instances pending in some state with v done
     state_count = 1
     mask = (1 << n) - 1
@@ -462,17 +460,14 @@ def explore(
     terminated = bool(steps) or not mask  # until an added state is stuck
     incomplete = False
 
-    # A stack entry: (table, elements, counter id, pending mask, sleep
-    # mask, iterator over the state's steps).  The sleep mask grows by each
-    # leaf step taken from the state, for the later steps' successors (see
-    # the module doc).  When counting, `found` holds the traces found so
-    # far from the top entry, counts[i] those from entry i below it.  A
-    # state seen before has left the stack, so its table value is final.
-    stack = [(tables[0], initial, 0, mask, 0, iter(steps))]
-    found = 0
-    counts = []
+    # A stack frame: [elements, counter id, pending mask, sleep mask,
+    # iterator over the state's steps, traces found so far from it].  The
+    # sleep mask grows by each leaf step taken from the state, for the
+    # later steps' successors (see the module doc).  A state seen before
+    # has left the stack, so its table value is final.
+    stack = [[initial, 0, mask, 0, iter(steps), 0]]
     while stack:
-        table, elems, cid, mask, asleep, steps = stack[-1]
+        elems, cid, mask, asleep, steps, found = frame = stack[-1]
         for key, fired, rest in steps:
             fired_at[cid] |= fired
             next_cid = cid
@@ -489,14 +484,11 @@ def explore(
                     next_cid = counter_ids[vector] = len(counters)
                     counters.append(vector)
                     fired_at.append(0)
-                    tables.append(new_table())
+                    tables.append({})
             next_table = tables[next_cid]
-            if count_traces:
-                count = next_table.get(rest)
-                if count is not None:
-                    found += count
-                    continue
-            elif rest in next_table:
+            count = next_table.get(rest)
+            if count is not None:
+                found += count
                 continue
             if state_count >= max_states:
                 incomplete = True
@@ -512,23 +504,18 @@ def explore(
             next_steps = frame_steps(clock, rest, next_asleep)
             if next_mask and not next_steps and not next_asleep:  # a stuck state
                 terminated = False
-            if count_traces:
-                next_table[rest] = 0  # never read before the state leaves the stack
-                counts.append(found)
-                found = 0
-            else:
-                next_table.add(rest)
-            stack[-1] = (table, elems, cid, mask, asleep, steps)  # the grown mask, for later steps
-            stack.append((next_table, rest, next_cid, next_mask, next_asleep, iter(next_steps)))
+            next_table[rest] = 0  # never read before the state leaves the stack
+            frame[3], frame[5] = asleep, found  # kept while the successor is searched
+            stack.append([rest, next_cid, next_mask, next_asleep, iter(next_steps), 0])
             break
         else:  # no steps left
             stack.pop()
-            if count_traces:
-                if not mask:  # the body is done: a trace ends here
-                    found = 1
-                table[elems] = found
-                if counts:
-                    found += counts.pop()
+            if not mask:  # the body is done: a trace ends here
+                found = 1
+            tables[cid][elems] = found
+            if stack:
+                stack[-1][5] += found
+    # uncounted, sleeping edges were skipped, so the numbers are not trace counts
     trace_count = tables[0][initial] if count_traces else None
     if incomplete:
         terminated = False
@@ -540,12 +527,12 @@ def explore(
 
     return ExploreResult(
         instances=instances,
-        index=index,
+        index={inst: i for i, inst in enumerate(instances)},
         state_count=state_count,
         trace_count=trace_count,
         terminated=terminated,
         incomplete=incomplete,
-        races=_dynamic_races(p, params, instances, index, forbidden),
+        races=_dynamic_races(p, params, instances, forbidden),
         phases=phases,
         hb_forbidden=forbidden,
     )
@@ -565,28 +552,23 @@ def _accesses(p: Program, params: Mapping[str, int], inst: Instance):
 
 
 def _dynamic_races(
-    p: Program,
-    params: Mapping[str, int],
-    instances: list[Instance],
-    index: Mapping[Instance, int],
-    forbidden: list[int],
+    p: Program, params: Mapping[str, int], instances: list[Instance], forbidden: list[int]
 ) -> list[tuple[Instance, Instance]]:
     """Unordered pairs of basic instances that touch one element, at least
     one of them writing, in ``itertools.combinations`` order; ``forbidden``
     is ``ExploreResult.hb_forbidden``."""
-    basics = [i for i in instances if i[0] == "basic"]
-    accesses = {u: _accesses(p, params, u) for u in basics}
+    basics = [(i, u) for i, u in enumerate(instances) if u[0] == "basic"]
+    accesses = {i: _accesses(p, params, u) for i, u in basics}
     readers: dict[tuple, int] = {}  # element -> bitmask of instances
     writers: dict[tuple, int] = {}
-    for u in basics:
-        for array, point, mode in accesses[u]:
+    for i, _ in basics:
+        for array, point, mode in accesses[i]:
             cells = writers if mode == "write" else readers
-            cells[array, point] = cells.get((array, point), 0) | 1 << index[u]
+            cells[array, point] = cells.get((array, point), 0) | 1 << i
     races = []
-    for u in basics:
-        iu = index[u]
+    for iu, u in basics:
         clash = 0
-        for array, point, mode in accesses[u]:
+        for array, point, mode in accesses[iu]:
             clash |= writers.get((array, point), 0)
             if mode == "write":
                 clash |= readers.get((array, point), 0)

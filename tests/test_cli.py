@@ -80,7 +80,12 @@ def test_analyze_negative_bound_exit_1(capsys):
 
 @pytest.mark.parametrize(
     "solver_cmd, message",
-    [(" ", "--solver-cmd is empty"), ('"x', "--solver-cmd '\"x': No closing quotation")],
+    [
+        (" ", "--solver-cmd is empty"),
+        ('""', "--solver-cmd is empty"),
+        ("'' -in", "--solver-cmd is empty"),
+        ('"x', "--solver-cmd '\"x': No closing quotation"),
+    ],
 )
 def test_analyze_bad_solver_cmd_exit_1(capsys, solver_cmd, message):
     """A command that does not split into a program and its arguments is
@@ -91,6 +96,18 @@ def test_analyze_bad_solver_cmd_exit_1(capsys, solver_cmd, message):
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_analyze_out_of_memory_exit_3(monkeypatch, capsys):
+    # an analysis that runs out of memory is undetermined and ends in one
+    # error line; the failure is simulated rather than provoked
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(clockrace.cli, "analyze", exhausted)
+    code, out, err = run(capsys, "analyze", str(corpus_path("qr")), "--bound", "2")
+    assert code == 3 and out == ""
+    assert err == "error: out of memory during analysis\n"
 
 
 def test_analyze_parse_error_exit_1(tmp_path, capsys):

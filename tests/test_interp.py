@@ -607,6 +607,8 @@ def _check_against_paths(p, params) -> bool:
         for v in res.instances:
             if u != v:
                 assert res.hb(u, v) == bool(ordered[res.index[v]] >> res.index[u] & 1)
+    # pending in some state with v done: not fired with or before v on every path
+    assert res.hb_forbidden == [~o & ((1 << n) - 1) for o in ordered]
     assert res.phases == phases
     return True
 
