@@ -15,7 +15,8 @@ exhaustive bounded search for witnesses.  The projection keeps each row in
 the bucket of its first variable, so a step reads only the rows it
 eliminates.  The search is one depth-first loop over an explicit stack (a
 frame per variable set), so it takes the same Python frames however many
-variables a system has.
+variables a system has.  Run to its end, the same walk lists every integer
+point of a bounded set (:func:`points`); the witness is its first point.
 """
 
 from __future__ import annotations
@@ -238,23 +239,26 @@ class _System:
 
     # -- exhaustive / bounded witness search
 
-    def search_witness(self) -> tuple[Optional[dict[str, int]], bool]:
-        """Look for an integer point satisfying all inequalities.
+    def points(self) -> Iterator[dict[str, int]]:
+        """The integer points that satisfy all inequalities, over the
+        variables that occur in them, one depth-first walk.
 
-        Returns (witness, complete): witness is None when none was found;
-        complete=True means the search space provably covered the whole set,
-        so no witness implies emptiness.
-
-        The search is one depth-first loop over an explicit stack.  A frame
-        holds a variable, an iterator over its values not yet tried and the
+        The walk is one loop over an explicit stack.  A frame holds a
+        variable, an iterator over its values not yet tried and the
         variables after it; env holds the value each frame tries.  Each node
         sets, of the variables left, the first with the tightest range that
         has both bounds, else the first over a fallback window.  The rows
         that the variable completes are the rows that bound its range, so
-        every value tried holds each of them.
+        every value tried holds each of them, and each leaf is a point.
+
+        ``complete`` says whether the walk so far covered every point: it
+        turns False when a variable takes a fallback window or a range cut
+        at ``_SEARCH_MAX_RANGE``, and when the walk stops after
+        ``_SEARCH_MAX_NODES`` nodes.
         """
+        self.complete = True
         if any(k < 0 for c, k in self.ineqs if not c):
-            return None, True
+            return
         variables = sorted({v for c, _ in self.ineqs for v in c})
         # Each row indexed once per call under each of its variables, in row order.
         rows: dict[str, list[_Row]] = {v: [] for v in variables}
@@ -263,34 +267,36 @@ class _System:
                 rows[var].append((a, tuple((v, c) for v, c in coeffs.items() if v != var), const))
         env: dict[str, int] = {}
         stack: list[tuple[str, Iterator[int], list[str]]] = []
-        remaining, nodes, complete = variables, _SEARCH_MAX_NODES, True
+        remaining, nodes = variables, _SEARCH_MAX_NODES
         while True:
             if nodes <= 0:
-                return None, False
+                self.complete = False
+                return
             nodes -= 1
             if not remaining:
-                return dict(env), complete
-            first, best = None, None
-            for var in remaining:
-                lo, hi = _bounds(rows[var], env)
-                first = first or (var, lo, hi)
-                if lo is not None and hi is not None and (best is None or hi - lo < best[2] - best[1]):
-                    best = (var, lo, hi)
-            if best is None:
-                var, lo, hi = first
-                if lo is not None:
-                    hi = lo + _FALLBACK_WIDTH
-                elif hi is not None:
-                    lo = hi - _FALLBACK_WIDTH
-                else:
-                    lo, hi = -_FALLBACK_WIDTH, _FALLBACK_WIDTH
-                complete = False
+                yield dict(env)
             else:
-                var, lo, hi = best
-                if hi - lo + 1 > _SEARCH_MAX_RANGE:
-                    hi = lo + _SEARCH_MAX_RANGE
-                    complete = False
-            stack.append((var, iter(range(lo, hi + 1)), [v for v in remaining if v != var]))
+                first, best = None, None
+                for var in remaining:
+                    lo, hi = _bounds(rows[var], env)
+                    first = first or (var, lo, hi)
+                    if lo is not None and hi is not None and (best is None or hi - lo < best[2] - best[1]):
+                        best = (var, lo, hi)
+                if best is None:
+                    var, lo, hi = first
+                    if lo is not None:
+                        hi = lo + _FALLBACK_WIDTH
+                    elif hi is not None:
+                        lo = hi - _FALLBACK_WIDTH
+                    else:
+                        lo, hi = -_FALLBACK_WIDTH, _FALLBACK_WIDTH
+                    self.complete = False
+                else:
+                    var, lo, hi = best
+                    if hi - lo + 1 > _SEARCH_MAX_RANGE:
+                        hi = lo + _SEARCH_MAX_RANGE
+                        self.complete = False
+                stack.append((var, iter(range(lo, hi + 1)), [v for v in remaining if v != var]))
             while stack:
                 var, values, remaining = stack[-1]
                 value = next(values, None)
@@ -300,13 +306,22 @@ class _System:
                 env.pop(var, None)
                 stack.pop()
             else:
-                return None, complete
+                return
+
+    def search_witness(self) -> tuple[Optional[dict[str, int]], bool]:
+        """The first point of :meth:`points`, or None, and whether the walk
+        up to it covered the whole set, so that no witness implies
+        emptiness."""
+        witness = next(self.points(), None)
+        return witness, self.complete
 
     def reconstruct(self, env: dict[str, int]) -> dict[str, int]:
         """Extend a witness over surviving variables to the original ones."""
         full = dict(env)
         for var, coeffs, const in reversed(self.bindings):
             full[var] = const + sum(c * full.get(v, 0) for v, c in coeffs.items())
+        if not self._fresh:
+            return full
         return {v: k for v, k in full.items() if not v.startswith("$e")}
 
 
@@ -342,3 +357,23 @@ def is_empty_with_witness(
         unknown = unknown or not complete
     return (None, None) if unknown else (True, None)
 
+
+def points(s: AffineSet, fixed: Mapping[str, int]) -> Iterator[Optional[dict[str, int]]]:
+    """The integer points of ``s`` with each name in ``fixed`` set to its
+    value, disjunct after disjunct, each in the order of the witness
+    search's walk (:meth:`_System.points`) and over all of the disjunct's
+    variables and the fixed names; a point that two disjuncts hold comes
+    twice.  After the points of a disjunct whose walk was not complete (a
+    fallback window, the range cap or the node cap) comes one None, so that
+    the caller can tell a partial list."""
+    values = tuple(eq(AffineExpr.var(n).shift(-x)) for n, x in fixed.items())
+    for d in s.disjuncts:
+        sys = _System(tuple(d) + s.context + values)
+        try:
+            sys.eliminate_equalities()
+        except _Infeasible:
+            continue
+        for env in sys.points():
+            yield sys.reconstruct(env)
+        if not sys.complete:
+            yield None

@@ -193,7 +193,7 @@ def main(argv=None) -> int:
     a.add_argument("--solver-cmd", metavar="CMD",
                    help="external SMT solver command (reads SMT-LIB on stdin)")
     a.add_argument("--bound", type=int, default=DEFAULT_BOUND,
-                   help="caps the parameter values the bounded tier explores (default %(default)s)")
+                   help="caps the parameter values the bounded tier searches (default %(default)s)")
     a.set_defaults(fn=_cmd_analyze)
 
     it = sub.add_parser("interpret", help="explore all schedules for fixed parameters")

@@ -11,17 +11,19 @@ verdict or passes the candidate on:
    the phase difference becomes affine after substituting the candidate's
    equalities, of the system with phase equality added;
 2. smt -- an external solver on the full nonlinear system (QF_NIA);
-3. bounded -- small parameter valuations are interpreted exhaustively, and
-   each observed race between the candidate's statements is a point for
-   the gate; always decides.
+3. bounded -- at each small parameter valuation, the integer points of the
+   system with the parameters fixed are listed, and those whose phases are
+   equal (all of them when a phase is unavailable) go to the gate; the
+   program is explored only at a valuation that has such a point, and that
+   exploration is their replay; always decides.
 
 ``race-free`` only ever comes from a sound emptiness or unsat proof.
-Affine points, SMT models and bounded races pass one witness gate:
+Affine points, SMT models and bounded points pass one witness gate:
 substitution into the context, the system and phase equality (skipped
 only when a phase is unavailable), then a replay in the reference
 interpreter, in which the point's own pair of instances must race.  The
-bounded tier's own exploration is its replay; other points are replayed
-when the program is small enough to explore.
+bounded tier explores its own valuation, at any parameter value; other
+points are replayed when the program is small enough to explore.
 SMT-LIB scripts are built only on request (``Analysis.smt_scripts``).
 """
 
@@ -29,16 +31,16 @@ from __future__ import annotations
 
 import functools
 import itertools
-from math import lcm
+from math import lcm, prod
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 # is_empty and reduce_clock are not called here but stay bound:
 # perfbench/tracing.py wraps ``races.is_empty`` and ``races.reduce_clock`` by
 # name with getattr and fails if either is missing.
-from .affine import AffineSet, Constraint, eq, is_empty, is_empty_with_witness  # noqa: F401
+from .affine import AffineSet, Constraint, eq, is_empty, is_empty_with_witness, points  # noqa: F401
 from .hb import ClockReduction, reduce_clock, unordered_disjuncts  # noqa: F401
 from .interp import ExploreResult, Instance, explore
-from .phi import Counting, QuasiPoly, phi
+from .phi import Counting, Monomial, QuasiPoly, phi
 from .smt import emit_smtlib, run_solver
 from .syntax import AccessRef, AffineExpr, Basic, Program
 
@@ -210,6 +212,46 @@ def _substituted_phase_diff(
     return (diff * scale).as_affine()
 
 
+def _scaled_phase_diff(cand: RaceCandidate) -> Optional[list[tuple[Monomial, int]]]:
+    """The terms of ``L * (phi_u - phi_v)`` for the least ``L`` that makes
+    every coefficient an integer; None when the candidate is unclocked or a
+    phase is unavailable."""
+    if cand.phi_u is None or cand.phi_v is None:
+        return None
+    diff = dict(cand.phi_u.terms)
+    for m, c in cand.phi_v.terms:
+        diff[m] = diff.get(m, 0) - c
+    scale = lcm(*(c.denominator for c in diff.values()))
+    return [(m, int(c * scale)) for m, c in diff.items() if c]
+
+
+def _split_params(
+    terms: list[tuple[Monomial, int]], names: Sequence[str]
+) -> list[tuple[int, Monomial, tuple[str, ...]]]:
+    """Each term as (coefficient, its monomial in the parameters, its other
+    variables, each as often as its exponent)."""
+    return [
+        (c, tuple((v, e) for v, e in m if v in names),
+         tuple(v for v, e in m if v not in names for _ in range(e)))
+        for m, c in terms
+    ]
+
+
+def _fix_params(
+    split: list[tuple[int, Monomial, tuple[str, ...]]], params: Mapping[str, int]
+) -> list[tuple[int, tuple[str, ...]]]:
+    """The split terms with the parameters set, like terms added up; each
+    monomial in the parameters is evaluated once."""
+    values: dict[Monomial, int] = {}
+    fixed: dict[tuple[str, ...], int] = {}
+    for c, in_params, rest in split:
+        x = values.get(in_params)
+        if x is None:
+            x = values[in_params] = prod(params[v] ** e for v, e in in_params)
+        fixed[rest] = fixed.get(rest, 0) + c * x
+    return [(c, rest) for rest, c in fixed.items() if c]
+
+
 class _Run:
     """One analysis: the program, its settings, and the explorations that
     witness replay and the bounded tier share."""
@@ -327,26 +369,36 @@ def _valuations(lower_bounds: Sequence[int], bound: int) -> Iterator[tuple[int, 
 
 
 def _bounded_tier(run: _Run, cand: RaceCandidate) -> Verdict:
-    """Exhaustive interpretation at every parameter valuation up to the
-    bound, smallest maximum first; the first observed race between the
-    candidate's statements that passes the gate decides, else unknown."""
+    """At every parameter valuation up to the bound, smallest maximum
+    first, the points of the candidate's system whose phases are equal
+    (every point when a phase is unavailable), in the order of the affine
+    walk; at a valuation that has one, the program is explored and each such
+    point goes to the gate.  The first point that passes decides, else
+    unknown, with what cut the search short in ``detail``."""
     p = run.p
+    diff = _scaled_phase_diff(cand)
+    split = None if diff is None else _split_params(diff, p.param_names())
     failures: dict[str, None] = {}
     for combo in _valuations([lb for _, lb in p.params], run.bound):
         params = dict(zip(p.param_names(), combo))
-        res = run.explore(params)
-        if isinstance(res, str):
-            failures[res] = None
-            continue
-        for pair in res.races:
-            for a, b in (pair, pair[::-1]):
-                if (a[1], b[1]) != (cand.u_id, cand.v_id):
+        terms = res = None  # both made at the first point that needs them
+        for point in points(cand.system, params):
+            if point is None:
+                failures["point limit hit"] = None
+                continue
+            if split is not None:
+                if terms is None:
+                    terms = _fix_params(split, params)
+                if sum(c * prod(map(point.__getitem__, m)) for c, m in terms):
                     continue
-                point = {**params, **{"u_" + k: x for k, x in a[2]},
-                         **{"v_" + k: x for k, x in b[2]}}
-                verdict = _gate(run, cand, point, "bounded", res)
-                if verdict is not None:
-                    return verdict._replace(bound=run.bound)
+            if res is None:
+                res = run.explore(params)
+            if isinstance(res, str):
+                failures[res] = None
+                break
+            verdict = _gate(run, cand, point, "bounded", res)
+            if verdict is not None:
+                return verdict._replace(bound=run.bound)
     detail = " and ".join(failures) + " during bounded search" if failures else ""
     return Verdict("unknown", "bounded", bound=run.bound, detail=detail)
 

@@ -19,6 +19,7 @@ from clockrace import (
     explore,
     hb_disjuncts,
     print_program,
+    race_candidates,
     unordered_disjuncts,
 )
 from clockrace.interp import instantiate, term_instances
@@ -198,10 +199,66 @@ def _static_subset_dynamic(p, res, params):
     return errors
 
 
-def check_program(p: Program, rng: random.Random, bound: int = 3):
-    """All soundness checks for one program.
+def nest_points(p: Program, stmt_id: int, params, prefix: str) -> list[dict]:
+    """Every iteration of the loops around a statement at these parameters,
+    guards ignored, as its prefixed iterator values: brute force over the
+    loop bounds."""
+    envs = [{}]
+    for n in p.path_to(stmt_id)[:-1]:
+        if isinstance(n, For):
+            envs = [
+                {**e, n.var: x}
+                for e in envs
+                for x in range(n.lo.evaluate({**params, **e}), n.hi.evaluate({**params, **e}) + 1)
+            ]
+    return [{prefix + k: x for k, x in e.items()} for e in envs]
 
-    Returns (violations, candidate count, witness count)."""
+
+def candidate_points(p: Program, cand, params) -> list[dict]:
+    """The points of a candidate's system at these parameters, by brute
+    force over its two statements' loop bounds."""
+    us, vs = nest_points(p, cand.u_id, params, "u_"), nest_points(p, cand.v_id, params, "v_")
+    points = ({**params, **eu, **ev} for eu in us for ev in vs)
+    return [point for point in points if cand.system.contains(point)]
+
+
+def _instance(p: Program, stmt_id: int, point, prefix: str):
+    """The statement instance that a point names by its prefixed iterators."""
+    env = sorted((it, point[prefix + it]) for it in p.enclosing_iterators(stmt_id))
+    return ("basic", stmt_id, tuple(env))
+
+
+def check_exact(p: Program, runs):
+    """Exactness of the static model over ``runs``, the (parameters,
+    exploration) pairs: the points of each candidate whose phases are equal
+    (every point when a phase is unavailable), as instance pairs, against
+    the exploration's races in both orders.  Returns the violations (a
+    dynamic race that is no such point) and the number of such points that
+    are no dynamic race."""
+    errors, spurious = [], 0
+    candidates = race_candidates(p)
+    for params, res in runs:
+        dynamic = {(a, b) for pair in res.races for a, b in (pair, pair[::-1])}
+        static = set()
+        for cand in candidates:
+            phased = cand.phi_u is not None and cand.phi_v is not None
+            for point in candidate_points(p, cand, params):
+                if phased and cand.phi_u.evaluate(point) != cand.phi_v.evaluate(point):
+                    continue
+                pair = (_instance(p, cand.u_id, point, "u_"), _instance(p, cand.v_id, point, "v_"))
+                static.add(pair)
+                spurious += pair not in dynamic
+        for pair in res.races:
+            if pair not in static and pair[::-1] not in static:
+                errors.append(f"dynamic race {pair} at {params} is no point with equal phases")
+    return errors, spurious
+
+
+def check_program(p: Program, rng: random.Random, bound: int = 3):
+    """All soundness checks for one program, and the exactness check.
+
+    Returns (violations, candidate count, witness count, the number of
+    static race points that are no dynamic race)."""
     errors = []
     lo, hi = PARAM_RANGE
     results = {}
@@ -209,10 +266,10 @@ def check_program(p: Program, rng: random.Random, bound: int = 3):
         res = explore(p, {"N": n}, max_states=200_000)
         if res.incomplete:
             errors.append(f"state limit hit at N={n}")
-            return errors, 0, 0
+            return errors, 0, 0, 0
         if not res.terminated:
             errors.append(f"deadlock at N={n}")
-            return errors, 0, 0
+            return errors, 0, 0, 0
         results[n] = res
     # (a) the static order never claims more than the dynamic one
     n = rng.randint(lo, hi)
@@ -234,11 +291,13 @@ def check_program(p: Program, rng: random.Random, bound: int = 3):
         elif not cand.system.contains(witness_env):
             errors.append(f"witness not in the race system: {v.witness}")
     # (d, e) each candidate against the dynamic races explored above
-    errors += _candidates_against_dynamic_races(
-        p, analysis, [({"N": n}, res) for n, res in results.items()]
-    )
+    runs = [({"N": n}, res) for n, res in results.items()]
+    errors += _candidates_against_dynamic_races(p, analysis, runs)
+    # (f) the static race points against the same races
+    exact_errors, spurious = check_exact(p, runs)
+    errors += exact_errors
     n_witnesses = sum(1 for _, v in analysis.candidates if v.status == "witness")
-    return errors, len(analysis.candidates), n_witnesses
+    return errors, len(analysis.candidates), n_witnesses, spurious
 
 
 def _candidates_against_dynamic_races(p, analysis, runs):
@@ -273,13 +332,14 @@ def run_soundness_suite(count: int = 200, seed: int = 0):
     """Generate `count` programs and run every check; returns (stats, errors)."""
     rng = random.Random(seed ^ 0x5EED)
     errors = []
-    stats = {"programs": 0, "with_candidates": 0, "with_witnesses": 0}
+    stats = {"programs": 0, "with_candidates": 0, "with_witnesses": 0, "spurious_points": 0}
     for k in range(count):
         p = generate(seed + k)
-        errs, n_cand, n_wit = check_program(p, rng)
+        errs, n_cand, n_wit, spurious = check_program(p, rng)
         if errs:
             errors.append((k, print_program(p), errs))
         stats["programs"] += 1
         stats["with_candidates"] += bool(n_cand)
         stats["with_witnesses"] += bool(n_wit)
+        stats["spurious_points"] += spurious
     return stats, errors

@@ -53,17 +53,19 @@ def texts() -> list[str]:
 
 def check_slice():
     """Check every valid program of the slice: (the number of valid
-    programs, the number skipped at the state limit, and the violations as
-    (source, errors) pairs)."""
-    valid, skipped, violations = 0, 0, []
+    programs, the number skipped at the state limit, the number of static
+    race points that are no dynamic race, and the violations as (source,
+    errors) pairs)."""
+    valid, skipped, spurious, violations = 0, 0, 0, []
     for text in texts():
         p = parse(text)
         if validate_clock_rules(p):
             continue
-        errors, _, _ = fuzzgen.check_program(p, random.Random(valid))
+        errors, _, _, extra = fuzzgen.check_program(p, random.Random(valid))
+        spurious += extra
         valid += 1
         if errors and errors[0].startswith("state limit hit"):
             skipped += 1
         elif errors:
             violations.append((text, errors))
-    return valid, skipped, violations
+    return valid, skipped, spurious, violations

@@ -373,3 +373,68 @@ def test_search_depth_is_bounded():
         witness, complete = s.search_witness()
     assert witness == dict.fromkeys(names, 0)
     assert complete is False
+
+
+# ---------------------------------------------------------------------------
+# Listing the points of a set: the witness search's walk, run to its end
+
+
+@st.composite
+def boxed_systems(draw):
+    """Up to 4 random rows, equalities among them, over 1 to 3 variables
+    that each lie in a box of width at most 5; the boxes; and a value for
+    at most one variable."""
+    names = [f"x{i}" for i in range(draw(st.integers(1, 3)))]
+    bounds, rows = {}, []
+    for v in names:
+        lo = draw(st.integers(-3, 2))
+        bounds[v] = (lo, lo + draw(st.integers(0, 4)))
+        rows += box(v, *bounds[v])
+    for _ in range(draw(st.integers(0, 4))):
+        coeffs = draw(st.dictionaries(st.sampled_from(names), st.integers(-3, 3), min_size=1))
+        e = expr(draw(st.integers(-6, 6)), **{v: c for v, c in coeffs.items() if c})
+        rows.append(eq(e) if draw(st.booleans()) else ge(e))
+    fixed = draw(st.dictionaries(st.sampled_from(names), st.integers(-3, 6), max_size=1))
+    return rows, bounds, fixed
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=boxed_systems())
+def test_points_match_brute_force(system):
+    rows, bounds, fixed = system
+    names = sorted(bounds)
+    # the walk itself, over the inequalities
+    ineqs = [c for c in rows if c.kind == "ge"]
+    s = affine._System(ineqs)
+    walked = [tuple(point[v] for v in names) for point in s.points()]
+    assert s.complete
+    assert sorted(walked) == enumerate_points(conj(*ineqs), bounds)
+    # and after equality elimination, with a variable's value fixed
+    listed = list(affine.points(conj(*rows), fixed))
+    assert None not in listed
+    values = [eq(expr(-x, **{v: 1})) for v, x in fixed.items()]
+    expected = enumerate_points(conj(*rows, *values), bounds)
+    assert sorted(tuple(point[v] for v in names) for point in listed) == expected
+
+
+def test_search_witness_is_the_first_point():
+    # x + y >= 3 in 0..3 x 0..3: x, then y, ascending; the first point of
+    # the walk is the witness
+    s = affine._System([*box("x", 0, 3), *box("y", 0, 3), ge(expr(-3, x=1, y=1))])
+    walked = list(s.points())
+    assert walked[0] == {"x": 0, "y": 3} == s.search_witness()[0]
+    assert len(walked) == 10
+
+
+def test_points_say_when_a_cap_cut_the_walk(monkeypatch):
+    # a box of 4 x 4 points takes 1 + 4 + 16 nodes; one fewer cuts the last
+    # point, and the list ends in None
+    s = conj(*box("x", 0, 3), *box("y", 0, 3))
+    assert len(list(affine.points(s, {}))) == 16
+    monkeypatch.setattr(affine, "_SEARCH_MAX_NODES", 20)
+    listed = list(affine.points(s, {}))
+    assert len(listed) == 16 and listed[-1] is None
+    # and a variable without an upper bound is listed over a window only
+    monkeypatch.undo()
+    listed = list(affine.points(conj(ge(expr(0, x=1))), {}))
+    assert listed[-1] is None and len(listed) == affine._FALLBACK_WIDTH + 2

@@ -31,15 +31,18 @@ def test_soundness_on_fresh_seeds():
     for k, source, errs in errors:
         print(f"violating program (seed {777_000 + k}):\n{source}\n{errs}")
     assert errors == []
+    # every static race point of these programs is a dynamic race
+    assert stats["spurious_points"] == 0
 
 
 def test_small_scope_slice_is_sound():
     # every program of the slice, which reaches a clocked finish inside a
-    # parallel loop; no valid program hits the state limit
-    valid, skipped, violations = smallscope.check_slice()
+    # parallel loop; no valid program hits the state limit, and every
+    # static race point is a dynamic race
+    valid, skipped, spurious, violations = smallscope.check_slice()
     for source, errs in violations:
         print(f"violating program:\n{source}{errs}")
-    assert (valid, skipped, violations) == (333, 0, [])
+    assert (valid, skipped, spurious, violations) == (333, 0, 0, [])
 
 
 def test_checks_catch_a_seeded_unconfirmed_witness():
@@ -51,8 +54,8 @@ def test_checks_catch_a_seeded_unconfirmed_witness():
         "param N >= 1;\narray A[1];\n"
         "finish { for (i1=0:N-1) { async { A[0] = W(A[i1]); } } }\n"
     )
-    errs, n_cand, n_wit = fuzzgen.check_program(p, random.Random(0))
-    assert errs == []
+    errs, n_cand, n_wit, spurious = fuzzgen.check_program(p, random.Random(0))
+    assert errs == [] and spurious == 0
     assert n_cand >= 1 and n_wit >= 1
 
 
@@ -73,7 +76,7 @@ def test_checks_catch_a_race_free_candidate_that_races(monkeypatch):
         "param N >= 1;\narray A[1];\n"
         "finish { for (i1=0:N-1) { async { A[0] = W(A[i1]); } } }\n"
     )
-    errs, n_cand, _ = fuzzgen.check_program(p, random.Random(0))
+    errs, n_cand, _, _ = fuzzgen.check_program(p, random.Random(0))
     assert n_cand >= 1
     assert any(e.startswith("race-free ") and "has the dynamic race" in e for e in errs)
     assert any(e.endswith("is in no candidate that is not race-free") for e in errs)

@@ -11,6 +11,7 @@ from clockrace import (
     parse,
     parse_poly,
     phi,
+    print_program,
     race_candidates,
     race_test,
     races,
@@ -486,6 +487,20 @@ def test_bounded_races_pass_the_phase_gate():
     assert (v.status, v.method, v.bound, v.detail) == ("unknown", "bounded", 2, "")
 
 
+def test_bounded_search_lists_every_point_when_a_phase_is_unavailable():
+    # x^2 + 1 = y^2 + 1 races at x = y, at the first valuation already; with
+    # either phase lost, the other alone is never 0, and the search still
+    # lists every point and the replay finds the race
+    from clockrace.races import _Run, disprove
+
+    t = race_test(parse_poly("x^2 + 1"), parse_poly("y^2 + 1"))
+    (cand,) = race_candidates(t.program)
+    for lost in (cand._replace(phi_u=None), cand._replace(phi_v=None)):
+        v = disprove(_Run(t.program, bound=2), lost)
+        assert (v.status, v.method, v.confirmed, v.bound) == ("witness", "bounded", True, 2)
+        assert v.witness == dict.fromkeys(("m_x", "m_y", "u_x", "u_y", "v_x", "v_y"), 0)
+
+
 def test_bounded_confirms_nonlinear_race():
     # equal nonlinear phases that tier 1 cannot linearize: two activities
     # race exactly when x*x phases coincide with y*y phases (x = y)
@@ -497,6 +512,25 @@ def test_bounded_confirms_nonlinear_race():
     (pair,) = a.candidates
     _, v = pair
     assert v.status == "witness" and v.confirmed and v.method == "bounded"
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_points_of_every_corpus_candidate(name):
+    # the affine walk lists each candidate's points at each valuation in
+    # lb..lb+2, as brute force over the loop bounds finds them
+    from clockrace.affine import points
+
+    def key(point):
+        return sorted(point.items())
+
+    p = load(name)
+    for cand in race_candidates(p):
+        for combo in itertools.product(*(range(lb, lb + 3) for _, lb in p.params)):
+            params = dict(zip(p.param_names(), combo))
+            listed = list(points(cand.system, params))
+            assert None not in listed
+            expected = fuzzgen.candidate_points(p, cand, params)
+            assert sorted(map(key, listed)) == sorted(map(key, expected)), (cand.index, params)
 
 
 # Lower bounds with none, negative and mixed values.
@@ -576,17 +610,83 @@ def test_unreplayed_witness_says_why(monkeypatch, source, max_states, detail):
     assert v.detail == detail
 
 
-def test_bounded_search_says_why_it_was_partial(monkeypatch):
-    lines = corpus_path("qr").read_text().splitlines()
+def _nested_program(source: str) -> Program:
+    """The program of ``source`` with its statements under ``_nested``'s
+    finishes."""
+    lines = source.splitlines()
     decls = [ln for ln in lines if ln.startswith(("param", "array"))]
     body = [ln for ln in lines if ln and not ln.startswith(("param", "array", "//"))]
-    nested = parse("\n".join(decls) + "\n" + _nested("\n".join(body)) + "\n")
+    return parse("\n".join(decls) + "\n" + _nested("\n".join(body)) + "\n")
+
+
+def test_bounded_search_says_why_it_was_partial(monkeypatch):
+    # x^2 = y^2 has a point with equal phases at every valuation, so each
+    # valuation is replayed, and here each replay fails
+    squares = print_program(_squares())
     for p, max_states, detail in (
-        (load("qr"), 5, "state limit hit during bounded search"),
-        (nested, 60_000, "program nested too deeply to interpret during bounded search"),
+        (_squares(), 2, "state limit hit during bounded search"),
+        (_nested_program(squares), 60_000,
+         "program nested too deeply to interpret during bounded search"),
     ):
         monkeypatch.setattr(races, "_CONFIRM_MAX_STATES", max_states)
-        a = analyze(p, bound=3)
-        assert a.candidates
-        for _, v in a.candidates:
-            assert (v.status, v.method, v.detail) == ("unknown", "bounded", detail)
+        a = analyze(p, bound=2)
+        ((_, v),) = a.candidates
+        assert (v.status, v.method, v.detail) == ("unknown", "bounded", detail)
+    # no point of a QR candidate has equal phases, so QR is never
+    # interpreted and the state limit cannot cut its search
+    monkeypatch.setattr(races, "_CONFIRM_MAX_STATES", 5)
+    a = analyze(load("qr"), bound=3)
+    assert len(a.candidates) == 8
+    for _, v in a.candidates:
+        assert (v.status, v.method, v.detail) == ("unknown", "bounded", "")
+
+
+def test_bounded_search_says_when_the_walk_was_cut(monkeypatch):
+    # a walk of at most 2 nodes reaches no point of x^2 = y^2's system
+    from clockrace import affine
+    from clockrace.races import _Run, _bounded_tier
+
+    p = _squares()
+    (cand,) = race_candidates(p)
+    monkeypatch.setattr(affine, "_SEARCH_MAX_NODES", 2)
+    run = _Run(p, bound=2)
+    v = _bounded_tier(run, cand)
+    assert (v.status, v.method, v.detail) == (
+        "unknown", "bounded", "point limit hit during bounded search")
+    assert run.explored == {}
+
+
+def test_bounded_replay_takes_any_parameter():
+    # x^2 = 7x + 8 only at x = 8: the bounded tier replays that point
+    # itself, so the gate's own cap on replayed parameters does not apply
+    t = race_test(parse_poly("x^2"), parse_poly("7*x + 8"))
+    ((_, v),) = analyze(t.program, bound=8).candidates
+    assert races._REPLAY_MAX_PARAM < 8
+    assert (v.status, v.method, v.confirmed, v.detail) == ("witness", "bounded", True, "")
+    assert v.witness == {"m_x": 8, "u_x": 8, "v_x": 8}
+
+
+def test_qr_bounded_search_interprets_nothing(monkeypatch):
+    # no point of a QR candidate has equal phases at any valuation up to
+    # 12, so the search is complete without one exploration
+    def no_explore(*args, **kwargs):
+        raise AssertionError("QR's bounded search explored")
+
+    monkeypatch.setattr(races, "explore", no_explore)
+    a = analyze(load("qr"), bound=12)
+    assert len(a.candidates) == 8
+    for _, v in a.candidates:
+        assert (v.status, v.method, v.bound, v.detail) == ("unknown", "bounded", 12, "")
+
+
+def test_bounded_search_explores_only_valuations_with_a_point():
+    # x0*...*x5 = 1 only where every x is 1, and at bound 1 only the
+    # valuation with every parameter 1 has such a point, of 64
+    from clockrace.races import _Run, disprove
+
+    t = race_test(parse_poly("*".join(f"x{k}" for k in range(6))), parse_poly("1"))
+    run = _Run(t.program, bound=1)
+    (cand,) = race_candidates(t.program)
+    v = disprove(run, cand)
+    assert (v.status, v.method, v.confirmed) == ("witness", "bounded", True)
+    assert list(run.explored) == [tuple((f"m_x{k}", 1) for k in range(6))]
