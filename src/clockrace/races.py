@@ -11,11 +11,13 @@ verdict or passes the candidate on:
    the phase difference becomes affine after substituting the candidate's
    equalities, of the system with phase equality added;
 2. smt -- an external solver on the full nonlinear system (QF_NIA);
-3. bounded -- at each small parameter valuation, the integer points of the
-   system with the parameters fixed are listed, and those whose phases are
-   equal (all of them when a phase is unavailable) go to the gate; the
-   program is explored only at a valuation that has such a point, and that
-   exploration is their replay; always decides.
+3. bounded -- the system's equalities are eliminated once with the
+   parameters symbolic (``affine.Listing``); at each small parameter
+   valuation the walk lists the integer points whose phases are equal (all
+   of them when a phase is unavailable), checking the phase difference
+   where it sets the last variable the difference depends on, and those
+   points go to the gate; the program is explored only at a valuation that
+   has such a point, and that exploration is their replay; always decides.
 
 ``race-free`` only ever comes from a sound emptiness or unsat proof.
 Affine points, SMT models and bounded points pass one witness gate:
@@ -37,7 +39,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 # is_empty and reduce_clock are not called here but stay bound:
 # perfbench/tracing.py wraps ``races.is_empty`` and ``races.reduce_clock`` by
 # name with getattr and fails if either is missing.
-from .affine import AffineSet, Constraint, eq, is_empty, is_empty_with_witness, points  # noqa: F401
+from .affine import AffineSet, Constraint, Listing, eq, is_empty, is_empty_with_witness  # noqa: F401
 from .hb import ClockReduction, reduce_clock, unordered_disjuncts  # noqa: F401
 from .interp import ExploreResult, Instance, explore
 from .phi import Counting, Monomial, QuasiPoly, phi
@@ -374,23 +376,26 @@ def _bounded_tier(run: _Run, cand: RaceCandidate) -> Verdict:
     (every point when a phase is unavailable), in the order of the affine
     walk; at a valuation that has one, the program is explored and each such
     point goes to the gate.  The first point that passes decides, else
-    unknown, with what cut the search short in ``detail``."""
+    unknown, with what cut the search short in ``detail``.
+
+    The listing is prepared once per candidate, and at each valuation the
+    walk checks the integer-scaled phase difference where it sets the last
+    variable the difference depends on: a value of unequal phases is cut
+    off with its subtree, and only points of equal phases are built."""
     p = run.p
+    names = p.param_names()
     diff = _scaled_phase_diff(cand)
-    split = None if diff is None else _split_params(diff, p.param_names())
+    split = None if diff is None else _split_params(diff, names)
+    listing = Listing(cand.system, names)
     failures: dict[str, None] = {}
     for combo in _valuations([lb for _, lb in p.params], run.bound):
-        params = dict(zip(p.param_names(), combo))
-        terms = res = None  # both made at the first point that needs them
-        for point in points(cand.system, params):
+        params = dict(zip(names, combo))
+        check = None if split is None else _fix_params(split, params)
+        res = None  # made at the first point that needs it
+        for point in listing.points(params, check):
             if point is None:
                 failures["point limit hit"] = None
                 continue
-            if split is not None:
-                if terms is None:
-                    terms = _fix_params(split, params)
-                if sum(c * prod(map(point.__getitem__, m)) for c, m in terms):
-                    continue
             if res is None:
                 res = run.explore(params)
             if isinstance(res, str):

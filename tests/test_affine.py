@@ -409,12 +409,103 @@ def test_points_match_brute_force(system):
     walked = [tuple(point[v] for v in names) for point in s.points()]
     assert s.complete
     assert sorted(walked) == enumerate_points(conj(*ineqs), bounds)
-    # and after equality elimination, with a variable's value fixed
-    listed = list(affine.points(conj(*rows), fixed))
+    # and the prepared listing, with a variable's value fixed
+    listed = list(affine.Listing(conj(*rows), list(fixed)).points(fixed))
     assert None not in listed
     values = [eq(expr(-x, **{v: 1})) for v, x in fixed.items()]
     expected = enumerate_points(conj(*rows, *values), bounds)
     assert sorted(tuple(point[v] for v in names) for point in listed) == expected
+
+
+def listed_per_valuation(s, values):
+    """The reference for Listing.points: at one valuation, a system per
+    disjunct with each parameter set by an equality, every equality
+    eliminated (the parameters' popped first), walked and reconstructed."""
+    fixed = tuple(eq(expr(-x, **{n: 1})) for n, x in values.items())
+    out = []
+    for d in s.disjuncts:
+        sys = affine._System(tuple(d) + s.context + fixed)
+        try:
+            sys.eliminate_equalities()
+        except affine._Infeasible:
+            continue
+        out += [sys.reconstruct(env) for env in sys.points()]
+        if not sys.complete:
+            out.append(None)
+    return out
+
+
+@st.composite
+def parametric_sets(draw):
+    """1 or 2 disjuncts, each of up to 4 random rows over 1 to 3 boxed
+    variables and 1 or 2 parameters; the parameters; 1 to 3 valuations;
+    and a random polynomial check over the variables."""
+    names = [f"x{i}" for i in range(draw(st.integers(1, 3)))]
+    params = ["N", "M"][: draw(st.integers(1, 2))]
+    disjuncts = []
+    for _ in range(draw(st.integers(1, 2))):
+        rows = []
+        for v in names:
+            lo = draw(st.integers(-3, 2))
+            rows += box(v, lo, lo + draw(st.integers(0, 4)))
+        for _ in range(draw(st.integers(0, 4))):
+            coeffs = draw(st.dictionaries(st.sampled_from(names + params), st.integers(-3, 3), min_size=1))
+            e = expr(draw(st.integers(-6, 6)), **{v: c for v, c in coeffs.items() if c})
+            rows.append(eq(e) if draw(st.booleans()) else ge(e))
+        disjuncts.append(tuple(rows))
+    context = tuple(ge(expr(3, **{n: 1})) for n in params)
+    valuations = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * len(params)), min_size=1, max_size=3))
+    monomials = st.lists(st.sampled_from(names), max_size=2).map(tuple)
+    check = draw(st.lists(st.tuples(st.integers(-2, 2), monomials), max_size=3))
+    return AffineSet(tuple(disjuncts), context), params, valuations, check
+
+
+def _shape(rows, params, valuations, check=()):
+    return AffineSet((tuple(rows),), ()), params, valuations, list(check)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=parametric_sets())
+# the only +-1 coefficient is on a parameter: 2 x0 = 4 - N
+@example(case=_shape([*box("x0", 0, 3), eq(expr(-4, N=1, x0=2))], ["N"], [(0,), (1,), (2,), (4,)]))
+# an equality over the parameters only: N = M + 1
+@example(case=_shape([*box("x0", 0, 2), eq(expr(-1, N=1, M=-1))], ["N", "M"], [(2, 1), (2, 2), (3, 2)]))
+# no +-1 coefficient, after one with a +-1 on x2: 2 x0 + 3 x1 = N, x2 = x0 + N
+@example(case=_shape(
+    [*box("x0", -3, 3), *box("x1", -3, 3), *box("x2", -2, 4),
+     eq(expr(0, x0=2, x1=3, N=-1)), eq(expr(0, x2=1, x0=-1, N=-1))],
+    ["N"], [(0,), (1,), (2,), (5,)], [(1, ("x0",)), (-2, ())]))
+def test_listing_matches_each_valuations_own_system(case):
+    s, params, valuations, check = case
+    listing = affine.Listing(s, params)
+
+    def items(points):
+        return [None if p is None else list(p.items()) for p in points]
+
+    for combo in valuations:
+        values = dict(zip(params, combo))
+        expected = listed_per_valuation(s, values)
+        # the same points, in the same order, with the same keys in the
+        # same order, and a None at the same places
+        assert items(listing.points(values)) == items(expected)
+        # with the check, the points of the reference where it is 0
+        checked = list(listing.points(values, check))
+        holds = [
+            p for p in expected
+            if p is not None and not sum(c * math.prod(p[v] for v in m) for c, m in check)
+        ]
+        assert items(p for p in checked if p is not None) == items(holds)
+        assert checked.count(None) <= expected.count(None)
+
+
+def test_a_checked_value_counts_as_a_node(monkeypatch):
+    # x in 0..3 where x - 3 = 0: the root and 4 values take 5 nodes, of
+    # which the first 3 values fail the check
+    s = affine._System(box("x", 0, 3))
+    check = [(1, ("x",)), (-3, ())]
+    assert list(s.points(check=check)) == [{"x": 3}] and s.complete
+    monkeypatch.setattr(affine, "_SEARCH_MAX_NODES", 4)
+    assert list(s.points(check=check)) == [] and not s.complete
 
 
 def test_search_witness_is_the_first_point():
@@ -429,12 +520,12 @@ def test_search_witness_is_the_first_point():
 def test_points_say_when_a_cap_cut_the_walk(monkeypatch):
     # a box of 4 x 4 points takes 1 + 4 + 16 nodes; one fewer cuts the last
     # point, and the list ends in None
-    s = conj(*box("x", 0, 3), *box("y", 0, 3))
-    assert len(list(affine.points(s, {}))) == 16
+    listing = affine.Listing(conj(*box("x", 0, 3), *box("y", 0, 3)), [])
+    assert len(list(listing.points({}))) == 16
     monkeypatch.setattr(affine, "_SEARCH_MAX_NODES", 20)
-    listed = list(affine.points(s, {}))
+    listed = list(listing.points({}))
     assert len(listed) == 16 and listed[-1] is None
     # and a variable without an upper bound is listed over a window only
     monkeypatch.undo()
-    listed = list(affine.points(conj(ge(expr(0, x=1))), {}))
+    listed = list(affine.Listing(conj(ge(expr(0, x=1))), []).points({}))
     assert listed[-1] is None and len(listed) == affine._FALLBACK_WIDTH + 2

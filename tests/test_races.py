@@ -516,18 +516,19 @@ def test_bounded_confirms_nonlinear_race():
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_points_of_every_corpus_candidate(name):
-    # the affine walk lists each candidate's points at each valuation in
-    # lb..lb+2, as brute force over the loop bounds finds them
-    from clockrace.affine import points
+    # the prepared listing gives each candidate's points at each valuation
+    # in lb..lb+2, as brute force over the loop bounds finds them
+    from clockrace.affine import Listing
 
     def key(point):
         return sorted(point.items())
 
     p = load(name)
     for cand in race_candidates(p):
+        listing = Listing(cand.system, p.param_names())
         for combo in itertools.product(*(range(lb, lb + 3) for _, lb in p.params)):
             params = dict(zip(p.param_names(), combo))
-            listed = list(points(cand.system, params))
+            listed = list(listing.points(params))
             assert None not in listed
             expected = fuzzgen.candidate_points(p, cand, params)
             assert sorted(map(key, listed)) == sorted(map(key, expected)), (cand.index, params)
@@ -677,6 +678,42 @@ def test_qr_bounded_search_interprets_nothing(monkeypatch):
     assert len(a.candidates) == 8
     for _, v in a.candidates:
         assert (v.status, v.method, v.bound, v.detail) == ("unknown", "bounded", 12, "")
+
+
+def test_qr_bounded_search_builds_no_point(monkeypatch):
+    # the walk checks the phases before a point is built, and no point of
+    # a QR candidate has equal phases at any valuation up to 12
+    from clockrace import affine
+    from clockrace.races import _Run, disprove
+
+    def no_reconstruct(*args, **kwargs):
+        raise AssertionError("QR's bounded search built a point")
+
+    p = load("qr")
+    cands = race_candidates(p)
+    monkeypatch.setattr(affine._System, "reconstruct", no_reconstruct)
+    run = _Run(p, bound=12)
+    assert len(cands) == 8
+    for cand in cands:
+        v = disprove(run, cand)
+        assert (v.status, v.method, v.bound, v.detail) == ("unknown", "bounded", 12, "")
+
+
+def test_a_pruned_walk_still_says_it_was_cut(monkeypatch):
+    # QR's walks cut off every subtree by the phase check, and a walk of at
+    # most 2 nodes is still a partial one
+    from clockrace import affine
+    from clockrace.races import _Run, _bounded_tier
+
+    p = load("qr")
+    cands = race_candidates(p)
+    monkeypatch.setattr(affine, "_SEARCH_MAX_NODES", 2)
+    run = _Run(p, bound=3)
+    for cand in cands:
+        v = _bounded_tier(run, cand)
+        assert (v.status, v.method, v.detail) == (
+            "unknown", "bounded", "point limit hit during bounded search")
+    assert run.explored == {}
 
 
 def test_bounded_search_explores_only_valuations_with_a_point():
